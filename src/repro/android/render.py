@@ -32,6 +32,10 @@ from repro.sched.task import Task, WorkItem
 VSYNC_MS = 1000.0 / 60.0
 ALERT_THRESHOLD_MS = 16.6
 
+# Checked every vsync; a module alias skips the enum descriptor call
+# (see repro.sched.task).
+_FOREGROUND = AppState.FOREGROUND
+
 
 @dataclass
 class FrameStats:
@@ -158,12 +162,9 @@ class FrameEngine:
         if self.task is not None:
             self.system.sched.remove_task(self.task)
             self.task = None
-        discard = self.system.mm.discard_page_id
-        free = PAGE_SLAB.free
-        while self._transient:
-            i = self._transient.popleft()
-            discard(i)
-            free(i)
+        if self._transient:
+            self._retire(list(self._transient))
+            self._transient.clear()
         self.app = None
         self._sampler = None
         self._working_set = []
@@ -171,7 +172,7 @@ class FrameEngine:
     # ------------------------------------------------------------------
     def _on_vsync(self) -> None:
         app = self.app
-        if app is None or app.state is not AppState.FOREGROUND:
+        if app is None or app.state is not _FOREGROUND:
             return
         profile = app.profile
         self._content_credit += min(profile.content_fps, 60.0) / 60.0
@@ -233,14 +234,10 @@ class FrameEngine:
         app = self.app
         profile = app.profile
         main = app.main_process
-        hot = self._sampler.hot_ids
-        ws = self._working_set
-        ids = []
-        for _ in range(profile.frame_touch_pages):
-            if hot and self._rng.random() < 0.75:
-                ids.append(self._rng.choice(hot))
-            elif ws:
-                ids.append(self._rng.choice(ws))
+        ids = self._rng.biased_picks(
+            profile.frame_touch_pages, self._sampler.hot_ids,
+            self._working_set, 0.75,
+        )
         blocked = self.system.touch_ids(main, ids)
         blocked += self._churn_transient(profile.frame_alloc_pages)
         return blocked
@@ -258,12 +255,10 @@ class FrameEngine:
         # churn recycles a bounded id pool instead of growing every
         # column without limit.
         transient = self._transient
-        discard = self.system.mm.discard_page_id
-        free = slab.free
-        while len(transient) > self._transient_cap - count:
-            i = transient.popleft()
-            discard(i)
-            free(i)
+        excess = len(transient) - (self._transient_cap - count)
+        if excess > 0:
+            popleft = transient.popleft
+            self._retire([popleft() for _ in range(excess)])
         alloc = slab.alloc
         fresh = [alloc(KIND_ANON, HEAP_NATIVE, 0, main) for _ in range(count)]
         stall = self.system.allocate_ids(main, fresh)
@@ -277,10 +272,17 @@ class FrameEngine:
         transient.extend(fresh)
         return stall
 
+    def _retire(self, ids: List[int]) -> None:
+        """Free retired buffers in two bulk calls: the kernel drops their
+        memory (resident page, zram slot or shadow entry), then the slab
+        recycles the ids."""
+        self.system.mm.discard_ids(ids)
+        PAGE_SLAB.free_ids(ids)
+
     def _alloc_burst(self) -> None:
         """Periodic large allocation (PUBG round start, video switch)."""
         app = self.app
-        if app is None or app.state is not AppState.FOREGROUND:
+        if app is None or app.state is not _FOREGROUND:
             return
         profile = app.profile
         pages = profile.fg_alloc_burst_pages

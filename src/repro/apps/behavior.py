@@ -29,6 +29,10 @@ from repro.kernel.page import Page
 from repro.kernel.slab import HOT, PAGE_SLAB
 from repro.sched.task import Task, WorkItem
 
+# App states in which background activity runs, bound once (enum member
+# lookups are descriptor calls on CPython 3.11; see repro.sched.task).
+_BACKGROUND_STATES = (AppState.CACHED, AppState.PERCEPTIBLE)
+
 # Share of burst touches aimed at the hot working-set nucleus; the cold
 # remainder is what generates refaults under memory pressure.
 HOT_TOUCH_BIAS = 0.70
@@ -155,41 +159,17 @@ class PageSampler:
     # --- id API (the hot path) -----------------------------------------
     def sample_ids(self, count: int, hot_bias: float = HOT_TOUCH_BIAS) -> List[int]:
         """Sample ``count`` page ids, ``hot_bias`` of them hot."""
-        if not self.all_ids:
-            return []
-        picks: List[int] = []
-        rnd = self.rng.random
-        randbelow = self.rng.randbelow
-        append = picks.append
-        hot_ids = self.hot_ids
-        all_ids = self.all_ids
-        n_hot = len(hot_ids)
-        n_all = len(all_ids)
-        for _ in range(count):
-            if n_hot and rnd() < hot_bias:
-                append(hot_ids[randbelow(n_hot)])
-            else:
-                append(all_ids[randbelow(n_all)])
-        return picks
+        return self.rng.biased_picks(count, self.hot_ids, self.all_ids, hot_bias)
 
     def sample_burst_ids(self, count: int, hot_bias: float = HOT_TOUCH_BIAS) -> List[int]:
         """Sample a BG burst with the file/native/java segment mix."""
         picks: List[int] = []
-        rnd = self.rng.random
-        randbelow = self.rng.randbelow
-        append = picks.append
+        draw = self.rng.biased_picks
         for name, weight in self.BURST_MIX:
-            ids = self._segments[name]
-            if not ids:
-                continue
-            hot = self._hot_segments[name]
-            n_hot = len(hot)
-            n_ids = len(ids)
-            for _ in range(int(count * weight)):
-                if n_hot and rnd() < hot_bias:
-                    append(hot[randbelow(n_hot)])
-                else:
-                    append(ids[randbelow(n_ids)])
+            picks += draw(
+                int(count * weight), self._hot_segments[name],
+                self._segments[name], hot_bias,
+            )
         return picks
 
     def sample_segment(self, items: list, count: int) -> list:
@@ -255,7 +235,7 @@ class BackgroundBehavior:
         if not self.process.alive:
             return False
         app_state = self.process.app.state
-        if app_state not in (AppState.CACHED, AppState.PERCEPTIBLE):
+        if app_state not in _BACKGROUND_STATES:
             return False
         return not self.system.freezer.is_frozen(self.process.pid)
 

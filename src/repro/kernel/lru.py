@@ -67,6 +67,13 @@ LRU_CODE_BY_KIND = {
     LruKind.INACTIVE_FILE: LRU_INACTIVE_FILE,
 }
 
+# List-kind checks on the reclaim path use these instead of member
+# lookups such as ``LruKind.INACTIVE_ANON``, which are descriptor calls
+# on CPython 3.11 (see repro.sched.task).
+_INACTIVE_ANON = LruKind.INACTIVE_ANON
+_INACTIVE_KINDS = (_INACTIVE_ANON, LruKind.INACTIVE_FILE)
+_ACTIVE_KINDS = (LruKind.ACTIVE_ANON, LruKind.ACTIVE_FILE)
+
 # Module-level column aliases: ``PageSlab.reset`` clears the columns in
 # place (never rebinds them), so these stay valid across scenario runs
 # and save an attribute hop on every list operation.
@@ -181,6 +188,30 @@ class LruLists:
         _LRU[i] = code
         self._size[code] += 1
 
+    def add_ids(self, ids: List[int], active: bool = False) -> None:
+        """:meth:`add_id` for each id in order (bulk allocation, and
+        reclaim's rotate-back); stops at the first id already on a list,
+        with the ids before it added."""
+        head_cur = self._head
+        tail_cur = self._tail
+        size_cur = self._size
+        base = 1 if active else 2
+        for i in ids:
+            code = _LRU[i]
+            if code:
+                raise ValueError(f"page {i} already on {KIND_BY_LRU_CODE[code]}")
+            code = base + (2 if _KIND[i] == KIND_FILE else 0)
+            tail = tail_cur[code]
+            _PREV[i] = tail
+            _NEXT[i] = 0
+            if tail:
+                _NEXT[tail] = i
+            else:
+                head_cur[code] = i
+            tail_cur[code] = i
+            _LRU[i] = code
+            size_cur[code] += 1
+
     def remove(self, page: Page) -> None:
         """Take a page off whatever list it is on (eviction, unmap).
 
@@ -206,6 +237,28 @@ class LruLists:
         code = PAGE_SLAB.lru[i]
         if code:
             self._unlink_id(i, code)
+
+    def discard_ids(self, ids: List[int]) -> None:
+        """:meth:`discard_id` for each id in order (bulk page release)."""
+        head_cur = self._head
+        tail_cur = self._tail
+        size_cur = self._size
+        for i in ids:
+            code = _LRU[i]
+            if not code:
+                continue
+            prev = _PREV[i]
+            nxt = _NEXT[i]
+            if prev:
+                _NEXT[prev] = nxt
+            else:
+                head_cur[code] = nxt
+            if nxt:
+                _PREV[nxt] = prev
+            else:
+                tail_cur[code] = prev
+            _LRU[i] = 0
+            size_cur[code] -= 1
 
     def contains(self, page: Page) -> bool:
         code = PAGE_SLAB.lru[page.page_id]
@@ -292,7 +345,7 @@ class LruLists:
         re-appended at the tail, exactly matching the ``OrderedDict``
         pop-front/insert-back order of the object-backed implementation.
         """
-        if kind not in (LruKind.INACTIVE_ANON, LruKind.INACTIVE_FILE):
+        if kind not in _INACTIVE_KINDS:
             raise ValueError(f"scan_inactive on non-inactive list {kind}")
         code = LRU_CODE_BY_KIND[kind]
         active_code = code - 1
@@ -361,7 +414,7 @@ class LruLists:
         hot end (they survive this aging round).  Returns the number of
         pages demoted.
         """
-        if kind not in (LruKind.ACTIVE_ANON, LruKind.ACTIVE_FILE):
+        if kind not in _ACTIVE_KINDS:
             raise ValueError(f"age_active on non-active list {kind}")
         code = LRU_CODE_BY_KIND[kind]
         inactive_code = code + 1
@@ -455,6 +508,6 @@ class LruLists:
         """Linux keeps inactive:active near 1:2 for anon and 1:1 for file;
         we age the active list when inactive falls below that share."""
         sizes = self._size
-        if kind_inactive is LruKind.INACTIVE_ANON:
+        if kind_inactive is _INACTIVE_ANON:
             return sizes[LRU_INACTIVE_ANON] * 2 < sizes[LRU_ACTIVE_ANON]
         return sizes[LRU_INACTIVE_FILE] < sizes[LRU_ACTIVE_FILE]

@@ -95,6 +95,16 @@ ALLOC_CONTENTION_HIGH_MS = 0.3  # free in [low, high): mild churn
 ALLOC_CONTENTION_CAP_MS = 30.0
 
 
+# List kinds bound once: enum member lookups are descriptor calls on
+# CPython 3.11 (see repro.sched.task), and every reclaim round uses them.
+_INACTIVE_ANON = LruKind.INACTIVE_ANON
+_INACTIVE_FILE = LruKind.INACTIVE_FILE
+_RECLAIM_LISTS = (
+    (_INACTIVE_ANON, LruKind.ACTIVE_ANON),
+    (_INACTIVE_FILE, LruKind.ACTIVE_FILE),
+)
+
+
 class MemoryManager:
     """Watermark-driven physical-memory manager for one device."""
 
@@ -240,19 +250,21 @@ class MemoryManager:
         """Id-level bulk allocation — the footprint/launch hot path.
 
         The free/resident counters and the pgalloc vmstat run in locals
-        and are written back in one shot; reclaim (which reads and
-        mutates the real counters) forces a sync around each
-        ``_ensure_headroom`` call, so the observable counter values at
-        every reclaim entry and at return are identical to the
-        per-page-update version.
+        and are written back in one shot, and the LRU appends are
+        batched into one :meth:`LruLists.add_ids` call; reclaim (which
+        reads and mutates the real counters and scans the lists) forces
+        a sync of both around each ``_ensure_headroom`` call, so the
+        counters and lists at every reclaim entry and at return are
+        identical to the per-page-update version.
         """
         outcome = AllocationOutcome()
         flags = PAGE_SLAB.flags
-        lru_add = self.lru.add_id
+        lru_add = self.lru.add_ids
         wm_min = self._wm_min
         free = self._free_pages
         resident = self._resident_pages
         pages = 0
+        pending: List[int] = []
         for i in ids:
             f = flags[i]
             if f & PRESENT:
@@ -260,6 +272,9 @@ class MemoryManager:
             if free <= wm_min:
                 self._free_pages = free
                 self._resident_pages = resident
+                if pending:
+                    lru_add(pending, active)
+                    pending = []
                 self._ensure_headroom(outcome)
                 free = self._free_pages
                 resident = self._resident_pages
@@ -268,7 +283,9 @@ class MemoryManager:
             resident += 1
             free -= 1
             pages += 1
-            lru_add(i, active)
+            pending.append(i)
+        if pending:
+            lru_add(pending, active)
         self._free_pages = free
         self._resident_pages = resident
         self.vmstat.pgalloc += pages
@@ -307,32 +324,54 @@ class MemoryManager:
         self.vmstat.pgfree += 1
 
     def discard_page(self, page: Page) -> None:
-        """Drop one page entirely: free it if resident, otherwise clear
-        its swap slot / shadow entry (transient-allocation teardown)."""
-        self.discard_page_id(page.page_id)
-
-    def discard_page_id(self, i: int) -> None:
-        slab = PAGE_SLAB
-        if slab.flags[i] & PRESENT:
-            self.release_id(i)
-        elif slab.shadow[i]:
-            if slab.kind[i] != KIND_FILE:
-                self.zram.discard(i)
-            self.workingset.drop_shadow_id(i)
+        """Drop one page entirely (see :meth:`discard_ids`)."""
+        self.discard_ids((page.page_id,))
 
     def release_process_pages(self, pages: Iterable[Page]) -> int:
         """Tear down a dead process: free resident pages, drop zram slots
         and shadow entries.  Returns the number of resident pages freed."""
-        return self.release_process_ids([page.page_id for page in pages])
+        return self.discard_ids([page.page_id for page in pages])
 
-    def release_process_ids(self, ids: Iterable[int]) -> int:
-        flags = PAGE_SLAB.flags
-        freed = 0
-        discard = self.discard_page_id
+    def discard_ids(self, ids: Iterable[int]) -> int:
+        """Drop pages entirely, in order: free each resident page (off
+        its LRU list), otherwise clear its zram slot and shadow entry.
+        Process teardown and frame-buffer retirement.
+
+        The resident, free and ``pgfree`` counters, the zram pool
+        charge and the shadow-entry count are updated once per call;
+        their final values equal a per-page release's.  Returns the
+        number of resident pages freed.
+        """
+        slab = PAGE_SLAB
+        flags = slab.flags
+        shadow = slab.shadow
+        kind = slab.kind
+        zram_slots = self.zram._slots
+        released: List[int] = []
+        slots_dropped = 0
+        shadows_dropped = 0
         for i in ids:
-            if flags[i] & PRESENT:
-                freed += 1
-            discard(i)
+            f = flags[i]
+            if f & PRESENT:
+                flags[i] = f & ~PRESENT & 0xFF
+                released.append(i)
+            elif shadow[i]:
+                if kind[i] != KIND_FILE and i in zram_slots:
+                    zram_slots.discard(i)
+                    slots_dropped += 1
+                shadow[i] = 0
+                shadows_dropped += 1
+        freed = len(released)
+        if freed:
+            self.lru.discard_ids(released)
+            self._resident_pages -= freed
+            self._free_pages += freed
+            self.vmstat.pgfree += freed
+        if slots_dropped:
+            self._on_zram_change(len(zram_slots))
+        if shadows_dropped:
+            ws = self.workingset
+            ws.shadow_entries = max(0, ws.shadow_entries - shadows_dropped)
         return freed
 
     def _ensure_headroom(self, outcome: AllocationOutcome) -> None:
@@ -414,14 +453,12 @@ class MemoryManager:
     def _shrink_round(self, target: int, result: ReclaimResult) -> int:
         # Refill inactive lists by aging active ones when needed.
         lru = self.lru
-        for inactive, active in (
-            (LruKind.INACTIVE_ANON, LruKind.ACTIVE_ANON),
-            (LruKind.INACTIVE_FILE, LruKind.ACTIVE_FILE),
-        ):
+        for inactive, active in _RECLAIM_LISTS:
             if lru.needs_aging(inactive):
                 aged = lru.age_active(active, budget=target * 2)
                 result.scanned += aged
                 result.cpu_ms += aged * SCAN_COST_MS
+                self.vmstat.pgscan += aged
 
         anon_avail = lru.inactive_anon
         file_avail = lru.inactive_file
@@ -436,8 +473,8 @@ class MemoryManager:
         file_share = target - anon_share
 
         reclaimed = 0
-        reclaimed += self._evict_from(LruKind.INACTIVE_ANON, anon_share, result)
-        reclaimed += self._evict_from(LruKind.INACTIVE_FILE, file_share, result)
+        reclaimed += self._evict_from(_INACTIVE_ANON, anon_share, result)
+        reclaimed += self._evict_from(_INACTIVE_FILE, file_share, result)
         return reclaimed
 
     def _evict_from(self, kind: LruKind, count: int, result: ReclaimResult) -> int:
@@ -450,13 +487,13 @@ class MemoryManager:
         # scan_inactive removes victims from the list; only `count` of
         # them are evicted this round, the rest rotate back (still cold).
         if len(victims) > count:
-            for extra in victims[count:]:
-                lru.add_id(extra, False)
+            lru.add_ids(victims[count:], False)
             del victims[count:]
         # Charge the pages actually scanned — an exhausted list scans
         # fewer than the 2x budget.
         result.scanned += scanned
         result.cpu_ms += scanned * SCAN_COST_MS
+        self.vmstat.pgscan += scanned
         if not victims:
             return 0
         # Per-victim eviction with the whole chain inlined
@@ -501,8 +538,7 @@ class MemoryManager:
                     zram.failed_stores += 1
                     # Put this and the remaining victims back; anon
                     # reclaim is over for this round.
-                    for leftover in victims[index:]:
-                        lru.add_id(leftover, True)
+                    lru.add_ids(victims[index:], True)
                     result.zram_full = True
                     break
                 if i in zram_slots:

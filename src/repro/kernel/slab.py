@@ -223,19 +223,27 @@ class PageSlab:
         self.owner += [owner] * count
         return range(first, first + count)
 
-    def free(self, i: int) -> None:
-        """Recycle a fully-retired id (transient-page teardown).
+    def free_ids(self, ids: List[int]) -> None:
+        """Recycle fully-retired ids (transient-page teardown), in order.
 
-        The caller must have already made the page non-resident, taken
-        it off any LRU list, and dropped its zram slot / shadow entry.
+        The caller must have already made each page non-resident, taken
+        it off any LRU list, and dropped its zram slot / shadow entry
+        (:meth:`~repro.kernel.mm.MemoryManager.discard_ids`).
         """
-        self.flags[i] = 0
-        self.shadow[i] = 0
-        self.evictions[i] = 0
-        self.refaults[i] = 0
-        self.owner[i] = None
-        self.views.pop(i, None)
-        self.free_list.append(i)
+        flags = self.flags
+        shadow = self.shadow
+        evictions = self.evictions
+        refaults = self.refaults
+        owner = self.owner
+        drop_view = self.views.pop
+        for i in ids:
+            flags[i] = 0
+            shadow[i] = 0
+            evictions[i] = 0
+            refaults[i] = 0
+            owner[i] = None
+            drop_view(i, None)
+        self.free_list += ids
 
     # ------------------------------------------------------------------
     # Views

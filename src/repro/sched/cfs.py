@@ -5,7 +5,8 @@ Every quantum (default 4 ms) the scheduler:
 1. unblocks tasks whose I/O wait has elapsed,
 2. picks the ``cores`` runnable tasks with the smallest virtual runtime
    (or by a policy-supplied key — UCSG reorders here),
-3. runs each picked task's body for up to one quantum, and
+3. runs each picked task for up to one quantum — draining its work-item
+   queue, or calling its custom body (kswapd) — and
 4. advances the task's vruntime by ``used * 1024 / effective_weight``.
 
 Frozen tasks are invisible to step 2 — that is the entire enforcement
@@ -18,7 +19,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Dict, List, Optional
 
-from repro.sched.task import Task, TaskState
+from repro.sched.task import BLOCKED, DEAD, RUNNABLE, SLEEPING, Task, TaskState
 from repro.trace.tracer import CPU_PID
 
 QUANTUM_MS = 4.0
@@ -27,6 +28,7 @@ QUANTUM_MS = 4.0
 # the pick key, reproduces the original walk-the-table-then-stable-sort
 # ordering exactly (ties in the pick key resolve by insertion order).
 _ORDER_KEY = operator.attrgetter("order_index")
+_CFS_KEY = operator.attrgetter("vruntime", "order_index")
 
 
 class CpuStats:
@@ -94,8 +96,8 @@ class CfsScheduler:
         self._order_counter = 0
         self.stats = CpuStats(cores)
         # Policy hook: maps a task to its pick-order key (smaller runs
-        # first).  Default is plain CFS min-vruntime.
-        self.pick_key: Callable[[Task], float] = lambda task: task.vruntime
+        # first).  ``None`` is plain CFS min-vruntime.
+        self.pick_key: Optional[Callable[[Task], object]] = None
         # System hook: True when a task is confined to the little
         # cluster (background application tasks).
         self.is_background: Callable[[Task], bool] = lambda task: False
@@ -132,11 +134,11 @@ class CfsScheduler:
         self._order_counter += 1
         self.tasks[task.tid] = task
         state = task.state
-        if state is TaskState.RUNNABLE:
+        if state is RUNNABLE:
             self._runnable[task.tid] = task
-        elif state is not TaskState.DEAD:
+        elif state is not DEAD:
             self._idle_vr[task.tid] = task.vruntime
-            if state is TaskState.BLOCKED:
+            if state is BLOCKED:
                 self._blocked[task.tid] = task
         self._membership_dirty = True
         return task
@@ -151,17 +153,17 @@ class CfsScheduler:
     def _note_state(self, task: Task, old: TaskState, new: TaskState) -> None:
         """Task.state setter hook: keep the partitioned views current."""
         tid = task.tid
-        if old is TaskState.RUNNABLE:
+        if old is RUNNABLE:
             self._runnable.pop(tid, None)
         else:
             self._idle_vr.pop(tid, None)
-            if old is TaskState.BLOCKED:
+            if old is BLOCKED:
                 self._blocked.pop(tid, None)
-        if new is TaskState.RUNNABLE:
+        if new is RUNNABLE:
             self._runnable[tid] = task
-        elif new is not TaskState.DEAD:
+        elif new is not DEAD:
             self._idle_vr[tid] = task.vruntime
-            if new is TaskState.BLOCKED:
+            if new is BLOCKED:
                 self._blocked[tid] = task
 
     def tasks_of_pid(self, pid: int) -> List[Task]:
@@ -183,7 +185,16 @@ class CfsScheduler:
         return sorted(self._runnable.values(), key=_ORDER_KEY)
 
     def tick(self, now: float) -> float:
-        """Run one scheduling quantum; returns busy core-ms consumed."""
+        """Run one scheduling quantum; returns busy core-ms consumed.
+
+        The scheduler drains each picked task's work-item queue itself
+        (touch, then the CPU slice, then ``on_complete``); only a task
+        without a queue (``task.body`` set, e.g. kswapd) is called out
+        to.  Callbacks can have drastic side effects — a fault can OOM,
+        invoke the LMK, and kill *this very task's application*
+        (clearing its queue) — so the drain re-validates the task and
+        queue after every callback.
+        """
         # Wake pass over the blocked set only (a handful of tasks) —
         # the partitioned views make the full-table walk unnecessary.
         # This runs every 4 ms of simulated time and used to dominate
@@ -196,16 +207,21 @@ class CfsScheduler:
         if not self._runnable:
             self.stats.record(now, 0.0)
             return 0.0
-        # Table order first, then a stable sort by the pick key — the
-        # exact ordering of the original walk-and-sort.
-        runnable = sorted(self._runnable.values(), key=_ORDER_KEY)
+        pick_key = self.pick_key
+        if pick_key is None:
+            # Plain CFS: one sort on (vruntime, table position), the
+            # order the two sorts below give with a vruntime key.
+            runnable = sorted(self._runnable.values(), key=_CFS_KEY)
+        else:
+            # Table order first, then a stable sort by the pick key —
+            # the exact ordering of the original walk-and-sort.
+            runnable = sorted(self._runnable.values(), key=_ORDER_KEY)
+            runnable.sort(key=pick_key)
         # ``idle_min``: min vruntime over the non-runnable, non-dead
         # tasks, snapshotted before dispatch; combined with the runnable
         # list after dispatch it reproduces the full min-vruntime pass.
         idle_vr = self._idle_vr
         idle_min: Optional[float] = min(idle_vr.values()) if idle_vr else None
-        dead = TaskState.DEAD
-        runnable.sort(key=self.pick_key)
         big_free = self.cores - self.little_cores
         little_free = self.little_cores
         if self.bg_slot_limit is not None:
@@ -250,13 +266,46 @@ class CfsScheduler:
                     if uid not in waiting_uids:
                         waiting_uids.add(uid)
                         psi.record("cpu", self.quantum_ms, start=now, uid=uid)
+        budget = self.quantum_ms
         busy = 0.0
         tracer = self.tracer
-        # Task bodies may add or remove tasks (launches, LMK kills);
-        # the dirty flag tells us when the fused min below is stale.
+        # Callbacks may add or remove tasks (launches, LMK kills); the
+        # dirty flag tells us when the fused min below is stale.
         self._membership_dirty = False
         for core, task in enumerate(picked):
-            used = task.body.run(task, now, self.quantum_ms)
+            body = task.body
+            if body is not None:
+                used = body.run(task, now, budget)
+            else:
+                # Drain the work-item queue.  ``task.queue`` is mutated
+                # in place (popleft/clear) but never rebound, so the
+                # alias stays valid across callbacks.
+                used = 0.0
+                queue = task.queue
+                while used < budget and queue:
+                    item = queue[0]
+                    if item.touch is not None and not item.touched:
+                        item.touched = True
+                        fault_ms = item.touch()
+                        if task._state is DEAD:
+                            break
+                        if not queue or queue[0] is not item:
+                            continue  # the callback restructured the queue
+                        if fault_ms > 0:
+                            task.block_until(now + fault_ms)
+                            break
+                    slice_ms = item.cpu_ms
+                    if slice_ms > budget - used:
+                        slice_ms = budget - used
+                    item.cpu_ms -= slice_ms
+                    used += slice_ms
+                    if item.cpu_ms <= 1e-9:
+                        if queue and queue[0] is item:
+                            queue.popleft()
+                        if item.on_complete is not None:
+                            item.on_complete()
+                        if task._state is DEAD:
+                            break
             if used > 0:
                 task.cpu_ms_total += used
                 # Inlined effective_weight() — one call per picked task
@@ -265,7 +314,7 @@ class CfsScheduler:
                 busy += used
                 if task.tid in idle_vr:
                     # The task went idle (blocked/slept) inside its own
-                    # body.run, *before* this accrual: refresh the
+                    # quantum, *before* this accrual: refresh the
                     # snapshot so the idle minimum sees the final value.
                     idle_vr[task.tid] = task.vruntime
                 if tracer is not None:
@@ -273,7 +322,7 @@ class CfsScheduler:
                         task.name, CPU_PID, core, start_ms=now, dur_ms=used,
                         cat="sched",
                     )
-            if tracer is not None and task._state is TaskState.BLOCKED:
+            if tracer is not None and task._state is BLOCKED:
                 # I/O block span on the task's own thread track, from the
                 # moment it yielded until its wakeup time.
                 tracer.complete(
@@ -282,15 +331,17 @@ class CfsScheduler:
                     dur_ms=max(0.0, task.blocked_until - now - used),
                     cat="sched",
                 )
-            if task._state is TaskState.RUNNABLE and not task.body.has_work(task):
-                task.state = TaskState.SLEEPING
+            if task._state is RUNNABLE and not (
+                task.queue if body is None else body.has_work(task)
+            ):
+                task.state = SLEEPING
         if picked:
             if self._membership_dirty:
                 # The task table changed mid-quantum: fall back to the
                 # exact full walk (rare — launch or kill quanta only).
                 lowest = None
                 for task in self.tasks.values():
-                    if task._state is not dead:
+                    if task._state is not DEAD:
                         vruntime = task.vruntime
                         if lowest is None or vruntime < lowest:
                             lowest = vruntime
@@ -306,9 +357,3 @@ class CfsScheduler:
                 self._min_vruntime = lowest
         self.stats.record(now, busy)
         return busy
-
-    def _wake_blocked(self, now: float) -> None:
-        for task in list(self._blocked.values()):
-            if task.blocked_until <= now:
-                task.blocked_until = 0.0
-                task.unblock()

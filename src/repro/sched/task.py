@@ -1,13 +1,13 @@
 """Tasks: the schedulable unit.
 
 A :class:`Task` belongs to a process (or to the kernel) and carries a
-queue of :class:`WorkItem` objects.  The default body consumes work
-items in FIFO order; each item brings CPU demand plus a page-touch
-callback, and a major fault inside an item blocks the task until the
-fault's service time has elapsed (the remaining CPU demand resumes
-afterwards).
+queue of :class:`WorkItem` objects.  The scheduler consumes work items
+in FIFO order (:meth:`repro.sched.cfs.CfsScheduler.tick`); each item
+brings CPU demand plus a page-touch callback, and a major fault inside
+an item blocks the task until the fault's service time has elapsed (the
+remaining CPU demand resumes afterwards).
 
-Custom bodies (kswapd, render pipeline) implement :class:`TaskBody`.
+Tasks without a queue (kswapd) implement :class:`TaskBody` instead.
 """
 
 from __future__ import annotations
@@ -34,6 +34,17 @@ class TaskState(enum.Enum):
     BLOCKED = "blocked"  # waiting on I/O (fault service)
     FROZEN = "frozen"
     DEAD = "dead"
+
+
+# Member lookups such as ``TaskState.DEAD`` run a Python-level
+# descriptor on CPython 3.11 (~0.2 us each, ten times a global load),
+# and the state machine does several per scheduling quantum; hot paths
+# compare against these module-level aliases of the same members.
+SLEEPING = TaskState.SLEEPING
+RUNNABLE = TaskState.RUNNABLE
+BLOCKED = TaskState.BLOCKED
+FROZEN = TaskState.FROZEN
+DEAD = TaskState.DEAD
 
 
 class WorkItem:
@@ -64,7 +75,12 @@ class WorkItem:
 
 
 class TaskBody:
-    """Strategy interface: what a task does with its CPU quantum."""
+    """Strategy interface for a task without a work-item queue.
+
+    A task whose ``body`` is ``None`` (the default) has its queue
+    drained by :meth:`CfsScheduler.tick`; a custom body (kswapd) decides
+    itself what to do with each quantum.
+    """
 
     def run(self, task: "Task", now: float, budget_ms: float) -> float:
         """Execute up to ``budget_ms`` of work; return CPU actually used.
@@ -77,51 +93,6 @@ class TaskBody:
 
     def has_work(self, task: "Task") -> bool:
         raise NotImplementedError
-
-
-class QueueBody(TaskBody):
-    """Default body: drain the task's work-item queue.
-
-    Callbacks (``touch``, ``on_complete``) can have drastic side
-    effects — a fault can OOM, invoke the LMK, and kill *this very
-    task's application* (clearing its queue) — so the loop re-validates
-    the task and queue after every callback.
-    """
-
-    def run(self, task: "Task", now: float, budget_ms: float) -> float:
-        used = 0.0
-        # ``task.queue`` is mutated in place (popleft/clear) but never
-        # rebound, so the alias stays valid across callbacks.
-        queue = task.queue
-        dead = TaskState.DEAD
-        while used < budget_ms and queue:
-            item = queue[0]
-            if item.touch is not None and not item.touched:
-                item.touched = True
-                fault_ms = item.touch()
-                if task._state is dead:
-                    return used
-                if not queue or queue[0] is not item:
-                    continue  # the callback restructured the queue
-                if fault_ms > 0:
-                    task.block_until(now + fault_ms)
-                    return used
-            slice_ms = item.cpu_ms
-            if slice_ms > budget_ms - used:
-                slice_ms = budget_ms - used
-            item.cpu_ms -= slice_ms
-            used += slice_ms
-            if item.cpu_ms <= 1e-9:
-                if queue and queue[0] is item:
-                    queue.popleft()
-                if item.on_complete is not None:
-                    item.on_complete()
-                if task._state is dead:
-                    return used
-        return used
-
-    def has_work(self, task: "Task") -> bool:
-        return bool(task.queue)
 
 
 class Task:
@@ -165,7 +136,7 @@ class Task:
         # Kernel threads and (later, via the whitelist) service processes
         # are never freezable (§4.2.1 "Process selection").
         self.freezable = not is_kernel
-        self._state = TaskState.SLEEPING
+        self._state = SLEEPING
         # Owning scheduler; state changes notify it so the run queue is
         # maintained incrementally instead of re-derived by walking the
         # whole task table every quantum.
@@ -182,7 +153,8 @@ class Task:
         self.pick_mark = 0
         self.vruntime: float = 0.0
         self.queue: Deque[WorkItem] = deque()
-        self.body: TaskBody = body or QueueBody()
+        # None: the scheduler drains ``queue``; otherwise a custom body.
+        self.body: Optional[TaskBody] = body
         self.blocked_until: float = 0.0
         self.cpu_ms_total: float = 0.0
         # Scheduling boost applied by policies (UCSG): multiplies the
@@ -215,6 +187,10 @@ class Task:
     def effective_weight(self) -> float:
         return self.weight * self.boost
 
+    def has_work(self) -> bool:
+        body = self.body
+        return bool(self.queue) if body is None else body.has_work(self)
+
     def set_nice(self, nice: int) -> None:
         self.nice = nice
         self.weight = nice_to_weight(nice)
@@ -224,41 +200,41 @@ class Task:
     # ------------------------------------------------------------------
     def submit(self, item: WorkItem) -> None:
         """Queue a burst of work; wakes the task if it was sleeping."""
-        if self._state is TaskState.DEAD:
+        if self._state is DEAD:
             return
         self.queue.append(item)
-        if self._state is TaskState.SLEEPING:
-            self.state = TaskState.RUNNABLE
+        if self._state is SLEEPING:
+            self.state = RUNNABLE
 
     def block_until(self, time: float) -> None:
         """Block on I/O until the given simulated time."""
-        if self._state is TaskState.DEAD:
+        if self._state is DEAD:
             return
         self.blocked_until = time
-        self.state = TaskState.BLOCKED
+        self.state = BLOCKED
 
     def unblock(self) -> None:
-        if self._state is TaskState.BLOCKED:
+        if self._state is BLOCKED:
             self.state = (
-                TaskState.RUNNABLE if self.body.has_work(self) else TaskState.SLEEPING
+                RUNNABLE if self.has_work() else SLEEPING
             )
 
     def freeze(self) -> None:
-        if self._state is not TaskState.DEAD:
-            self.state = TaskState.FROZEN
+        if self._state is not DEAD:
+            self.state = FROZEN
 
     def thaw(self) -> None:
-        if self._state is not TaskState.FROZEN:
+        if self._state is not FROZEN:
             return
-        if self.body.has_work(self):
-            self.state = TaskState.RUNNABLE
+        if self.has_work():
+            self.state = RUNNABLE
         elif self.blocked_until > 0:
-            self.state = TaskState.BLOCKED
+            self.state = BLOCKED
         else:
-            self.state = TaskState.SLEEPING
+            self.state = SLEEPING
 
     def kill(self) -> None:
-        self.state = TaskState.DEAD
+        self.state = DEAD
         self.queue.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

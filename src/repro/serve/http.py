@@ -75,9 +75,6 @@ _TERMINAL_EVENTS = frozenset(
 
 _MAX_BODY_BYTES = 1 << 20
 
-# How often an SSE follower re-checks a job for fresh events.
-_SSE_POLL_S = 0.05
-
 # Stamped by the coordinator on proxied submissions so the receiving
 # node can detect (and count) routing mistakes.
 ROUTE_NODE_HEADER = "x-repro-route-node"
@@ -583,16 +580,27 @@ class SimulationServer(HttpBase):
                 continue
             if job.terminal:
                 return  # terminal state with no more events to send
-            await asyncio.sleep(_SSE_POLL_S)
+            # Park until the job records its next event or the stream
+            # has been idle for a keepalive interval (a nonpositive
+            # interval disables keepalives).
+            keepalive = self.config.sse_keepalive_s
+            idle_left = None
+            if keepalive > 0:
+                idle_left = keepalive - (loop.time() - last_write)
+            if idle_left is None or idle_left > 0:
+                try:
+                    await asyncio.wait_for(job.wakeup().wait(), idle_left)
+                except asyncio.TimeoutError:
+                    pass
+                continue
             # A long-idle follower (queued behind a deep backlog, or a
             # slow run with no progress sampling) looks exactly like a
             # dead connection to a client with a read timeout; comment
             # frames are the SSE-standard heartbeat.
-            if loop.time() - last_write >= self.config.sse_keepalive_s:
-                writer.write(b": ping\n\n")
-                await writer.drain()
-                last_write = loop.time()
-                self._keepalive_counter.inc()
+            writer.write(b": ping\n\n")
+            await writer.drain()
+            last_write = loop.time()
+            self._keepalive_counter.inc()
 
 
 async def run_server(config: ServeConfig, ready=None) -> None:

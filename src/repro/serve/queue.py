@@ -126,6 +126,11 @@ class Job:
     # guards the several paths a job can take to a terminal state from
     # double-counting it.
     finalized: bool = field(default=False, repr=False, compare=False)
+    # Set by every add_event; SSE followers park on it between events
+    # (created on first use, so it belongs to the server's loop).
+    _wakeup: Optional[asyncio.Event] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def terminal(self) -> bool:
@@ -159,6 +164,8 @@ class Job:
 
         When ``max_events`` is set the oldest events fall off the front
         of the list; followers detect the gap via ``events_base``.
+        Parked followers (:meth:`wakeup`) are woken.  Terminal
+        transitions all record an event, so they wake followers too.
         """
         self.events.append({"event": kind, "data": data or {}})
         if self.max_events is not None:
@@ -168,6 +175,20 @@ class Job:
                 self.events_dropped += 1
                 if self.on_event_dropped is not None:
                     self.on_event_dropped()
+        if self._wakeup is not None:
+            self._wakeup.set()
+
+    def wakeup(self) -> asyncio.Event:
+        """A cleared event that the next :meth:`add_event` sets.
+
+        Shared by every follower of this job; a follower clears it only
+        after seeing no new events (with no await in between), so no
+        event can slip past a parked follower.
+        """
+        if self._wakeup is None:
+            self._wakeup = asyncio.Event()
+        self._wakeup.clear()
+        return self._wakeup
 
     def snapshot(self) -> dict:
         """The JSON document ``GET /v1/runs/<id>`` serves."""

@@ -40,10 +40,54 @@ class RngStream:
         self.choice = self._rng.choice
         self.uniform = self._rng.uniform
         self.expovariate = self._rng.expovariate
-        # choice() is seq[_randbelow(len(seq))]; the tightest sampling
-        # loops index with _randbelow directly (same draw sequence,
-        # one frame less per pick).
-        self.randbelow = self._rng._randbelow
+
+    def biased_picks(
+        self, count: int, hot: Sequence[T], pool: Sequence[T], bias: float
+    ) -> List[T]:
+        """Draw ``count`` items, each from ``hot`` with probability
+        ``bias`` and from ``pool`` otherwise.
+
+        Draw for draw this is the loop every page sampler used to run::
+
+            for _ in range(count):
+                if hot and random() < bias:
+                    picks.append(choice(hot))
+                elif pool:
+                    picks.append(choice(pool))
+
+        with ``choice`` unrolled into the ``getrandbits(k)`` rejection
+        loop of ``Random._randbelow`` (``k = n.bit_length()``, computed
+        once per pool).  An empty ``hot`` consumes no ``random()``
+        draw, and an empty ``pool`` picks nothing.
+        """
+        picks: List[T] = []
+        append = picks.append
+        getrandbits = self._rng.getrandbits
+        n_hot = len(hot)
+        n_pool = len(pool)
+        k_pool = n_pool.bit_length()
+        if not n_hot:
+            if n_pool:
+                for _ in range(count):
+                    r = getrandbits(k_pool)
+                    while r >= n_pool:
+                        r = getrandbits(k_pool)
+                    append(pool[r])
+            return picks
+        rnd = self._rng.random
+        k_hot = n_hot.bit_length()
+        for _ in range(count):
+            if rnd() < bias:
+                r = getrandbits(k_hot)
+                while r >= n_hot:
+                    r = getrandbits(k_hot)
+                append(hot[r])
+            elif n_pool:
+                r = getrandbits(k_pool)
+                while r >= n_pool:
+                    r = getrandbits(k_pool)
+                append(pool[r])
+        return picks
 
     # Thin, explicit wrappers: the full Random API is intentionally not
     # exposed so components stay easy to audit for stochastic behaviour.

@@ -16,7 +16,6 @@ drive::
 
 from __future__ import annotations
 
-import operator
 from typing import Dict, Iterable, List, Optional
 
 from repro.android.activity_manager import ActivityManager, LaunchRecord
@@ -42,6 +41,12 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.flash import FlashDevice
 from repro.storage.zram import ZramDevice
+
+
+# Module-level alias: ``AppState.FOREGROUND`` is a descriptor call on
+# CPython 3.11 (see repro.sched.task), and the cpuset check below runs
+# for every runnable task in most quanta.
+_FOREGROUND = AppState.FOREGROUND
 
 
 class _KswapdBody(TaskBody):
@@ -173,11 +178,9 @@ class MobileSystem:
         # Bound method wired directly: the pick key runs once per task
         # per scheduler quantum, so every wrapper frame counts.  When the
         # policy keeps the base-class key (plain CFS min-vruntime) the
-        # sort can use a C-level attrgetter — same ordering, no Python
-        # frame per runnable task.
-        if type(policy).sched_pick_key is ManagementPolicy.sched_pick_key:
-            self.sched.pick_key = operator.attrgetter("vruntime")
-        else:
+        # scheduler's own single-sort path runs instead — same ordering,
+        # no Python frame per runnable task.
+        if type(policy).sched_pick_key is not ManagementPolicy.sched_pick_key:
             self.sched.pick_key = policy.sched_pick_key
         self.sched.is_background = self._is_background_task
         policy.attach(self)
@@ -201,15 +204,12 @@ class MobileSystem:
     def _reclaim_protect(self, page: Page) -> bool:
         return self.policy.reclaim_protect(page)
 
-    def _sched_key(self, task: Task) -> float:
-        return self.policy.sched_pick_key(task)
-
     def _is_background_task(self, task: Task) -> bool:
         """Background-app tasks live in the little-cluster cpuset."""
         process = task.process
         if process is None:
             return False
-        return process.app.state is not AppState.FOREGROUND
+        return process.app.state is not _FOREGROUND
 
     # ------------------------------------------------------------------
     # App management
@@ -246,9 +246,7 @@ class MobileSystem:
                 self.sched.remove_task(task)
             process.tasks.clear()
             self.freezer.forget(process.pid)
-            freed += self.mm.release_process_ids(
-                process.page_table.all_page_ids()
-            )
+            freed += self.mm.discard_ids(process.page_table.all_page_ids())
         app.processes = []
         app.state = AppState.STOPPED
         self.activity_manager.on_app_killed(app)
@@ -286,7 +284,7 @@ class MobileSystem:
         now = self.sim.now
         io_until = now
         app = process.app
-        foreground = app.state is AppState.FOREGROUND
+        foreground = app.state is _FOREGROUND
         slab = PAGE_SLAB
         flags = slab.flags
         kind = slab.kind

@@ -38,6 +38,7 @@ GAUGE_SERIES = (
     "frozen_processes",
 )
 DELTA_SERIES = (
+    "pgscan",
     "pgsteal_kswapd",
     "pgsteal_direct",
     "refault_total",

@@ -200,3 +200,38 @@ def test_memory_pressure_rises_with_consumption(mm, small_spec):
     low_pressure = mm.memory_pressure()
     fill_memory(mm, small_spec.managed_pages - small_spec.high_watermark_pages)
     assert mm.memory_pressure() > low_pressure
+
+
+def test_pgscan_counts_every_page_reclaim_scans(monkeypatch):
+    """Over a heavy-reclaim window, vmstat.pgscan is the sum of the
+    pages every shrink call scanned (inactive scans plus active aging),
+    and every stolen page was scanned first."""
+    from repro.experiments.scenarios import run_scenario
+    from repro.kernel.mm import MemoryManager
+    from repro.system import MobileSystem
+
+    scanned = []
+    shrink = MemoryManager.shrink
+    reset = MobileSystem.reset_measurements
+
+    def counted_shrink(self, *args, **kwargs):
+        result = shrink(self, *args, **kwargs)
+        scanned.append(result.scanned)
+        return result
+
+    def window_start(self):
+        reset(self)
+        scanned.clear()
+
+    monkeypatch.setattr(MemoryManager, "shrink", counted_shrink)
+    monkeypatch.setattr(MobileSystem, "reset_measurements", window_start)
+    result = run_scenario(
+        "S-B", policy="LRU+CFS", bg_case="bg-apps", seconds=4.0, seed=3,
+        sample_interval_ms=500.0,
+    )
+    vm = result.system.vmstat
+    assert vm.pgsteal > 500  # the window really is reclaim-heavy
+    assert vm.pgscan == sum(scanned)
+    assert vm.pgscan >= vm.pgsteal
+    assert "pgscan " in result.system.procfs.read("vmstat")
+    assert sum(result.sampler.series["pgscan"]) > 0

@@ -92,37 +92,39 @@ def test_kernel_tasks_not_freezable():
     assert not task.freezable
 
 
+# The scheduler drains a default task's work-item queue itself; a
+# one-core scheduler runs the single task every quantum.
 def test_queue_body_runs_work_and_completes():
-    task = Task("t")
+    sched = CfsScheduler(cores=1)
+    task = sched.add_task(Task("t"))
     done = []
     task.submit(WorkItem(cpu_ms=6.0, on_complete=lambda: done.append(1)))
-    used = task.body.run(task, now=0.0, budget_ms=4.0)
-    assert used == 4.0
+    assert sched.tick(0.0) == 4.0
     assert not done
-    used = task.body.run(task, now=4.0, budget_ms=4.0)
-    assert used == 2.0
+    assert sched.tick(4.0) == 2.0
     assert done == [1]
+    assert task.state is TaskState.SLEEPING
 
 
 def test_queue_body_touch_blocks_task():
-    task = Task("t")
-    task.submit(WorkItem(cpu_ms=2.0, touch=lambda: 10.0))
-    used = task.body.run(task, now=0.0, budget_ms=4.0)
-    assert used == 0.0
+    sched = CfsScheduler(cores=1)
+    task = sched.add_task(Task("t"))
+    touches = []
+    task.submit(WorkItem(cpu_ms=2.0, touch=lambda: touches.append(1) or 10.0))
+    assert sched.tick(0.0) == 0.0
     assert task.state is TaskState.BLOCKED
     assert task.blocked_until == 10.0
-    # After unblocking, the CPU part executes without re-touching.
-    task.unblock()
-    used = task.body.run(task, now=10.0, budget_ms=4.0)
-    assert used == 2.0
+    # The wakeup at 10 ms runs the CPU part without re-touching.
+    assert sched.tick(10.0) == 2.0
+    assert touches == [1]
 
 
 def test_queue_body_zero_fault_touch_continues():
-    task = Task("t")
+    sched = CfsScheduler(cores=1)
+    task = sched.add_task(Task("t"))
     task.submit(WorkItem(cpu_ms=1.0, touch=lambda: 0.0))
-    used = task.body.run(task, now=0.0, budget_ms=4.0)
-    assert used == 1.0
-    assert task.state is TaskState.RUNNABLE  # scheduler will sleep it
+    assert sched.tick(0.0) == 1.0
+    assert task.state is TaskState.SLEEPING  # queue drained
 
 
 # ----------------------------------------------------------------------

@@ -258,6 +258,31 @@ def test_sse_keepalive_comment_frames():
         assert float(keepalive_line.split()[1]) >= 2
 
 
+def test_sse_follower_receives_done_within_ms_of_finish(client):
+    """Followers park on the job's own events instead of polling: the
+    `done` frame reaches a live follower a few ms after the run's
+    ``finished_at`` (the server loop's clock is ``time.monotonic``)."""
+    import statistics
+    import time
+
+    lags = []
+    for seed in range(6):
+        job = client.submit({
+            "scenario": "S-A", "bg_case": "bg-null",
+            "seconds": 8.0, "seed": 900 + seed,
+        })
+        received = None
+        for kind, _ in client.events(job["id"], timeout_s=60.0):
+            if kind == "done":
+                received = time.monotonic()
+        assert received is not None
+        finished_at = client.get(job["id"])["finished_at"]
+        lags.append(received - finished_at)
+    assert min(lags) > 0, lags
+    # A 50 ms poll would put the median near 25 ms.
+    assert statistics.median(lags) < 0.010, lags
+
+
 def test_cache_budget_enforced_end_to_end():
     """A tiny budget forces evictions while answers stay correct."""
     config = ServeConfig(port=0, workers=1, cache_budget_bytes=2048)
