@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.android.app import Application, AppState, Process
+from repro.android.app import Application, AppState
 from repro.apps.behavior import BackgroundBehavior, PageSampler
+from repro.kernel.slab import PRESENT
 from repro.sched.task import Task, WorkItem
 from repro.trace.tracer import ACTIVITY_MANAGER_TID, SYSTEM_PID
 
@@ -191,7 +192,7 @@ class ActivityManager:
                     - int(segments["file_map"] * self.MAIN_PROCESS_SHARE)
                 ) // aux_count
                 name = f"{profile.package}:sub{index}"
-            process = Process(name=name, app=app, main=main)
+            process = system.spawn_process(app, name, main=main)
             process.build_footprint(
                 java_pages=java,
                 native_pages=native,
@@ -291,9 +292,7 @@ class ActivityManager:
 
     def _resident_chunks(self, app: Application):
         """Split each process's initial resident set into two id chunks."""
-        from repro.kernel.slab import PAGE_SLAB, PRESENT
-
-        flags = PAGE_SLAB.flags
+        flags = self.system.mm.slab.flags
         chunk_a, chunk_b = [], []
         for process in app.processes:
             ids = [

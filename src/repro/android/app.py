@@ -1,7 +1,8 @@
 """Applications and their processes.
 
 An :class:`Application` is identified by a UID fixed at install time
-(§4.2.2) and runs several processes when alive — a main process plus
+(§4.2.2; the system hands out UIDs from 10000 and PIDs from 1000) and
+runs several processes when alive — a main process plus
 auxiliary ones (push, render, sandbox...).  Each :class:`Process` owns a
 page table and one or more scheduler tasks.  Application state follows
 the Android lifecycle the paper relies on: FOREGROUND (interacting),
@@ -12,8 +13,7 @@ hot launch), and STOPPED (no processes; next launch is cold).
 from __future__ import annotations
 
 import enum
-import itertools
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.android.oom_adj import (
     ADJ_FOREGROUND,
@@ -22,19 +22,10 @@ from repro.android.oom_adj import (
     cached_adj,
 )
 from repro.apps.profiles import AppProfile
-from repro.kernel.page import HeapKind, Page, PageKind
+from repro.kernel.page import HeapKind, PageKind
 from repro.kernel.page_table import PageTable
+from repro.kernel.slab import PageSlab
 from repro.sched.task import Task
-
-_pid_counter = itertools.count(1000)
-_uid_counter = itertools.count(10000)  # Android app UIDs start at 10000
-
-
-def reset_process_ids(pid_start: int = 1000, uid_start: int = 10000) -> None:
-    """Restart the pid/uid sequences (see ``reset_page_ids``)."""
-    global _pid_counter, _uid_counter
-    _pid_counter = itertools.count(pid_start)
-    _uid_counter = itertools.count(uid_start)
 
 
 class AppState(enum.Enum):
@@ -47,12 +38,15 @@ class AppState(enum.Enum):
 class Process:
     """One OS process of an application."""
 
-    def __init__(self, name: str, app: "Application", main: bool = False):
-        self.pid: int = next(_pid_counter)
+    def __init__(
+        self, name: str, app: "Application", pid: int, slab: PageSlab,
+        main: bool = False,
+    ):
+        self.pid = pid
         self.name = name
         self.app = app
         self.main = main
-        self.page_table = PageTable(owner=self)
+        self.page_table = PageTable(owner=self, slab=slab)
         self.tasks: List[Task] = []
         self.alive = True
 
@@ -100,8 +94,8 @@ class Process:
 class Application:
     """An installed application (UID fixed at install time)."""
 
-    def __init__(self, profile: AppProfile):
-        self.uid: int = next(_uid_counter)
+    def __init__(self, profile: AppProfile, uid: int):
+        self.uid = uid
         self.profile = profile
         self.state = AppState.STOPPED
         self.processes: List[Process] = []
@@ -150,12 +144,6 @@ class Application:
 
     def total_pages(self) -> int:
         return sum(p.page_table.total_pages for p in self.processes)
-
-    def all_pages(self) -> List[Page]:
-        pages: List[Page] = []
-        for process in self.processes:
-            pages.extend(process.page_table.all_pages())
-        return pages
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<App {self.package} uid={self.uid} {self.state.value}>"

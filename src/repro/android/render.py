@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 from typing import Deque, List, Optional
 
 from repro.android.app import Application, AppState
-from repro.kernel.slab import (
-    HEAP_NATIVE,
-    HOT,
-    KIND_ANON,
-    PAGE_SLAB,
-    REFERENCED,
-)
+from repro.kernel.slab import HEAP_NATIVE, HOT, KIND_ANON, REFERENCED
 from repro.sched.task import Task, WorkItem
 
 VSYNC_MS = 1000.0 / 60.0
@@ -216,7 +210,7 @@ class FrameEngine:
 
     def _build_working_set(self, sampler) -> list:
         """Hot nucleus plus a bounded random cold subset (slab ids)."""
-        flags = PAGE_SLAB.flags
+        flags = self.system.mm.slab.flags
         cold = [i for i in sampler.all_ids if not flags[i] & HOT]
         target = int(len(sampler.all_ids) * self.WORKING_SET_FRAC)
         extra = max(0, target - len(sampler.hot_ids))
@@ -247,7 +241,7 @@ class FrameEngine:
         if count <= 0:
             return 0.0
         main = self.app.main_process
-        slab = PAGE_SLAB
+        slab = self.system.mm.slab
         # Old buffers are freed before their replacements are allocated
         # (codecs and render caches recycle), so a warmed-up pool is
         # memory-neutral; only pool *growth* creates net demand.  Retired
@@ -276,8 +270,9 @@ class FrameEngine:
         """Free retired buffers in two bulk calls: the kernel drops their
         memory (resident page, zram slot or shadow entry), then the slab
         recycles the ids."""
-        self.system.mm.discard_ids(ids)
-        PAGE_SLAB.free_ids(ids)
+        mm = self.system.mm
+        mm.discard_ids(ids)
+        mm.slab.free_ids(ids)
 
     def _alloc_burst(self) -> None:
         """Periodic large allocation (PUBG round start, video switch)."""

@@ -25,8 +25,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.android.app import AppState, Process
-from repro.kernel.page import Page
-from repro.kernel.slab import HOT, PAGE_SLAB
+from repro.kernel.slab import HOT
 from repro.sched.task import Task, WorkItem
 
 # App states in which background activity runs, bound once (enum member
@@ -50,16 +49,13 @@ def submit_touch(system, task, process, pages, cpu_ms: float,
                  label: str, on_complete=None) -> None:
     """Submit a page-touch burst as chunked work items on ``task``.
 
-    ``pages`` may be slab ids (the hot path) or ``Page`` views (older
-    callers and tests); views are converted once up front so the chunk
-    closures run through :meth:`MobileSystem.touch_ids`.
+    ``pages`` are slab page ids; each chunk's closure runs them through
+    :meth:`MobileSystem.touch_ids`.
     """
     if not pages:
         if cpu_ms > 0 or on_complete is not None:
             task.submit(WorkItem(cpu_ms=cpu_ms, on_complete=on_complete, label=label))
         return
-    if not isinstance(pages[0], int):
-        pages = [page.page_id for page in pages]
     chunks = [
         pages[i : i + TOUCH_CHUNK_PAGES]
         for i in range(0, len(pages), TOUCH_CHUNK_PAGES)
@@ -101,11 +97,8 @@ class PageSampler:
 
     def __init__(self, process: Process, rng):
         self.rng = rng
-        # Primary state is slab ids; the object-returning accessors
-        # below materialise views for callers (and tests) that want
-        # ``Page`` semantics.
         table = process.page_table
-        flags = PAGE_SLAB.flags
+        flags = table.slab.flags
         self.java_ids: List[int] = self._live(table.ids_of("java_heap"))
         self.native_ids: List[int] = self._live(table.ids_of("native_heap"))
         self.file_ids: List[int] = self._live(table.ids_of("file_map"))
@@ -121,42 +114,6 @@ class PageSampler:
             for name, ids in self._segments.items()
         }
 
-    # --- object API (views; not used on hot paths) ---------------------
-    @staticmethod
-    def _views(ids: List[int]) -> List[Page]:
-        view = PAGE_SLAB.view
-        return [view(i) for i in ids]
-
-    @property
-    def java(self) -> List[Page]:
-        return self._views(self.java_ids)
-
-    @property
-    def native(self) -> List[Page]:
-        return self._views(self.native_ids)
-
-    @property
-    def file(self) -> List[Page]:
-        return self._views(self.file_ids)
-
-    @property
-    def all_pages(self) -> List[Page]:
-        return self._views(self.all_ids)
-
-    @property
-    def hot_pages(self) -> List[Page]:
-        return self._views(self.hot_ids)
-
-    def sample(self, count: int, hot_bias: float = HOT_TOUCH_BIAS) -> List[Page]:
-        return self._views(self.sample_ids(count, hot_bias))
-
-    def sample_burst(self, count: int, hot_bias: float = HOT_TOUCH_BIAS) -> List[Page]:
-        return self._views(self.sample_burst_ids(count, hot_bias))
-
-    def sample_gc(self, frac: float) -> List[Page]:
-        return self._views(self.sample_gc_ids(frac))
-
-    # --- id API (the hot path) -----------------------------------------
     def sample_ids(self, count: int, hot_bias: float = HOT_TOUCH_BIAS) -> List[int]:
         """Sample ``count`` page ids, ``hot_bias`` of them hot."""
         return self.rng.biased_picks(count, self.hot_ids, self.all_ids, hot_bias)
@@ -172,8 +129,8 @@ class PageSampler:
             )
         return picks
 
-    def sample_segment(self, items: list, count: int) -> list:
-        """A contiguous slice; generic over id lists and view lists."""
+    def sample_segment(self, items: List[int], count: int) -> List[int]:
+        """A contiguous slice of ``count`` ids from ``items``."""
         if not items:
             return []
         if count >= len(items):

@@ -4,11 +4,12 @@
 from the full simulator and embeds the rates in the artifact's
 ``micro`` section:
 
-* **lru** — intrusive-list churn on the global page slab: add /
-  reference / scan-inactive / age-active / discard cycles over a block
-  of ids, counted as individual list operations per wall second.  This
-  is the operation mix ``MemoryManager.shrink`` drives, without the
-  eviction side effects.
+* **lru** — intrusive-list churn on the page slab of a fresh
+  :class:`~repro.kernel.mm.MemoryManager`: add / reference /
+  scan-inactive / age-active / discard cycles over a block of ids,
+  counted as individual list operations per wall second.  This is the
+  operation mix ``MemoryManager.shrink`` drives, without the eviction
+  side effects.
 * **fault_loop** — the fused fault→reclaim→refault path: round-robin
   touches over a footprint 25% larger than managed memory against a
   real :class:`~repro.kernel.mm.MemoryManager`, so the loop
@@ -30,18 +31,10 @@ import time
 from typing import Dict
 
 from repro.devices.specs import DeviceSpec, StorageSpec
-from repro.kernel.lru import LruKind, LruLists
+from repro.kernel.lru import LruKind
 from repro.kernel.mm import MemoryManager
-from repro.kernel.page import reset_page_ids
 from repro.kernel.page_fault import PageFaultHandler
-from repro.kernel.slab import (
-    HEAP_NATIVE,
-    HEAP_NONE,
-    KIND_ANON,
-    KIND_FILE,
-    PAGE_SLAB,
-    REFERENCED,
-)
+from repro.kernel.slab import HEAP_NATIVE, HEAP_NONE, KIND_ANON, KIND_FILE, REFERENCED
 from repro.storage.flash import FlashDevice
 from repro.storage.zram import ZramDevice
 
@@ -60,13 +53,14 @@ class _Clock:
 
 def lru_micro(pages: int = 4096, rounds: int = 40) -> Dict[str, object]:
     """Intrusive-LRU churn; returns op counts and the measured rate."""
-    reset_page_ids()
-    anon = PAGE_SLAB.alloc_block(pages // 2, KIND_ANON, HEAP_NATIVE)
-    file_ids = PAGE_SLAB.alloc_block(pages - pages // 2, KIND_FILE, HEAP_NONE)
+    mm = _micro_mm(_Clock())
+    slab = mm.slab
+    anon = slab.alloc_block(pages // 2, KIND_ANON, HEAP_NATIVE)
+    file_ids = slab.alloc_block(pages - pages // 2, KIND_FILE, HEAP_NONE)
     ids = list(anon) + list(file_ids)
     every_third = ids[::3]
-    lru = LruLists()
-    flags = PAGE_SLAB.flags
+    lru = mm.lru
+    flags = slab.flags
     ops = 0
     start = time.perf_counter()
     for _ in range(rounds):
@@ -113,9 +107,8 @@ def _micro_spec() -> DeviceSpec:
     )
 
 
-def fault_loop_micro(iterations: int = 60_000) -> Dict[str, object]:
-    """Fused fault→reclaim→refault loop; returns the measured rate."""
-    reset_page_ids()
+def _micro_mm(clock: _Clock) -> MemoryManager:
+    """A memory manager (and so a page slab) private to one microbench."""
     spec = _micro_spec()
     zram = ZramDevice(
         capacity_pages=spec.zram_pages,
@@ -123,10 +116,16 @@ def fault_loop_micro(iterations: int = 60_000) -> Dict[str, object]:
         compress_ms=spec.zram_compress_ms,
         decompress_ms=spec.zram_decompress_ms,
     )
-    flash = FlashDevice(spec.storage)
-    clock = _Clock()
-    mm = MemoryManager(spec, zram, flash, clock=clock)
+    mm = MemoryManager(spec, zram, FlashDevice(spec.storage), clock=clock)
     mm.sim = clock
+    return mm
+
+
+def fault_loop_micro(iterations: int = 60_000) -> Dict[str, object]:
+    """Fused fault→reclaim→refault loop; returns the measured rate."""
+    clock = _Clock()
+    mm = _micro_mm(clock)
+    spec = mm.spec
     handler = PageFaultHandler(mm)
     # Emulated kswapd: the waker sets a flag and the loop shrinks while
     # free memory sits below the low watermark, like the real daemon's
@@ -143,8 +142,8 @@ def fault_loop_micro(iterations: int = 60_000) -> Dict[str, object]:
     # zram/flash, and refaults through ``handle_id``.
     count = int(mm.managed_pages * 1.25)
     anon_count = count - count // 4
-    ids = list(PAGE_SLAB.alloc_block(anon_count, KIND_ANON, HEAP_NATIVE))
-    ids += list(PAGE_SLAB.alloc_block(count - anon_count, KIND_FILE, HEAP_NONE))
+    ids = list(mm.slab.alloc_block(anon_count, KIND_ANON, HEAP_NATIVE))
+    ids += list(mm.slab.alloc_block(count - anon_count, KIND_FILE, HEAP_NONE))
     n = len(ids)
     handle_id = handler.handle_id
     pos = 0

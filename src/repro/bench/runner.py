@@ -6,9 +6,10 @@ second, peak RSS — alongside the paper-facing metrics of the run, so a
 commit that slows the event loop or regresses FPS shows up in the same
 artifact.
 
-Cells are independent (every ``run_scenario`` resets the global id
-sequences and derives its randomness from the cell seed alone), so the
-matrix can fan out across a process pool with ``jobs > 1``.  Results
+Cells are independent (every ``run_scenario`` builds its own system,
+whose page slab and id sequences nothing else shares, and derives its
+randomness from the cell seed alone), so the matrix can fan out across
+a process pool with ``jobs > 1``.  Results
 are merged back in matrix order and are bit-identical to a serial run
 on every paper-facing metric; only the wall-clock fields differ.
 
@@ -272,7 +273,7 @@ def run_bench(config: BenchConfig, progress=None) -> Dict[str, object]:
         doc["profiles"] = profiles
     if config.micro:
         # After the matrix so cell measurements come first; each micro
-        # (like each cell) resets the global slab state on entry.
+        # (like each cell) builds its own memory manager and slab.
         from repro.bench.micro import run_micro
 
         doc["micro"] = run_micro()

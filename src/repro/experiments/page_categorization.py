@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.apps.catalog import extended_catalog
 from repro.apps.profiles import AppProfile
 from repro.devices.specs import DeviceSpec, huawei_p20
-from repro.kernel.page import HeapKind
+from repro.kernel.slab import HEAP_JAVA, KIND_FILE
 from repro.policies.registry import make_policy
 from repro.system import MobileSystem
 
@@ -100,8 +100,9 @@ def trace_app_refaults(
     switch to BG, then `echo all > /proc/<pid>/reclaim`).
     """
     app = system.get_app(package)
-    pages = app.all_pages()
-    before = {page.page_id: page.refaults for page in pages}
+    slab = system.mm.slab
+    ids = [i for process in app.processes for i in process.page_table.all_page_ids()]
+    before = [slab.refaults[i] for i in ids]
     reclaimed = 0
     for process in app.processes:
         result = system.proc_reclaim.reclaim_process(process.page_table)
@@ -110,12 +111,12 @@ def trace_app_refaults(
     system.run(seconds=window_s)
 
     breakdown = AppRefaultBreakdown(package=package, reclaimed=reclaimed)
-    for page in pages:
-        if page.refaults <= before[page.page_id]:
+    for i, refaults in zip(ids, before):
+        if slab.refaults[i] <= refaults:
             continue
-        if page.is_file:
+        if slab.kind[i] == KIND_FILE:
             breakdown.refaulted_file += 1
-        elif page.heap is HeapKind.JAVA:
+        elif slab.heap[i] == HEAP_JAVA:
             breakdown.refaulted_java += 1
         else:
             breakdown.refaulted_native += 1

@@ -23,13 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
-from repro.android.app import reset_process_ids
 from repro.apps.catalog import APP_CATALOG, SCENARIO_APPS, catalog_apps
 from repro.apps.synthetic import cputester_profile, memtester_profile
 from repro.devices.specs import MIB, DeviceSpec, huawei_p20
-from repro.kernel.page import reset_page_ids
 from repro.policies.registry import make_policy
-from repro.sched.task import reset_task_ids
 from repro.sim.rng import RngStream
 from repro.system import MobileSystem
 from repro.trace.sampler import Sampler
@@ -202,12 +199,6 @@ def run_scenario(
     (returned on ``result.sampler``), and ``on_sample(now_ms, row)`` is
     invoked for every sample as it lands (live `repro watch` output).
     """
-    # Restart the global id sequences so this run's ids are a pure
-    # function of its inputs: a cell run 5th in a serial matrix and the
-    # same cell run alone in a pool worker produce identical streams.
-    reset_page_ids()
-    reset_task_ids()
-    reset_process_ids()
     spec = spec or huawei_p20()
     fg_package = SCENARIOS.get(scenario, scenario)
     if bg_count is None:

@@ -7,14 +7,14 @@ the page to the active list (second chance); active scans age pages
 back down to keep the inactive list stocked.  Reclaim consumes victims
 from the cold end of the inactive lists.
 
-The lists are **intrusive doubly-linked lists** over the slab's
-``lru_prev``/``lru_next`` id columns (the Linux ``struct page.lru``
+The lists are **intrusive doubly-linked lists** over the
+``lru_prev``/``lru_next`` id columns of the memory manager's
+:class:`~repro.kernel.slab.PageSlab` (the Linux ``struct page.lru``
 idiom): membership moves are a handful of int-column writes, with no
-per-node allocation and no ``OrderedDict`` hashing.  Each
-:class:`LruLists` instance owns only the head/tail/size cursors; the
-link columns are shared through :data:`~repro.kernel.slab.PAGE_SLAB`
-(safe because a page is on at most one list, and coexisting systems use
-disjoint id ranges).
+per-node allocation and no ``OrderedDict`` hashing.  An
+:class:`LruLists` instance owns the head/tail/size cursors and holds
+the slab columns it reads in slots; hot methods bind those columns to
+locals at their top.  Every operation takes page ids.
 
 Orientation matches the previous ``OrderedDict`` implementation: the
 **cold** end is the head (FIFO order of insertion), the hot end is the
@@ -26,7 +26,7 @@ metric — are bit-identical to the object-backed version.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.kernel.page import Page
 from repro.kernel.slab import (
@@ -35,8 +35,8 @@ from repro.kernel.slab import (
     LRU_ACTIVE_FILE,
     LRU_INACTIVE_ANON,
     LRU_INACTIVE_FILE,
-    PAGE_SLAB,
     REFERENCED,
+    PageSlab,
 )
 
 
@@ -74,276 +74,151 @@ _INACTIVE_ANON = LruKind.INACTIVE_ANON
 _INACTIVE_KINDS = (_INACTIVE_ANON, LruKind.INACTIVE_FILE)
 _ACTIVE_KINDS = (LruKind.ACTIVE_ANON, LruKind.ACTIVE_FILE)
 
-# Module-level column aliases: ``PageSlab.reset`` clears the columns in
-# place (never rebinds them), so these stay valid across scenario runs
-# and save an attribute hop on every list operation.
-_KIND = PAGE_SLAB.kind
-_FLAGS = PAGE_SLAB.flags
-_LRU = PAGE_SLAB.lru
-_PREV = PAGE_SLAB.lru_prev
-_NEXT = PAGE_SLAB.lru_next
-
-
-def _active_kind(page: Page) -> LruKind:
-    return LruKind.ACTIVE_ANON if page.is_anon else LruKind.ACTIVE_FILE
-
-
-def _inactive_kind(page: Page) -> LruKind:
-    return LruKind.INACTIVE_ANON if page.is_anon else LruKind.INACTIVE_FILE
-
 
 class LruLists:
-    """The four Linux-style page LRU lists (intrusive, id-indexed)."""
+    """The four Linux-style page LRU lists over one slab (id-indexed)."""
 
-    __slots__ = ("_head", "_tail", "_size")
+    __slots__ = (
+        "slab", "_head", "_tail", "_size",
+        "_kind", "_flags", "_lru", "_prev", "_next",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, slab: PageSlab) -> None:
+        self.slab = slab
         # Indexed by lru code 1..4; slot 0 unused.
         self._head = [0, 0, 0, 0, 0]
         self._tail = [0, 0, 0, 0, 0]
         self._size = [0, 0, 0, 0, 0]
-
-    # ------------------------------------------------------------------
-    # Link primitives (ids)
-    # ------------------------------------------------------------------
-    def _append_id(self, i: int, code: int) -> None:
-        """Link ``i`` at the hot end (tail) of list ``code``."""
-        tail = self._tail[code]
-        _PREV[i] = tail
-        _NEXT[i] = 0
-        if tail:
-            _NEXT[tail] = i
-        else:
-            self._head[code] = i
-        self._tail[code] = i
-        _LRU[i] = code
-        self._size[code] += 1
-
-    def _unlink_id(self, i: int, code: int) -> None:
-        prev = _PREV[i]
-        nxt = _NEXT[i]
-        if prev:
-            _NEXT[prev] = nxt
-        else:
-            self._head[code] = nxt
-        if nxt:
-            _PREV[nxt] = prev
-        else:
-            self._tail[code] = prev
-        _LRU[i] = 0
-        self._size[code] -= 1
-
-    def _linked_here(self, i: int, code: int) -> bool:
-        """Best-effort check that ``i``'s links are consistent with
-        *this* instance's cursors (diagnoses slab/view desync)."""
-        slab = PAGE_SLAB
-        prev = slab.lru_prev[i]
-        nxt = slab.lru_next[i]
-        if prev:
-            if slab.lru_next[prev] != i:
-                return False
-        elif self._head[code] != i:
-            return False
-        if nxt:
-            if slab.lru_prev[nxt] != i:
-                return False
-        elif self._tail[code] != i:
-            return False
-        return True
-
-    def _remove_checked(self, i: int, code: int) -> None:
-        if not self._linked_here(i, code):
-            slab = PAGE_SLAB
-            raise ValueError(
-                f"page {i} claims membership in {KIND_BY_LRU_CODE[code]} "
-                f"but that list does not contain it (slab/view desync: "
-                f"prev={slab.lru_prev[i]}, next={slab.lru_next[i]}, "
-                f"head={self._head[code]}, tail={self._tail[code]})"
-            )
-        self._unlink_id(i, code)
+        # The slab's columns, held directly: the slab only ever grows
+        # them in place, so these stay valid for its whole life.
+        self._kind = slab.kind
+        self._flags = slab.flags
+        self._lru = slab.lru
+        self._prev = slab.lru_prev
+        self._next = slab.lru_next
 
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def add(self, page: Page, active: bool = False) -> None:
-        """Insert a newly-resident page at the hot end."""
-        self.add_id(page.page_id, active)
-
     def add_id(self, i: int, active: bool = False) -> None:
-        code = _LRU[i]
+        """Insert page ``i`` at the hot end of its (in)active list."""
+        code = self._lru[i]
         if code:
             raise ValueError(f"page {i} already on {KIND_BY_LRU_CODE[code]}")
         # anon -> codes 1/2, file -> codes 3/4.  The append is inlined:
-        # this is the single most-called LRU operation (every
-        # allocation, fault, and rotate-back funnels through it).
-        code = (1 if active else 2) + (2 if _KIND[i] == KIND_FILE else 0)
+        # this is the single most-called LRU operation (every fault
+        # funnels through it).
+        code = (1 if active else 2) + (2 if self._kind[i] == KIND_FILE else 0)
         tail = self._tail[code]
-        _PREV[i] = tail
-        _NEXT[i] = 0
+        self._prev[i] = tail
+        self._next[i] = 0
         if tail:
-            _NEXT[tail] = i
+            self._next[tail] = i
         else:
             self._head[code] = i
         self._tail[code] = i
-        _LRU[i] = code
+        self._lru[i] = code
         self._size[code] += 1
 
     def add_ids(self, ids: List[int], active: bool = False) -> None:
         """:meth:`add_id` for each id in order (bulk allocation, and
         reclaim's rotate-back); stops at the first id already on a list,
         with the ids before it added."""
+        kind = self._kind
+        lru = self._lru
+        lru_prev = self._prev
+        lru_next = self._next
         head_cur = self._head
         tail_cur = self._tail
         size_cur = self._size
         base = 1 if active else 2
         for i in ids:
-            code = _LRU[i]
+            code = lru[i]
             if code:
                 raise ValueError(f"page {i} already on {KIND_BY_LRU_CODE[code]}")
-            code = base + (2 if _KIND[i] == KIND_FILE else 0)
+            code = base + (2 if kind[i] == KIND_FILE else 0)
             tail = tail_cur[code]
-            _PREV[i] = tail
-            _NEXT[i] = 0
+            lru_prev[i] = tail
+            lru_next[i] = 0
             if tail:
-                _NEXT[tail] = i
+                lru_next[tail] = i
             else:
                 head_cur[code] = i
             tail_cur[code] = i
-            _LRU[i] = code
+            lru[i] = code
             size_cur[code] += 1
 
-    def remove(self, page: Page) -> None:
-        """Take a page off whatever list it is on (eviction, unmap).
-
-        Raises a :class:`ValueError` naming the *specific* inconsistency:
-        a page that is on no list at all is a plain double-remove, while
-        a page whose slab membership byte claims a list that does not
-        actually contain it indicates corrupted links (slab/view
-        desync) and gets a distinct message.
-        """
-        self.remove_id(page.page_id)
-
-    def remove_id(self, i: int) -> None:
-        code = PAGE_SLAB.lru[i]
-        if not code:
-            raise ValueError(f"page {i} not on any LRU list")
-        self._remove_checked(i, code)
-
-    def discard(self, page: Page) -> None:
-        """Remove if present; no-op otherwise (process teardown)."""
-        self.discard_id(page.page_id)
-
     def discard_id(self, i: int) -> None:
-        code = PAGE_SLAB.lru[i]
-        if code:
-            self._unlink_id(i, code)
+        """Take page ``i`` off its list; no-op when it is on none."""
+        lru = self._lru
+        code = lru[i]
+        if not code:
+            return
+        lru_prev = self._prev
+        lru_next = self._next
+        prev = lru_prev[i]
+        nxt = lru_next[i]
+        if prev:
+            lru_next[prev] = nxt
+        else:
+            self._head[code] = nxt
+        if nxt:
+            lru_prev[nxt] = prev
+        else:
+            self._tail[code] = prev
+        lru[i] = 0
+        self._size[code] -= 1
 
-    def discard_ids(self, ids: List[int]) -> None:
+    def discard_ids(self, ids: Iterable[int]) -> None:
         """:meth:`discard_id` for each id in order (bulk page release)."""
+        lru = self._lru
+        lru_prev = self._prev
+        lru_next = self._next
         head_cur = self._head
         tail_cur = self._tail
         size_cur = self._size
         for i in ids:
-            code = _LRU[i]
+            code = lru[i]
             if not code:
                 continue
-            prev = _PREV[i]
-            nxt = _NEXT[i]
+            prev = lru_prev[i]
+            nxt = lru_next[i]
             if prev:
-                _NEXT[prev] = nxt
+                lru_next[prev] = nxt
             else:
                 head_cur[code] = nxt
             if nxt:
-                _PREV[nxt] = prev
+                lru_prev[nxt] = prev
             else:
                 tail_cur[code] = prev
-            _LRU[i] = 0
+            lru[i] = 0
             size_cur[code] -= 1
-
-    def contains(self, page: Page) -> bool:
-        code = PAGE_SLAB.lru[page.page_id]
-        return bool(code) and self._linked_here(page.page_id, code)
-
-    # ------------------------------------------------------------------
-    # Aging
-    # ------------------------------------------------------------------
-    def activate(self, page: Page) -> None:
-        """Promote a page to the hot end of its active list."""
-        i = page.page_id
-        code = PAGE_SLAB.lru[i]
-        if not code:
-            raise ValueError(f"page {i} not on any LRU list")
-        self._remove_checked(i, code)
-        self._append_id(i, 1 + (2 if PAGE_SLAB.kind[i] == KIND_FILE else 0))
-
-    def deactivate(self, page: Page) -> None:
-        """Demote a page to the hot end of its inactive list."""
-        i = page.page_id
-        code = PAGE_SLAB.lru[i]
-        if not code:
-            raise ValueError(f"page {i} not on any LRU list")
-        self._remove_checked(i, code)
-        self._append_id(i, 2 + (2 if PAGE_SLAB.kind[i] == KIND_FILE else 0))
-
-    def rotate(self, page: Page) -> None:
-        """Move a page to the hot end of its current list (second chance)."""
-        i = page.page_id
-        code = PAGE_SLAB.lru[i]
-        if not code:
-            raise ValueError(f"page {i} not on any LRU list")
-        self._remove_checked(i, code)
-        self._append_id(i, code)
 
     # ------------------------------------------------------------------
     # Scanning
     # ------------------------------------------------------------------
-    def coldest(self, kind: LruKind) -> Optional[Page]:
-        head = self._head[LRU_CODE_BY_KIND[kind]]
-        if not head:
-            return None
-        return PAGE_SLAB.view(head)
-
-    def pop_coldest(self, kind: LruKind) -> Optional[Page]:
-        code = LRU_CODE_BY_KIND[kind]
-        head = self._head[code]
-        if not head:
-            return None
-        self._unlink_id(head, code)
-        return PAGE_SLAB.view(head)
-
-    def scan_inactive(
-        self,
-        kind: LruKind,
-        budget: int,
-        protect: Optional[Callable[[Page], bool]] = None,
-    ) -> Tuple[List[Page], int]:
-        """Scan up to ``budget`` cold inactive pages; return eviction victims.
-
-        Implements second chance: referenced pages are activated instead
-        of evicted.  ``protect`` is the policy hook (Acclaim's FAE): a
-        protected page is rotated back rather than selected.  Victims are
-        *removed* from the list; the caller must either evict them or
-        re-add them.
-
-        Returns ``(victims, scanned)`` — ``scanned`` is the number of
-        pages actually examined, which is less than ``budget`` when the
-        list runs dry (callers charge scan CPU from it).
-        """
-        view = PAGE_SLAB.view
-        ids, scanned = self.scan_inactive_ids(kind, budget, protect)
-        return [view(i) for i in ids], scanned
-
     def scan_inactive_ids(
         self,
         kind: LruKind,
         budget: int,
         protect: Optional[Callable[[Page], bool]] = None,
     ) -> Tuple[List[int], int]:
-        """Id-level :meth:`scan_inactive` — the reclaim hot path.
+        """Scan up to ``budget`` cold inactive pages; return eviction victims.
+
+        Implements second chance: referenced pages are activated instead
+        of evicted.  ``protect`` is the policy hook (Acclaim's FAE): it
+        receives a read-only :class:`~repro.kernel.page.Page` view, and
+        a protected page is rotated back rather than selected.  Victims
+        are *removed* from the list; the caller must either evict them
+        or re-add them.
+
+        Returns ``(victim_ids, scanned)`` — ``scanned`` is the number of
+        pages actually examined, which is less than ``budget`` when the
+        list runs dry (callers charge scan CPU from it).
 
         Pops from the cold end with inline link surgery; survivors are
         re-appended at the tail, exactly matching the ``OrderedDict``
-        pop-front/insert-back order of the object-backed implementation.
+        pop-front/insert-back order of the reference implementation.
         """
         if kind not in _INACTIVE_KINDS:
             raise ValueError(f"scan_inactive on non-inactive list {kind}")
@@ -351,16 +226,15 @@ class LruLists:
         active_code = code - 1
         victims: List[int] = []
         scanned = 0
-        slab = PAGE_SLAB
-        flags = slab.flags
-        lru_next = slab.lru_next
-        lru_prev = slab.lru_prev
-        lru_col = slab.lru
+        flags = self._flags
+        lru_next = self._next
+        lru_prev = self._prev
+        lru_col = self._lru
         head_cur = self._head
         tail_cur = self._tail
         size_cur = self._size
         append = victims.append
-        view = slab.view
+        view = self.slab.view
         while scanned < budget:
             i = head_cur[code]
             if not i:
@@ -420,11 +294,10 @@ class LruLists:
         inactive_code = code + 1
         demoted = 0
         scanned = 0
-        slab = PAGE_SLAB
-        flags = slab.flags
-        lru_next = slab.lru_next
-        lru_prev = slab.lru_prev
-        lru_col = slab.lru
+        flags = self._flags
+        lru_next = self._next
+        lru_prev = self._prev
+        lru_col = self._lru
         head_cur = self._head
         tail_cur = self._tail
         size_cur = self._size
@@ -487,18 +360,9 @@ class LruLists:
         sizes = self._size
         return sizes[1] + sizes[2] + sizes[3] + sizes[4]
 
-    def iter_pages(self, kind: LruKind) -> Iterator[Page]:
-        """Cold-to-hot iteration; do not mutate the list while iterating."""
-        slab = PAGE_SLAB
-        i = self._head[LRU_CODE_BY_KIND[kind]]
-        view = slab.view
-        lru_next = slab.lru_next
-        while i:
-            yield view(i)
-            i = lru_next[i]
-
     def iter_ids(self, kind: LruKind) -> Iterator[int]:
-        lru_next = PAGE_SLAB.lru_next
+        """Cold-to-hot ids; do not mutate the list while iterating."""
+        lru_next = self._next
         i = self._head[LRU_CODE_BY_KIND[kind]]
         while i:
             yield i

@@ -15,10 +15,12 @@ occupancy charged to the block queue); clean file pages are dropped.
 Every eviction installs a shadow entry so the next touch registers as a
 refault.
 
-Hot paths (bulk allocation, the reclaim loop, eviction) run on raw slab
-ids — flag-column bit ops instead of view-object attribute access.  The
-object-level API (``make_resident(page)``, ``release(page)``, ...) is a
-thin delegation layer kept for tests, experiments, and policy code.
+The memory manager owns the system's page state: it creates the
+:class:`~repro.kernel.slab.PageSlab`, and its LRU lists, workingset,
+fault handler and the processes' page tables all index that one slab.
+Every operation takes slab page ids — flag-column bit ops instead of
+object attribute access; the only page objects are the read-only views
+handed to the policy's reclaim-protect hook.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Iterable, List, Optional
 from repro.devices.specs import DeviceSpec
 from repro.kernel.lru import LruKind, LruLists
 from repro.kernel.page import Page
-from repro.kernel.slab import DIRTY, KIND_FILE, PAGE_SLAB, PRESENT, REFERENCED
+from repro.kernel.slab import DIRTY, KIND_FILE, PRESENT, REFERENCED, PageSlab
 from repro.kernel.vmstat import VmStat
 from repro.kernel.workingset import SHADOW_ENTRY_BYTES, WorkingSet
 from repro.storage.flash import FlashDevice
@@ -123,9 +125,10 @@ class MemoryManager:
         # hot paths read ``sim.now`` as an attribute instead of paying a
         # Python frame for the ``clock`` lambda on every fault/eviction.
         self.sim = None
-        self.lru = LruLists()
+        self.slab = PageSlab()
+        self.lru = LruLists(self.slab)
         self.vmstat = VmStat()
-        self.workingset = WorkingSet(vmstat=self.vmstat)
+        self.workingset = WorkingSet(self.slab, vmstat=self.vmstat)
         # Spec-derived constants, cached once: DeviceSpec is frozen and
         # these sit on the watermark-check hot path.
         self._managed_pages = spec.managed_pages
@@ -212,42 +215,11 @@ class MemoryManager:
     # ------------------------------------------------------------------
     # Allocation / residency
     # ------------------------------------------------------------------
-    def make_resident(self, page: Page, active: bool = False) -> AllocationOutcome:
-        """Bring one page into memory; may trigger direct reclaim."""
-        return self.make_resident_id(page.page_id, active=active)
-
-    def make_resident_id(self, i: int, active: bool = False) -> AllocationOutcome:
-        outcome = AllocationOutcome()
-        flags = PAGE_SLAB.flags
-        if flags[i] & PRESENT:
-            return outcome
-        if self._free_pages <= self._wm_min:
-            self._ensure_headroom(outcome)
-        # The young bit is set by actual CPU accesses, not by allocation:
-        # a freshly-allocated page that is never touched again must look
-        # cold to the LRU scan.
-        flags[i] = (flags[i] | PRESENT) & ~REFERENCED & 0xFF
-        self._resident_pages += 1
-        self._free_pages -= 1
-        self.vmstat.pgalloc += 1
-        self.lru.add_id(i, active)
-        outcome.pages = 1
-        self._charge_contention(outcome, 1)
-        self._check_watermarks()
-        return outcome
-
-    def make_resident_bulk(
-        self, pages: List[Page], active: bool = False
-    ) -> AllocationOutcome:
-        """Fault-in / allocate a batch of pages."""
-        return self.make_resident_bulk_ids(
-            [page.page_id for page in pages], active=active
-        )
-
     def make_resident_bulk_ids(
         self, ids: Iterable[int], active: bool = False
     ) -> AllocationOutcome:
-        """Id-level bulk allocation — the footprint/launch hot path.
+        """Make pages ``ids`` resident (fresh allocation or demand
+        paging); may direct-reclaim.  The footprint/launch hot path.
 
         The free/resident counters and the pgalloc vmstat run in locals
         and are written back in one shot, and the LRU appends are
@@ -258,7 +230,7 @@ class MemoryManager:
         identical to the per-page-update version.
         """
         outcome = AllocationOutcome()
-        flags = PAGE_SLAB.flags
+        flags = self.slab.flags
         lru_add = self.lru.add_ids
         wm_min = self._wm_min
         free = self._free_pages
@@ -309,29 +281,6 @@ class MemoryManager:
         outcome.stall_ms += stall
         self.vmstat.alloc_stall_ms += stall
 
-    def release(self, page: Page) -> None:
-        """A resident page leaves memory without eviction (free/unmap)."""
-        self.release_id(page.page_id)
-
-    def release_id(self, i: int) -> None:
-        flags = PAGE_SLAB.flags
-        if not flags[i] & PRESENT:
-            return
-        flags[i] &= ~PRESENT & 0xFF
-        self.lru.discard_id(i)
-        self._resident_pages -= 1
-        self._free_pages += 1
-        self.vmstat.pgfree += 1
-
-    def discard_page(self, page: Page) -> None:
-        """Drop one page entirely (see :meth:`discard_ids`)."""
-        self.discard_ids((page.page_id,))
-
-    def release_process_pages(self, pages: Iterable[Page]) -> int:
-        """Tear down a dead process: free resident pages, drop zram slots
-        and shadow entries.  Returns the number of resident pages freed."""
-        return self.discard_ids([page.page_id for page in pages])
-
     def discard_ids(self, ids: Iterable[int]) -> int:
         """Drop pages entirely, in order: free each resident page (off
         its LRU list), otherwise clear its zram slot and shadow entry.
@@ -342,7 +291,7 @@ class MemoryManager:
         their final values equal a per-page release's.  Returns the
         number of resident pages freed.
         """
-        slab = PAGE_SLAB
+        slab = self.slab
         flags = slab.flags
         shadow = slab.shadow
         kind = slab.kind
@@ -502,7 +451,7 @@ class MemoryManager:
         # second-hottest path after the fault loop, and each of those
         # frames fired once per evicted page.  Counter/float-op order
         # matches the unfused chain exactly.
-        slab = PAGE_SLAB
+        slab = self.slab
         kind_col = slab.kind
         flags = slab.flags
         shadow = slab.shadow
@@ -575,13 +524,14 @@ class MemoryManager:
         result.reclaimed += evicted
         return evicted
 
-    def _evict_page(self, page: Page, now: float) -> float:
-        """Evict one page already removed from the LRU.  Returns CPU ms."""
-        return self._evict_page_id(page.page_id, now)
-
     def _evict_page_id(self, i: int, now: float) -> float:
+        """Evict page ``i``, already off the LRU; returns CPU ms.
+
+        The per-page form of :meth:`_evict_from`'s fused loop, for
+        :class:`~repro.kernel.proc_reclaim.PerProcessReclaim`.
+        """
         cost = EVICT_COST_MS
-        slab = PAGE_SLAB
+        slab = self.slab
         vmstat = self.vmstat
         is_file = slab.kind[i] == KIND_FILE
         if not is_file:

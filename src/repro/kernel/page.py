@@ -10,17 +10,18 @@ Two reclaimable page kinds exist, mirroring §2.1 of the paper:
   written back on reclaim; clean ones are dropped and re-read on
   refault.
 
-A page models one *virtual* page of one process; ``present`` plays the
-role of the PTE ``_PAGE_PRESENT`` bit (bit-0, §4.2.1).  When a page is
-evicted, :class:`~repro.kernel.workingset.WorkingSet` stores a shadow
-entry in ``shadow_eviction_clock`` so the subsequent fault can be
-recognised as a refault.
+A page models one *virtual* page of one process; the ``PRESENT`` flag
+plays the role of the PTE ``_PAGE_PRESENT`` bit (bit-0, §4.2.1).  When a
+page is evicted, :class:`~repro.kernel.workingset.WorkingSet` stores a
+shadow entry so the subsequent fault can be recognised as a refault.
 
-Since the slab refactor the page state itself lives in the columnar
-:data:`~repro.kernel.slab.PAGE_SLAB`; :class:`Page` is a one-slot
-*view* object whose properties read and write the columns.  The object
-API (including identity: the slab caches one view per id) is unchanged,
-but hot paths operate on raw ids and never build views.
+Page state lives in the columns of a memory manager's
+:class:`~repro.kernel.slab.PageSlab`, and the kernel works on integer
+page ids.  :class:`Page` exists only for the policy boundary — the
+reclaim-protect hook and :class:`~repro.kernel.workingset.RefaultEvent`
+hand policies a page rather than an id.  It is a read-only view built
+fresh by :meth:`PageSlab.view <repro.kernel.slab.PageSlab.view>`; it
+allocates nothing and cannot change the page.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from repro.kernel import slab as _slab
 from repro.kernel.slab import (
     DIRTY,
     HEAP_JAVA,
@@ -36,20 +36,9 @@ from repro.kernel.slab import (
     HEAP_NONE,
     HOT,
     KIND_FILE,
-    PAGE_SLAB,
     PRESENT,
     REFERENCED,
 )
-
-
-def reset_page_ids(start: int = 1) -> None:
-    """Restart the global page-id sequence (and clear the slab).
-
-    Called at the top of every scenario run so a run's id stream never
-    depends on what executed earlier in the process — a serial benchmark
-    matrix and a process-pool worker hand out identical ids.
-    """
-    PAGE_SLAB.reset(start)
 
 
 class PageKind(enum.Enum):
@@ -82,171 +71,80 @@ HEAP_CODE = {
 
 
 class Page:
-    """One virtual page of one process (a view over the slab)."""
+    """Read-only view of one page of a slab (the policy-facing type)."""
 
-    __slots__ = ("page_id",)
+    __slots__ = ("slab", "page_id")
 
-    def __init__(
-        self,
-        kind: PageKind,
-        owner: object,
-        heap: HeapKind = HeapKind.NONE,
-        dirty: bool = False,
-        hot: bool = False,
-    ):
-        if kind is PageKind.FILE:
-            if heap is not HeapKind.NONE:
-                raise ValueError("file-backed pages have no heap kind")
-        elif heap is HeapKind.NONE:
-            raise ValueError("anonymous pages must be tagged JAVA or NATIVE")
-        flag_bits = (DIRTY if dirty else 0) | (HOT if hot else 0)
-        slab = PAGE_SLAB
-        i = slab.alloc(
-            1 if kind is PageKind.FILE else 0,
-            HEAP_CODE[heap],
-            flag_bits,
-            owner,
-        )
-        self.page_id = i
-        slab.views[i] = self
+    def __init__(self, slab, page_id: int):
+        self.slab = slab
+        self.page_id = page_id
 
-    # --- immutable identity -------------------------------------------
+    # --- identity ---------------------------------------------------------
     @property
     def kind(self) -> PageKind:
-        return KIND_BY_CODE[PAGE_SLAB.kind[self.page_id]]
+        return KIND_BY_CODE[self.slab.kind[self.page_id]]
 
     @property
     def is_anon(self) -> bool:
-        return PAGE_SLAB.kind[self.page_id] != KIND_FILE
+        return self.slab.kind[self.page_id] != KIND_FILE
 
     @property
     def is_file(self) -> bool:
-        return PAGE_SLAB.kind[self.page_id] == KIND_FILE
+        return self.slab.kind[self.page_id] == KIND_FILE
 
     @property
     def heap(self) -> HeapKind:
-        return HEAP_BY_CODE[PAGE_SLAB.heap[self.page_id]]
+        return HEAP_BY_CODE[self.slab.heap[self.page_id]]
 
-    # --- owner ---------------------------------------------------------
     @property
     def owner(self) -> object:
-        return PAGE_SLAB.owner[self.page_id]
+        return self.slab.owner[self.page_id]
 
-    @owner.setter
-    def owner(self, value: object) -> None:
-        PAGE_SLAB.owner[self.page_id] = value
-
-    # --- flag bits ------------------------------------------------------
+    # --- flag bits --------------------------------------------------------
     @property
     def present(self) -> bool:
-        return bool(PAGE_SLAB.flags[self.page_id] & PRESENT)
-
-    @present.setter
-    def present(self, value: bool) -> None:
-        i = self.page_id
-        flags = PAGE_SLAB.flags
-        if value:
-            flags[i] |= PRESENT
-        else:
-            flags[i] &= ~PRESENT & 0xFF
+        return bool(self.slab.flags[self.page_id] & PRESENT)
 
     @property
     def dirty(self) -> bool:
-        return bool(PAGE_SLAB.flags[self.page_id] & DIRTY)
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        i = self.page_id
-        flags = PAGE_SLAB.flags
-        if value:
-            flags[i] |= DIRTY
-        else:
-            flags[i] &= ~DIRTY & 0xFF
+        return bool(self.slab.flags[self.page_id] & DIRTY)
 
     @property
     def referenced(self) -> bool:
-        return bool(PAGE_SLAB.flags[self.page_id] & REFERENCED)
-
-    @referenced.setter
-    def referenced(self, value: bool) -> None:
-        i = self.page_id
-        flags = PAGE_SLAB.flags
-        if value:
-            flags[i] |= REFERENCED
-        else:
-            flags[i] &= ~REFERENCED & 0xFF
+        return bool(self.slab.flags[self.page_id] & REFERENCED)
 
     @property
     def hot(self) -> bool:
-        return bool(PAGE_SLAB.flags[self.page_id] & HOT)
+        return bool(self.slab.flags[self.page_id] & HOT)
 
-    @hot.setter
-    def hot(self, value: bool) -> None:
-        i = self.page_id
-        flags = PAGE_SLAB.flags
-        if value:
-            flags[i] |= HOT
-        else:
-            flags[i] &= ~HOT & 0xFF
-
-    # --- LRU membership -------------------------------------------------
+    # --- LRU membership -----------------------------------------------------
     @property
     def lru(self):
-        code = PAGE_SLAB.lru[self.page_id]
+        code = self.slab.lru[self.page_id]
         if not code:
             return None
         from repro.kernel.lru import KIND_BY_LRU_CODE
 
         return KIND_BY_LRU_CODE[code]
 
-    @lru.setter
-    def lru(self, value) -> None:
-        if value is None:
-            PAGE_SLAB.lru[self.page_id] = 0
-        else:
-            from repro.kernel.lru import LRU_CODE_BY_KIND
-
-            PAGE_SLAB.lru[self.page_id] = LRU_CODE_BY_KIND[value]
-
-    # --- workingset bookkeeping -----------------------------------------
+    # --- workingset bookkeeping ---------------------------------------------
     @property
     def shadow_eviction_clock(self) -> Optional[int]:
-        clock = PAGE_SLAB.shadow[self.page_id]
+        clock = self.slab.shadow[self.page_id]
         return clock if clock else None
-
-    @shadow_eviction_clock.setter
-    def shadow_eviction_clock(self, value: Optional[int]) -> None:
-        PAGE_SLAB.shadow[self.page_id] = 0 if value is None else value
 
     @property
     def evictions(self) -> int:
-        return PAGE_SLAB.evictions[self.page_id]
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        PAGE_SLAB.evictions[self.page_id] = value
+        return self.slab.evictions[self.page_id]
 
     @property
     def refaults(self) -> int:
-        return PAGE_SLAB.refaults[self.page_id]
-
-    @refaults.setter
-    def refaults(self, value: int) -> None:
-        PAGE_SLAB.refaults[self.page_id] = value
+        return self.slab.refaults[self.page_id]
 
     @property
     def was_evicted(self) -> bool:
         """True when a shadow entry exists (next fault is a refault)."""
-        return PAGE_SLAB.shadow[self.page_id] != 0
-
-    def mark_accessed(self, write: bool = False) -> None:
-        """Record a CPU access to a present page (sets the young bit)."""
-        i = self.page_id
-        slab = PAGE_SLAB
-        if write and slab.kind[i] == KIND_FILE:
-            slab.flags[i] |= REFERENCED | DIRTY
-        else:
-            slab.flags[i] |= REFERENCED
+        return self.slab.shadow[self.page_id] != 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(
@@ -260,6 +158,3 @@ class Page:
             if on
         )
         return f"<Page {self.page_id} {self.kind.value}/{self.heap.value} {flags}>"
-
-
-_slab.register_view_type(Page)

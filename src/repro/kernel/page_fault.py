@@ -14,14 +14,18 @@ direct reclaim — the amplification loop behind refault-induced memory
 thrashing.
 
 ``handle_id`` is the **fused** fault→reclaim→refault loop body: it
-resolves a fault on a raw slab id without constructing a
-:class:`FaultOutcome`, a :class:`RefaultEvent` (unless observers are
-subscribed), or an ``AllocationOutcome`` (unless direct reclaim
-actually runs) — the allocation, contention-charge, watermark-check,
-and young-bit updates are inlined as flag-column bit ops.  The order of
-every vmstat increment, PSI record, float addition, and LRU operation
-matches the object-level ``handle`` exactly, which is what keeps paper
-metrics bit-identical.  ``handle`` remains as the object-API wrapper.
+resolves a fault on a page id of the memory manager's slab without
+constructing a :class:`FaultOutcome`, a :class:`RefaultEvent` (unless
+observers are subscribed), or an ``AllocationOutcome`` (unless direct
+reclaim actually runs) — the refault resolution, allocation,
+contention-charge, watermark-check, and young-bit updates are inlined
+as flag-column bit ops, in the order the unfused chain ran them, which
+is what keeps paper metrics bit-identical.
+
+``handle`` takes a :class:`~repro.kernel.page.Page` view and returns a
+:class:`FaultOutcome`.  Nothing in the simulator calls it; it stays
+because the benchmark's ``--trace 1`` mode wraps both ``handle`` and
+``handle_id`` by name (``perfbench/tracing.py``).
 """
 
 from __future__ import annotations
@@ -37,15 +41,8 @@ from repro.kernel.mm import (
     MemoryManager,
     OutOfMemoryError,
 )
-from repro.kernel.page import HeapKind, Page
-from repro.kernel.slab import (
-    DIRTY,
-    HEAP_JAVA,
-    KIND_FILE,
-    PAGE_SLAB,
-    PRESENT,
-    REFERENCED,
-)
+from repro.kernel.page import Page
+from repro.kernel.slab import DIRTY, HEAP_JAVA, KIND_FILE, PRESENT, REFERENCED
 from repro.kernel.workingset import RefaultEvent
 
 
@@ -105,9 +102,10 @@ class PageFaultHandler:
         Raises :class:`OutOfMemoryError` if memory cannot be found even
         with direct reclaim (the Android layer then runs the LMK).
 
-        Object-API wrapper over :meth:`handle_id`; the refault event (if
-        any) is reconstructed for the outcome so callers see the same
-        shape as before the slab refactor.
+        A wrapper over :meth:`handle_id` that packages the result as a
+        :class:`FaultOutcome` (with the refault event, if any).  Kept
+        for the benchmark's trace hooks, which wrap it by name; the
+        simulator itself only calls :meth:`handle_id`.
         """
         service_ms, io_complete_at, distance, direct_reclaims = self.handle_id(
             page.page_id, pid, uid, foreground, write
@@ -147,7 +145,7 @@ class PageFaultHandler:
         like :meth:`handle`.
         """
         mm = self.mm
-        slab = PAGE_SLAB
+        slab = mm.slab
         flags = slab.flags
         f = flags[i]
         is_file = slab.kind[i] == KIND_FILE
@@ -192,7 +190,7 @@ class PageFaultHandler:
         else:
             distance = -1
         if distance >= 0:
-            # --- refault accounting (was _account_refault) ------------
+            # --- refault accounting ------------------------------------
             vmstat.refault_total += 1
             if foreground:
                 vmstat.refault_fg += 1
@@ -248,7 +246,7 @@ class PageFaultHandler:
                            uid=uid, full=foreground)
             vmstat.pgmajfault += 1
 
-        # --- fused make_resident(active=refaulted) --------------------
+        # --- make resident (active if refaulted) ----------------------
         # Refaulted pages re-enter on the active list (the kernel's
         # workingset_refault promotion); first-touch pages go inactive.
         stall_ms = 0.0
@@ -281,27 +279,9 @@ class PageFaultHandler:
             # faulting task (§2.2.3(2)'s priority-inversion stall).
             psi.record("memory", stall_ms, start=now, uid=uid,
                        full=foreground)
-        # Inlined mark_accessed(write).
+        # The access itself: young bit, and dirty for a file write.
         if write and is_file:
             flags[i] |= REFERENCED | DIRTY
         else:
             flags[i] |= REFERENCED
         return service_ms, io_complete_at, distance, direct_reclaims
-
-    def _account_refault(self, page: Page, refault: RefaultEvent) -> None:
-        # Retained for API compatibility (experiments may call it); the
-        # fused path inlines this accounting.
-        stats = self.mm.vmstat
-        stats.refault_total += 1
-        if refault.foreground:
-            stats.refault_fg += 1
-        else:
-            stats.refault_bg += 1
-        if page.is_anon:
-            stats.refault_anon += 1
-            if page.heap is HeapKind.JAVA:
-                stats.refault_java_heap += 1
-            else:
-                stats.refault_native_heap += 1
-        else:
-            stats.refault_file += 1

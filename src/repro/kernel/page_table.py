@@ -1,25 +1,24 @@
 """Per-process page tables.
 
 A :class:`PageTable` owns the process's pages grouped by segment.  The
-fault handler consults ``page.present`` (the ``_PAGE_PRESENT`` analogue)
-and, as in the kernel, the page-fault path can resolve the faulting
-process directly from the table that the virtual address belongs to —
-this is how RPF attributes a refault to a process (§4.2.1, "Process
-selection").
+fault handler consults the page's ``PRESENT`` flag (the
+``_PAGE_PRESENT`` analogue) and, as in the kernel, the page-fault path
+can resolve the faulting process directly from the table that the
+virtual address belongs to — this is how RPF attributes a refault to a
+process (§4.2.1, "Process selection").
 
-Segments store **page ids** (ints into :data:`~repro.kernel.slab.PAGE_SLAB`)
-rather than view objects; ``pages`` materialises views lazily for the
-object API.  ``build_block`` is the bulk construction path: a process
-footprint of N pages becomes one slab block allocation instead of N
-``Page.__init__`` calls.
+Segments store **page ids** into the slab of the system's memory
+manager, which the table is given at construction.  ``build_block`` is
+the only way pages come into being: a process footprint of N pages
+becomes one slab block allocation per run of identical pages.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
-from repro.kernel.page import HEAP_CODE, HeapKind, Page, PageKind
-from repro.kernel.slab import DIRTY, HOT, PAGE_SLAB, PRESENT
+from repro.kernel.page import HEAP_CODE, HeapKind, PageKind
+from repro.kernel.slab import DIRTY, HOT, PRESENT, PageSlab
 
 
 class Segment:
@@ -34,16 +33,6 @@ class Segment:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def pages(self) -> List[Page]:
-        """Materialised views (object API; not used on hot paths)."""
-        view = PAGE_SLAB.view
-        return [view(i) for i in self.ids]
-
-    def resident(self) -> int:
-        flags = PAGE_SLAB.flags
-        return sum(1 for i in self.ids if flags[i] & PRESENT)
-
 
 class PageTable:
     """All virtual pages of one process, grouped into segments."""
@@ -52,8 +41,9 @@ class PageTable:
     NATIVE_HEAP = "native_heap"
     FILE_MAP = "file_map"
 
-    def __init__(self, owner: object):
+    def __init__(self, owner: object, slab: PageSlab):
         self.owner = owner
+        self.slab = slab
         self.segments: Dict[str, Segment] = {
             self.JAVA_HEAP: Segment(self.JAVA_HEAP),
             self.NATIVE_HEAP: Segment(self.NATIVE_HEAP),
@@ -70,14 +60,6 @@ class PageTable:
             return self.JAVA_HEAP
         return self.NATIVE_HEAP
 
-    def build_page(
-        self, kind: PageKind, heap: HeapKind, dirty: bool = False, hot: bool = False
-    ) -> Page:
-        """Create a page owned by this table's process and register it."""
-        page = Page(kind=kind, owner=self.owner, heap=heap, dirty=dirty, hot=hot)
-        self.segments[self._segment_name(kind, heap)].ids.append(page.page_id)
-        return page
-
     def build_block(
         self,
         count: int,
@@ -86,10 +68,11 @@ class PageTable:
         dirty: bool = False,
         hot: bool = False,
     ) -> range:
-        """Bulk-create ``count`` identical pages; returns their id range.
+        """Create ``count`` identical pages owned by this table's
+        process; returns their id range.
 
         One slab block allocation and one list extend — the footprint
-        construction fast path (no view objects are built).
+        construction fast path.
         """
         if kind is PageKind.FILE:
             if heap is not HeapKind.NONE:
@@ -97,7 +80,7 @@ class PageTable:
         elif heap is HeapKind.NONE:
             raise ValueError("anonymous pages must be tagged JAVA or NATIVE")
         flag_bits = (DIRTY if dirty else 0) | (HOT if hot else 0)
-        ids = PAGE_SLAB.alloc_block(
+        ids = self.slab.alloc_block(
             count,
             1 if kind is PageKind.FILE else 0,
             HEAP_CODE[heap],
@@ -107,22 +90,9 @@ class PageTable:
         self.segments[self._segment_name(kind, heap)].ids.extend(ids)
         return ids
 
-    def segment_for(self, page: Page) -> Segment:
-        if page.is_file:
-            return self.segments[self.FILE_MAP]
-        if page.heap is HeapKind.JAVA:
-            return self.segments[self.JAVA_HEAP]
-        return self.segments[self.NATIVE_HEAP]
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def all_pages(self) -> Iterator[Page]:
-        view = PAGE_SLAB.view
-        for segment in self.segments.values():
-            for i in segment.ids:
-                yield view(i)
-
     def all_page_ids(self) -> List[int]:
         java, native, file_map = (
             self.segments[self.JAVA_HEAP].ids,
@@ -130,9 +100,6 @@ class PageTable:
             self.segments[self.FILE_MAP].ids,
         )
         return java + native + file_map
-
-    def pages_of(self, segment_name: str) -> List[Page]:
-        return self.segments[segment_name].pages
 
     def ids_of(self, segment_name: str) -> List[int]:
         return self.segments[segment_name].ids
@@ -143,12 +110,12 @@ class PageTable:
 
     @property
     def resident_pages(self) -> int:
-        return sum(segment.resident() for segment in self.segments.values())
+        return sum(self.resident_by_segment().values())
 
     @property
     def evicted_pages(self) -> int:
-        flags = PAGE_SLAB.flags
-        shadow = PAGE_SLAB.shadow
+        flags = self.slab.flags
+        shadow = self.slab.shadow
         count = 0
         for segment in self.segments.values():
             for i in segment.ids:
@@ -157,4 +124,8 @@ class PageTable:
         return count
 
     def resident_by_segment(self) -> Dict[str, int]:
-        return {name: segment.resident() for name, segment in self.segments.items()}
+        flags = self.slab.flags
+        return {
+            name: sum(1 for i in segment.ids if flags[i] & PRESENT)
+            for name, segment in self.segments.items()
+        }

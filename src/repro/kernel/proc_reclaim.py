@@ -9,10 +9,10 @@ normal LRU scan order.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.kernel.mm import MemoryManager, ReclaimResult
-from repro.kernel.page import Page
+from repro.kernel.slab import DIRTY, KIND_FILE, PRESENT
 from repro.storage.zram import ZramFullError
 
 
@@ -22,23 +22,28 @@ class PerProcessReclaim:
     def __init__(self, mm: MemoryManager):
         self.mm = mm
 
-    def reclaim_pages(self, pages: Iterable[Page]) -> ReclaimResult:
-        """Evict every currently-resident page in ``pages``.
+    def reclaim_ids(self, ids: Iterable[int]) -> ReclaimResult:
+        """Evict every currently-resident page among ``ids``.
 
         Pages that cannot go anywhere (ZRAM full) are left resident.
         """
+        mm = self.mm
+        flags = mm.slab.flags
+        kind = mm.slab.kind
+        lru = mm.lru
         result = ReclaimResult()
-        now = self.mm.clock()
+        now = mm.clock()
         dirty_batch = 0
-        for page in pages:
-            if not page.present:
+        for i in ids:
+            f = flags[i]
+            if not f & PRESENT:
                 continue
-            was_dirty = page.is_file and page.dirty
-            self.mm.lru.discard(page)
+            was_dirty = kind[i] == KIND_FILE and f & DIRTY
+            lru.discard_id(i)
             try:
-                cost = self.mm._evict_page(page, now)
+                cost = mm._evict_page_id(i, now)
             except ZramFullError:
-                self.mm.lru.add(page, active=True)
+                lru.add_id(i, active=True)
                 result.zram_full = True
                 continue
             if was_dirty:
@@ -46,11 +51,11 @@ class PerProcessReclaim:
             result.reclaimed += 1
             result.cpu_ms += cost
         if dirty_batch:
-            self.mm.flash.write(now, dirty_batch)
-            self.mm.vmstat.fileback_writeout += dirty_batch
-        self.mm.vmstat.pgsteal_direct += result.reclaimed
+            mm.flash.write(now, dirty_batch)
+            mm.vmstat.fileback_writeout += dirty_batch
+        mm.vmstat.pgsteal_direct += result.reclaimed
         return result
 
     def reclaim_process(self, page_table) -> ReclaimResult:
         """Reclaim every page of one process (its whole page table)."""
-        return self.reclaim_pages(list(page_table.all_pages()))
+        return self.reclaim_ids(page_table.all_page_ids())

@@ -1,16 +1,15 @@
-"""Struct-of-arrays slab backing all kernel page state.
+"""Struct-of-arrays slab holding one memory manager's page state.
 
 CPython objects are expensive on the fault/reclaim hot path: every
 ``Page`` used to be a 14-slot object (~200 bytes) whose attribute reads
 each cost a dict-free but still interpreted ``LOAD_ATTR``.  At 100k+
 simulated events per second the allocator, the LRU lists, and the fault
 loop together touch millions of page fields per wall-second, so the
-object overhead dominated the profile (see BENCH_2026-08-05.json and
-ROADMAP item 3).
+object overhead dominated the profile (see BENCH_2026-08-05.json).
 
-This module rebuilds that state the way the kernel itself lays out
-``struct page``: one global **slab** of parallel columns indexed by the
-integer page id.
+This module lays that state out the way the kernel lays out
+``struct page``: a **slab** of parallel columns indexed by the integer
+page id.
 
 * ``kind``/``heap``/``flags``/``lru`` are ``bytearray`` columns — one
   byte per page, C-speed indexing, no boxing.
@@ -19,30 +18,31 @@ integer page id.
   cursors; id 0 is the null link, which is why real ids start at 1).
 * ``shadow``/``evictions``/``refaults`` are int columns for workingset
   bookkeeping (shadow clock 0 means "no shadow entry").
-* ``owner`` holds the owning process reference (duck-typed, as before).
+* ``owner`` holds the owning process reference (duck-typed).
 
-``Page`` (:mod:`repro.kernel.page`) is now a *view*: a one-slot object
-holding only ``page_id`` whose properties read and write these columns.
-Views are cached per id (``views``) so object identity — which tests
-and policy code rely on (``lru.coldest(...) is page``) — is preserved.
-Hot paths skip views entirely and operate on raw ids.
+Every :class:`~repro.kernel.mm.MemoryManager` creates exactly one slab,
+and everything that reads page state — LRU lists, workingset, fault
+handler, page tables, samplers, procfs — reaches it through the memory
+manager it belongs to.  Nothing here is process-global: two systems in
+one process have separate slabs, separate id sequences and separate
+links, so one can neither see nor clear the other's pages.
 
-The slab is process-global, mirroring the pre-existing global page-id
-counter: ``reset_page_ids()`` (called at the top of every scenario run)
-clears the columns **in place**, so aliases held by long-lived
-structures stay valid.  Multiple coexisting systems are safe for the
-same reason multiple systems were safe with the global id counter:
-their id ranges are disjoint, so their link columns never interfere.
+Kernel code works on raw ids.  :meth:`PageSlab.view` builds a fresh,
+read-only :class:`~repro.kernel.page.Page` for the places where a
+policy receives a page (the reclaim-protect hook, refault events).
 
-Transient pages (frame-churn allocations that used to be garbage
-collected) are recycled through an explicit free list — columns would
-otherwise grow without bound over a long run.  Freed ids must be fully
-retired first (not resident, not on an LRU list, no zram slot).
+Transient pages (frame-churn allocations) are recycled through an
+explicit free list — columns would otherwise grow without bound over a
+long run.  Freed ids must be fully retired first (not resident, not on
+an LRU list, no zram slot).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List
+
+if TYPE_CHECKING:
+    from repro.kernel.page import Page
 
 # --- flag bits (``flags`` column) -------------------------------------
 PRESENT = 0x01  # _PAGE_PRESENT
@@ -68,11 +68,11 @@ LRU_INACTIVE_FILE = 4
 
 
 class PageSlab:
-    """Columnar storage for every page in the process.
+    """Columnar storage for the pages of one memory manager.
 
     All columns are indexed by page id.  Index 0 is a permanent
-    sentinel (the null link of the intrusive lists); live ids start at
-    ``reset(start)``'s ``start`` (default 1).
+    sentinel (the null link of the intrusive lists); live ids start
+    at 1.
     """
 
     __slots__ = (
@@ -86,76 +86,25 @@ class PageSlab:
         "evictions",
         "refaults",
         "owner",
-        "views",
         "free_list",
         "_next_id",
     )
 
     def __init__(self) -> None:
-        self.kind = bytearray()
-        self.heap = bytearray()
-        self.flags = bytearray()
-        self.lru = bytearray()
-        self.lru_prev: List[int] = []
-        self.lru_next: List[int] = []
-        self.shadow: List[int] = []
-        self.evictions: List[int] = []
-        self.refaults: List[int] = []
-        self.owner: List[object] = []
-        # id -> Page view cache (identity-preserving thin objects).
-        self.views: dict = {}
+        # Slot 0 is the sentinel (the null link).
+        self.kind = bytearray(1)
+        self.heap = bytearray(1)
+        self.flags = bytearray(1)
+        self.lru = bytearray(1)
+        self.lru_prev: List[int] = [0]
+        self.lru_next: List[int] = [0]
+        self.shadow: List[int] = [0]
+        self.evictions: List[int] = [0]
+        self.refaults: List[int] = [0]
+        self.owner: List[object] = [None]
         # Recycled ids (fully-retired transient pages), LIFO.
         self.free_list: List[int] = []
-        self._next_id = 0
-        self.reset(1)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def reset(self, start: int = 1) -> None:
-        """Clear all columns in place and restart ids at ``start``.
-
-        In-place (``del col[:]`` / ``.clear()``) so column aliases held
-        by :class:`~repro.kernel.lru.LruLists` and friends survive — a
-        fresh scenario run simply sees empty columns.
-        """
-        if start < 1:
-            raise ValueError(f"page ids start at 1 (got start={start})")
-        del self.kind[:]
-        del self.heap[:]
-        del self.flags[:]
-        del self.lru[:]
-        del self.lru_prev[:]
-        del self.lru_next[:]
-        del self.shadow[:]
-        del self.evictions[:]
-        del self.refaults[:]
-        del self.owner[:]
-        self.views.clear()
-        del self.free_list[:]
-        # Sentinel slots for 0..start-1 (id 0 is the null link).
-        pad = b"\x00" * start
-        self.kind += pad
-        self.heap += pad
-        self.flags += pad
-        self.lru += pad
-        zeros = [0] * start
-        self.lru_prev += zeros
-        self.lru_next += zeros
-        self.shadow += zeros
-        self.evictions += zeros
-        self.refaults += zeros
-        self.owner += [None] * start
-        self._next_id = start
-
-    def __len__(self) -> int:
-        """Number of live ids (allocated minus recycled)."""
-        return self._next_id - 1 - len(self.free_list)
-
-    @property
-    def next_id(self) -> int:
-        """The id the next (non-recycled) allocation would get."""
-        return self._next_id
+        self._next_id = 1
 
     # ------------------------------------------------------------------
     # Allocation
@@ -235,39 +184,18 @@ class PageSlab:
         evictions = self.evictions
         refaults = self.refaults
         owner = self.owner
-        drop_view = self.views.pop
         for i in ids:
             flags[i] = 0
             shadow[i] = 0
             evictions[i] = 0
             refaults[i] = 0
             owner[i] = None
-            drop_view(i, None)
         self.free_list += ids
 
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    def view(self, i: int):
-        """The cached :class:`~repro.kernel.page.Page` view for ``i``."""
-        page = self.views.get(i)
-        if page is None:
-            page = _VIEW_TYPE.__new__(_VIEW_TYPE)
-            page.page_id = i
-            self.views[i] = page
-        return page
+    def view(self, i: int) -> "Page":
+        """A fresh read-only :class:`~repro.kernel.page.Page` view of ``i``."""
+        return _page.Page(self, i)
 
 
-# The Page class registers itself here on import (avoids a circular
-# import: page.py imports the slab, not the other way around).
-_VIEW_TYPE: Optional[type] = None
-
-
-def register_view_type(cls: type) -> None:
-    global _VIEW_TYPE
-    _VIEW_TYPE = cls
-
-
-#: The process-global slab.  Reset by ``repro.kernel.page.reset_page_ids``
-#: at the top of every scenario run.
-PAGE_SLAB = PageSlab()
+# Imported last: repro.kernel.page imports this module's constants.
+from repro.kernel import page as _page  # noqa: E402

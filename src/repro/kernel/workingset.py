@@ -9,9 +9,10 @@ evicted in between.  The paper's RPF uses exactly this interface
 :class:`WorkingSet` here exposes the same event stream via observer
 callbacks.
 
-Shadow entries live in the slab's ``shadow`` column (clock value, 0 =
-no entry).  Like the kernel's ``workingset_shadow_shrinker``, the
-column is **byte-accounted**: each live entry is charged
+Shadow entries live in the ``shadow`` column of the memory manager's
+:class:`~repro.kernel.slab.PageSlab` (clock value, 0 = no entry), so
+shedding only ever sees the pages of its own system.  Like the kernel's
+``workingset_shadow_shrinker``, the column is **byte-accounted**: each live entry is charged
 :data:`SHADOW_ENTRY_BYTES` against ``shadow_budget_bytes``, and when
 the budget is exceeded the oldest-clock entries are shed (they encode
 the least useful refault distances).  Shed entries are counted in
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.kernel.page import Page
-from repro.kernel.slab import PAGE_SLAB
+from repro.kernel.slab import PageSlab
 
 # Modelled memory cost of one shadow entry.  In Linux a shadow entry is
 # one xarray slot plus its amortised share of the xa_node — of the same
@@ -64,16 +65,17 @@ class WorkingSet:
 
     def __init__(
         self,
+        slab: PageSlab,
         shadow_budget_bytes: Optional[int] = DEFAULT_SHADOW_BUDGET_BYTES,
         vmstat=None,
     ) -> None:
+        self.slab = slab
         self.eviction_clock: int = 0
         self._observers: List[Callable[[RefaultEvent], None]] = []
         #: Byte cap on live shadow entries; ``None`` disables shedding.
         self.shadow_budget_bytes = shadow_budget_bytes
-        #: Live entries *recorded through this instance* (approximate if
-        #: tests poke ``page.shadow_eviction_clock`` directly; clamped
-        #: at zero so stray pokes cannot wedge the accounting).
+        #: Live entries *recorded through this instance* (clamped at zero
+        #: so a column written directly cannot wedge the accounting).
         self.shadow_entries: int = 0
         #: Total entries shed to stay under budget.
         self.shadow_shed_total: int = 0
@@ -97,14 +99,11 @@ class WorkingSet:
     # ------------------------------------------------------------------
     # Eviction / fault hooks called by the MM layer
     # ------------------------------------------------------------------
-    def record_eviction(self, page: Page) -> None:
-        """Install a shadow entry for a page leaving memory."""
-        self.record_eviction_id(page.page_id)
-
     def record_eviction_id(self, i: int) -> None:
+        """Install a shadow entry for page ``i`` leaving memory."""
         clock = self.eviction_clock + 1
         self.eviction_clock = clock
-        slab = PAGE_SLAB
+        slab = self.slab
         if not slab.shadow[i]:
             self.shadow_entries += 1
         slab.shadow[i] = clock
@@ -125,7 +124,7 @@ class WorkingSet:
         excess = self.shadow_entries - target
         if excess <= 0:
             return
-        shadow = PAGE_SLAB.shadow
+        shadow = self.slab.shadow
         oldest = heapq.nsmallest(
             excess,
             ((clock, i) for i, clock in enumerate(shadow) if clock),
@@ -143,7 +142,7 @@ class WorkingSet:
     def _resolve_refault(self, i: int) -> int:
         """Clear ``i``'s shadow entry; return the refault distance
         (``-1`` when there is no entry, i.e. a first-touch fault)."""
-        slab = PAGE_SLAB
+        slab = self.slab
         clock = slab.shadow[i]
         if not clock:
             return -1
@@ -153,44 +152,23 @@ class WorkingSet:
         slab.refaults[i] += 1
         return self.eviction_clock - clock
 
-    def check_refault(
-        self, now_ms: float, page: Page, pid: int, uid: int, foreground: bool
-    ) -> Optional[RefaultEvent]:
-        """Resolve a fault: if a shadow entry exists this is a refault.
-
-        Clears the shadow entry, computes the refault distance, notifies
-        observers, and returns the event (or ``None`` for a first-touch
-        fault).
-        """
-        distance = self._resolve_refault(page.page_id)
-        if distance < 0:
-            return None
-        event = RefaultEvent(
-            time_ms=now_ms,
-            page=page,
-            pid=pid,
-            uid=uid,
-            foreground=foreground,
-            refault_distance=distance,
-        )
-        for observer in list(self._observers):
-            observer(event)
-        return event
-
     def check_refault_id(
         self, now_ms: float, i: int, pid: int, uid: int, foreground: bool
     ) -> int:
-        """Id-level :meth:`check_refault` for the fused fault path.
+        """Resolve a fault on page ``i``: with a shadow entry it is a refault.
 
-        Returns the refault distance (``-1`` for first touch).  The
-        :class:`RefaultEvent` is only materialised when observers are
-        subscribed — the common no-policy case allocates nothing.
+        Clears the shadow entry and returns the refault distance (``-1``
+        for a first-touch fault).  Observers get a :class:`RefaultEvent`,
+        which is only materialised when some are subscribed — the common
+        no-policy case allocates nothing.  The fused fault path
+        (:meth:`~repro.kernel.page_fault.PageFaultHandler.handle_id`)
+        inlines exactly this.
         """
         distance = self._resolve_refault(i)
         if distance >= 0 and self._observers:
             event = RefaultEvent(
                 time_ms=now_ms,
-                page=PAGE_SLAB.view(i),
+                page=self.slab.view(i),
                 pid=pid,
                 uid=uid,
                 foreground=foreground,
@@ -199,14 +177,3 @@ class WorkingSet:
             for observer in list(self._observers):
                 observer(event)
         return distance
-
-    def drop_shadow(self, page: Page) -> None:
-        """Forget a shadow entry (the owning process died)."""
-        self.drop_shadow_id(page.page_id)
-
-    def drop_shadow_id(self, i: int) -> None:
-        slab = PAGE_SLAB
-        if slab.shadow[i]:
-            slab.shadow[i] = 0
-            if self.shadow_entries:
-                self.shadow_entries -= 1

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.kernel.slab import KIND_FILE, PRESENT
 from repro.obs import psi as psi_mod
 
 KIB_PER_SIM_PAGE_FACTOR = 4  # one real 4 KiB page = 4 KiB
@@ -160,10 +161,15 @@ class ProcFs:
         system = self.system
         resident = app.resident_pages()
         total = app.total_pages()
-        swapped = 0
-        for page in app.all_pages():
-            if not page.present and page.is_anon and system.zram.contains(page.page_id):
-                swapped += 1
+        flags = system.mm.slab.flags
+        kind = system.mm.slab.kind
+        zram = system.zram
+        swapped = sum(
+            1
+            for process in app.processes
+            for i in process.page_table.all_page_ids()
+            if not flags[i] & PRESENT and kind[i] != KIND_FILE and zram.contains(i)
+        )
         frozen = sum(
             1 for pid in app.pids if system.freezer.is_frozen(pid)
         )

@@ -16,6 +16,7 @@ per-second buckets for Table 1 and §6.2.2.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import Callable, Dict, List, Optional
 
@@ -81,6 +82,7 @@ class CfsScheduler:
         self.little_cores = max(1, cores // 2)
         self.quantum_ms = quantum_ms
         self.tasks: Dict[int, Task] = {}
+        self._tids = itertools.count(1)
         # State-partitioned views of ``tasks``, maintained incrementally
         # by Task.state's setter (via :meth:`_note_state`): the 4 ms tick
         # touches only the blocked set (wakeups) and the runnable set
@@ -124,8 +126,10 @@ class CfsScheduler:
     # Task lifecycle
     # ------------------------------------------------------------------
     def add_task(self, task: Task) -> Task:
-        if task.tid in self.tasks:
+        """Register ``task`` and give it this scheduler's next tid."""
+        if task.sched is not None:
             raise ValueError(f"task {task.tid} already registered")
+        task.tid = next(self._tids)
         # New tasks start at the current min vruntime so they neither
         # starve nor monopolise the CPU.
         task.vruntime = self._min_vruntime

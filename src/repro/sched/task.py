@@ -13,20 +13,10 @@ Tasks without a queue (kswapd) implement :class:`TaskBody` instead.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from typing import Callable, Deque, Optional
 
 from repro.sched.priorities import NICE_DEFAULT, nice_to_weight
-
-_task_ids = itertools.count(1)
-
-
-def reset_task_ids(start: int = 1) -> None:
-    """Restart the global task-id sequence (see ``reset_page_ids``)."""
-    global _task_ids
-    _task_ids = itertools.count(start)
-
 
 class TaskState(enum.Enum):
     SLEEPING = "sleeping"  # no pending work
@@ -127,7 +117,9 @@ class Task:
         is_kernel: bool = False,
         body: Optional[TaskBody] = None,
     ):
-        self.tid: int = next(_task_ids)
+        # Assigned by CfsScheduler.add_task (0 until then): each system's
+        # scheduler numbers its own tasks from 1.
+        self.tid = 0
         self.name = name
         self.process = process  # owning Process, or None for kernel threads
         self.nice = nice

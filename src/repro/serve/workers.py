@@ -2,11 +2,11 @@
 
 Simulations are CPU-bound pure-Python work, so the fleet runs them in a
 ``ProcessPoolExecutor`` — the same fan-out mechanism as ``repro bench
---jobs`` — and leans on the same determinism discipline:
-``run_scenario`` resets the global page/task/pid id sequences at entry,
-so a run executed 5th in a pool worker is bit-identical to the same
-request run directly from the CLI.  That property is what makes the
-content-addressed cache sound.
+--jobs`` — and relies on the same property: every ``run_scenario``
+builds its own system, which owns its page slab and its page/task/pid
+id sequences, so a run executed 5th in a pool worker is bit-identical
+to the same request run directly from the CLI.  That property is what
+makes the content-addressed cache sound.
 
 Supervision details:
 
@@ -29,6 +29,7 @@ Supervision details:
 from __future__ import annotations
 
 import asyncio
+import gc
 import multiprocessing
 import os
 import threading
@@ -90,6 +91,12 @@ def execute_request(payload) -> dict:
     from repro.experiments.scenarios import run_scenario
 
     request = RunRequest.from_dict(request_dict)
+    # The previous job's system, its page slab included, is cyclic
+    # garbage by now.  Collecting the young generations (about a
+    # millisecond) frees it before this run allocates, instead of letting
+    # the dead systems of many jobs wait for the collector's rare full
+    # passes.
+    gc.collect(1)
     on_sample = None
     if progress_interval_ms and _PROGRESS_QUEUE is not None:
         queue = _PROGRESS_QUEUE

@@ -16,6 +16,7 @@ drive::
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, List, Optional
 
 from repro.android.activity_manager import ActivityManager, LaunchRecord
@@ -28,7 +29,7 @@ from repro.devices.specs import DeviceSpec, huawei_p20
 from repro.kernel.freezer import Freezer
 from repro.kernel.mm import MemoryManager, OutOfMemoryError
 from repro.kernel.page import Page
-from repro.kernel.slab import DIRTY, KIND_FILE, PAGE_SLAB, PRESENT, REFERENCED
+from repro.kernel.slab import DIRTY, KIND_FILE, PRESENT, REFERENCED
 from repro.kernel.page_fault import PageFaultHandler
 from repro.kernel.proc_reclaim import PerProcessReclaim
 from repro.kernel.reclaim import Kswapd
@@ -71,7 +72,14 @@ class _KswapdBody(TaskBody):
 
 
 class MobileSystem:
-    """A fully-wired simulated smartphone."""
+    """A fully-wired simulated smartphone.
+
+    Everything a run simulates belongs to one system: the page slab
+    (inside ``mm``), the pid and uid sequences here, and the tid
+    sequence inside ``sched``.  Two systems in one process never share
+    state, so a run's result depends only on how its system was built
+    and driven.
+    """
 
     def __init__(
         self,
@@ -82,6 +90,9 @@ class MobileSystem:
         tracer=None,
     ):
         self.spec = spec or huawei_p20()
+        # Android app UIDs start at 10000; app PIDs here start at 1000.
+        self._uids = itertools.count(10000)
+        self._pids = itertools.count(1000)
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
         self.seed = seed
@@ -217,9 +228,14 @@ class MobileSystem:
     def install_app(self, profile: AppProfile) -> Application:
         if profile.package in self.apps:
             raise ValueError(f"{profile.package} already installed")
-        app = Application(profile)
+        app = Application(profile, uid=next(self._uids))
         self.apps[profile.package] = app
         return app
+
+    def spawn_process(self, app: Application, name: str, main: bool) -> Process:
+        """A new process of ``app`` with this system's next pid, its
+        pages to be allocated in this system's slab."""
+        return Process(name, app, next(self._pids), self.mm.slab, main=main)
 
     def install_apps(self, profiles: Iterable[AppProfile]) -> List[Application]:
         return [self.install_app(profile) for profile in profiles]
@@ -256,15 +272,6 @@ class MobileSystem:
     # ------------------------------------------------------------------
     # Memory access paths (used by behaviours and the frame engine)
     # ------------------------------------------------------------------
-    def touch_pages(self, process: Process, pages: List[Page], write: bool = False) -> float:
-        """CPU touches to ``pages``; returns blocking fault time in ms.
-
-        Object-API wrapper over :meth:`touch_ids`.
-        """
-        return self.touch_ids(
-            process, [page.page_id for page in pages], write
-        )
-
     def touch_ids(self, process: Process, ids: List[int], write: bool = False) -> float:
         """CPU touches to slab page ``ids``; returns blocking fault ms.
 
@@ -285,7 +292,7 @@ class MobileSystem:
         io_until = now
         app = process.app
         foreground = app.state is _FOREGROUND
-        slab = PAGE_SLAB
+        slab = self.mm.slab
         flags = slab.flags
         kind = slab.kind
         handle_id = self.fault_handler.handle_id
@@ -299,7 +306,7 @@ class MobileSystem:
         for i in ids:
             f = flags[i]
             if f & PRESENT:
-                # Inlined mark_accessed fast path (the common read case).
+                # The access: young bit, and dirty for a file write.
                 if write and kind[i] == KIND_FILE:
                     flags[i] = f | REFERENCED | DIRTY
                 else:
@@ -322,22 +329,6 @@ class MobileSystem:
             if not process.alive:
                 break
         return cpu_ms + max(0.0, io_until - self.sim.now)
-
-    def _fault(self, page: Page, process: Process, foreground: bool, write: bool):
-        for _attempt in range(3):
-            try:
-                return self.fault_handler.handle(
-                    page, process.pid, process.uid, foreground, write
-                )
-            except OutOfMemoryError:
-                victim = self.lmk.kill_one("page-fault")
-                if victim is None or victim is process.app:
-                    return None
-        return None
-
-    def allocate_pages(self, process: Process, pages: List[Page]) -> float:
-        """Make ``pages`` resident (fresh allocation); returns stall ms."""
-        return self.allocate_ids(process, [page.page_id for page in pages])
 
     def allocate_ids(self, process: Process, ids: List[int]) -> float:
         """Make slab page ``ids`` resident (fresh allocation); stall ms."""

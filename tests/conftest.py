@@ -4,8 +4,9 @@ import pytest
 
 from repro.devices.specs import DeviceSpec, StorageSpec
 from repro.kernel.mm import MemoryManager
-from repro.kernel.page import HeapKind, Page, PageKind
+from repro.kernel.page import HEAP_CODE, HeapKind, PageKind
 from repro.kernel.page_fault import PageFaultHandler
+from repro.kernel.slab import DIRTY, KIND_ANON, KIND_FILE
 from repro.storage.flash import FlashDevice
 from repro.storage.zram import ZramDevice
 
@@ -71,8 +72,13 @@ def fault_handler(mm) -> PageFaultHandler:
     return PageFaultHandler(mm)
 
 
-def make_pages(count: int, kind=PageKind.ANON, heap=HeapKind.NATIVE, owner=None,
-               dirty=False):
+def make_ids(slab, count: int, kind=PageKind.ANON, heap=HeapKind.NATIVE,
+             owner=None, dirty=False):
+    """Allocate ``count`` pages in ``slab``; returns their ids."""
     if kind is PageKind.FILE:
-        return [Page(kind=kind, owner=owner, dirty=dirty) for _ in range(count)]
-    return [Page(kind=kind, owner=owner, heap=heap) for _ in range(count)]
+        kind_code, heap = KIND_FILE, HeapKind.NONE
+    else:
+        kind_code = KIND_ANON
+    block = slab.alloc_block(count, kind_code, HEAP_CODE[heap], owner=owner,
+                             flag_bits=DIRTY if dirty else 0)
+    return list(block)

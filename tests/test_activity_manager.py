@@ -54,10 +54,10 @@ def test_cold_launch_spawns_expected_processes(system):
     mains = [p for p in app.processes if p.main]
     assert len(mains) == 1
     # Only the main process carries the java heap.
-    assert mains[0].page_table.pages_of("java_heap")
+    assert mains[0].page_table.ids_of("java_heap")
     for aux in app.processes:
         if not aux.main:
-            assert not aux.page_table.pages_of("java_heap")
+            assert not aux.page_table.ids_of("java_heap")
 
 
 def test_cold_launch_reads_code_from_flash(system):

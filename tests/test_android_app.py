@@ -12,11 +12,18 @@ from repro.android.oom_adj import (
 )
 from repro.apps.catalog import get_profile
 from repro.apps.profiles import AppCategory, AppProfile
+from repro.kernel.slab import PRESENT, PageSlab
+from repro.system import MobileSystem
 
 
 def make_app(**overrides) -> Application:
     profile = get_profile("WhatsApp")
-    return Application(profile)
+    return Application(profile, uid=10000)
+
+
+def make_process(name, app, main=False, pid=1000, slab=None):
+    return Process(name, app, pid, PageSlab() if slab is None else slab,
+                   main=main)
 
 
 # ----------------------------------------------------------------------
@@ -47,9 +54,13 @@ def test_whitelist_score_rule():
 # Application
 # ----------------------------------------------------------------------
 def test_uids_unique_and_android_range():
-    a, b = make_app(), make_app()
-    assert a.uid != b.uid
-    assert a.uid >= 10000
+    system = MobileSystem(seed=1)
+    a = system.install_app(get_profile("WhatsApp"))
+    b = system.install_app(get_profile("Skype"))
+    assert (a.uid, b.uid) == (10000, 10001)
+    # A second system numbers its apps independently.
+    other = MobileSystem(seed=1).install_app(get_profile("WhatsApp"))
+    assert other.uid == a.uid
 
 
 def test_new_app_is_stopped_and_dead():
@@ -77,8 +88,8 @@ def test_perceptible_app_keeps_adj_200_in_bg():
 
 def test_main_process_lookup():
     app = make_app()
-    aux = Process("aux", app, main=False)
-    main = Process("main", app, main=True)
+    aux = make_process("aux", app, main=False, pid=1000)
+    main = make_process("main", app, main=True, pid=1001)
     app.processes = [aux, main]
     assert app.main_process is main
     assert set(app.pids) == {aux.pid, main.pid}
@@ -86,33 +97,36 @@ def test_main_process_lookup():
 
 def test_process_uid_follows_app():
     app = make_app()
-    process = Process("p", app)
+    process = make_process("p", app)
     assert process.uid == app.uid
 
 
 def test_build_footprint_counts_and_hotness():
     app = make_app()
-    process = Process("p", app, main=True)
+    slab = PageSlab()
+    process = make_process("p", app, main=True, slab=slab)
     process.build_footprint(
         java_pages=10, native_pages=20, file_pages=30,
         hot_frac=0.5, file_dirty_frac=0.1,
     )
     table = process.page_table
-    assert len(table.pages_of("java_heap")) == 10
-    assert len(table.pages_of("native_heap")) == 20
-    assert len(table.pages_of("file_map")) == 30
-    hot_java = sum(1 for page in table.pages_of("java_heap") if page.hot)
+    assert len(table.ids_of("java_heap")) == 10
+    assert len(table.ids_of("native_heap")) == 20
+    assert len(table.ids_of("file_map")) == 30
+    hot_java = sum(1 for i in table.ids_of("java_heap") if slab.view(i).hot)
     assert hot_java == 5
-    dirty_file = sum(1 for page in table.pages_of("file_map") if page.dirty)
+    dirty_file = sum(1 for i in table.ids_of("file_map") if slab.view(i).dirty)
     assert dirty_file == 3
+    assert all(slab.view(i).owner is process for i in table.all_page_ids())
 
 
 def test_resident_pages_aggregates_processes():
     app = make_app()
-    p1 = Process("a", app, main=True)
+    slab = PageSlab()
+    p1 = make_process("a", app, main=True, slab=slab)
     p1.build_footprint(4, 0, 0, hot_frac=0.0, file_dirty_frac=0.0)
     app.processes = [p1]
-    for page in p1.page_table.all_pages():
-        page.present = True
+    for i in p1.page_table.all_page_ids():
+        slab.flags[i] |= PRESENT
     assert app.resident_pages() == 4
     assert app.total_pages() == 4

@@ -35,36 +35,37 @@ def sampler_for(system, package):
 # ----------------------------------------------------------------------
 def test_sampler_counts(staged):
     sampler = sampler_for(staged, "WhatsApp")
-    assert len(sampler.all_pages) == len(sampler.java) + len(sampler.native) + len(sampler.file)
-    assert sampler.hot_pages
+    assert len(sampler.all_ids) == (
+        len(sampler.java_ids) + len(sampler.native_ids) + len(sampler.file_ids)
+    )
+    assert sampler.hot_ids
 
 
 def test_sample_respects_count(staged):
     sampler = sampler_for(staged, "WhatsApp")
-    assert len(sampler.sample(50)) == 50
+    assert len(sampler.sample_ids(50)) == 50
 
 
 def test_sample_burst_mixes_segments(staged):
     sampler = sampler_for(staged, "WhatsApp")
-    picks = sampler.sample_burst(300)
-    kinds = {page.kind.value for page in picks}
+    picks = sampler.sample_burst_ids(300)
+    kinds = {staged.mm.slab.view(i).kind.value for i in picks}
     assert "file" in kinds and "anon" in kinds
 
 
 def test_sample_gc_walks_java_only(staged):
     sampler = sampler_for(staged, "WhatsApp")
-    picks = sampler.sample_gc(0.5)
+    picks = sampler.sample_gc_ids(0.5)
     assert picks
-    assert all(page.heap.value == "java" for page in picks)
-    assert len(picks) == int(len(sampler.java) * 0.5)
+    assert all(staged.mm.slab.view(i).heap.value == "java" for i in picks)
+    assert len(picks) == int(len(sampler.java_ids) * 0.5)
 
 
 def test_sample_segment_contiguous(staged):
     sampler = sampler_for(staged, "WhatsApp")
-    picks = sampler.sample_segment(sampler.native, 10)
-    ids = [page.page_id for page in picks]
+    ids = sampler.sample_segment(sampler.native_ids, 10)
     assert ids == sorted(ids)
-    assert len(picks) == 10
+    assert len(ids) == 10
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +76,7 @@ def test_submit_touch_chunks_large_batches(staged):
     app = system.get_app("WhatsApp")
     process = app.main_process
     task = Task("probe", process=process)
-    pages = sampler_for(system, "WhatsApp").sample(TOUCH_CHUNK_PAGES * 3 + 10)
+    pages = sampler_for(system, "WhatsApp").sample_ids(TOUCH_CHUNK_PAGES * 3 + 10)
     submit_touch(system, task, process, pages, cpu_ms=4.0, label="test")
     assert len(task.queue) == 4
 
@@ -85,7 +86,7 @@ def test_submit_touch_completion_on_last_chunk(staged):
     process = system.get_app("WhatsApp").main_process
     task = Task("probe", process=process)
     done = []
-    pages = sampler_for(system, "WhatsApp").sample(TOUCH_CHUNK_PAGES + 1)
+    pages = sampler_for(system, "WhatsApp").sample_ids(TOUCH_CHUNK_PAGES + 1)
     submit_touch(system, task, process, pages, cpu_ms=2.0, label="t",
                  on_complete=lambda: done.append(1))
     items = list(task.queue)

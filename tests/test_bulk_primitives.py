@@ -20,15 +20,15 @@ from hypothesis import strategies as st
 
 from repro.apps.behavior import PageSampler
 from repro.kernel.lru import LruKind, LruLists
-from repro.kernel.page import HeapKind, Page, PageKind
 from repro.kernel.slab import (
     HEAP_NATIVE,
+    HEAP_NONE,
     HOT,
     KIND_ANON,
     KIND_FILE,
-    PAGE_SLAB,
     PRESENT,
     REFERENCED,
+    PageSlab,
 )
 from repro.sim.rng import RngStream
 
@@ -92,16 +92,17 @@ def test_biased_picks_edge_cases():
 
 
 class _Table:
-    def __init__(self, segments):
+    def __init__(self, segments, slab):
         self.segments = segments
+        self.slab = slab
 
     def ids_of(self, name):
         return list(self.segments[name])
 
 
 class _Process:
-    def __init__(self, segments):
-        self.page_table = _Table(segments)
+    def __init__(self, segments, slab):
+        self.page_table = _Table(segments, slab)
 
 
 def _old_sample_burst_ids(sampler, rng, count, hot_bias):
@@ -122,17 +123,18 @@ def _old_sample_burst_ids(sampler, rng, count, hot_bias):
 
 @pytest.mark.parametrize("java,native,files", [(40, 25, 60), (0, 9, 33), (17, 0, 0)])
 def test_page_sampler_draws_match_the_per_pick_loops(java, native, files):
+    slab = PageSlab()
     segments = {}
     for name, size in (("java_heap", java), ("native_heap", native),
                        ("file_map", files)):
-        block = PAGE_SLAB.alloc_block(size, KIND_ANON, HEAP_NATIVE)
+        block = slab.alloc_block(size, KIND_ANON, HEAP_NATIVE)
         for k, i in enumerate(block):
             if k % 3 == 0:
-                PAGE_SLAB.flags[i] |= HOT
+                slab.flags[i] |= HOT
         segments[name] = block
     stream = RngStream(11, f"sampler:{java}:{native}:{files}")
     ref = random.Random(stream.seed)
-    sampler = PageSampler(_Process(segments), stream)
+    sampler = PageSampler(_Process(segments, slab), stream)
     for count in (0, 1, 30, 97):
         assert sampler.sample_burst_ids(count) == _old_sample_burst_ids(
             sampler, ref, count, 0.70
@@ -168,12 +170,13 @@ def _orders(lru, ids):
 def test_add_ids_equals_repeated_add_id(is_file, ops):
     worlds = []
     for _ in range(2):
-        pages = [
-            Page(kind=PageKind.FILE if f else PageKind.ANON, owner=None,
-                 heap=HeapKind.NONE if f else HeapKind.NATIVE)
+        slab = PageSlab()
+        ids = [
+            slab.alloc(KIND_FILE if f else KIND_ANON,
+                       HEAP_NONE if f else HEAP_NATIVE)
             for f in is_file
         ]
-        worlds.append((LruLists(), [page.page_id for page in pages]))
+        worlds.append((LruLists(slab), ids))
     (bulk, bulk_ids), (loop, loop_ids) = worlds
     n = len(is_file)
     for op, picks, active in ops:
@@ -200,17 +203,16 @@ def test_add_ids_equals_repeated_add_id(is_file, ops):
 
 
 def test_add_ids_stops_at_first_listed_page():
-    lru = LruLists()
-    pages = [Page(kind=PageKind.ANON, owner=None, heap=HeapKind.NATIVE)
-             for _ in range(4)]
-    ids = [page.page_id for page in pages]
+    slab = PageSlab()
+    lru = LruLists(slab)
+    ids = list(slab.alloc_block(4, KIND_ANON, HEAP_NATIVE))
     lru.add_id(ids[2])
     with pytest.raises(ValueError, match=f"page {ids[2]} already on"):
         lru.add_ids(ids, active=True)
     # The ids before the listed one went on; the one after did not.
     assert list(lru.iter_ids(LruKind.ACTIVE_ANON)) == ids[:2]
     assert list(lru.iter_ids(LruKind.INACTIVE_ANON)) == [ids[2]]
-    assert not PAGE_SLAB.lru[ids[3]]
+    assert not slab.lru[ids[3]]
 
 
 # ----------------------------------------------------------------------
@@ -236,27 +238,26 @@ def _build(kinds, evict, touch, release):
     be in: resident on each list, compressed in zram, evicted file
     pages with a shadow entry, released, and never resident."""
     mm = _make_mm()
-    # A fresh block (never recycled ids), so both worlds start from
-    # zeroed link columns.
-    ids = list(PAGE_SLAB.alloc_block(len(kinds), KIND_ANON, HEAP_NATIVE, owner="o"))
+    slab = mm.slab
+    ids = list(slab.alloc_block(len(kinds), KIND_ANON, HEAP_NATIVE, owner="o"))
     for i, is_file in zip(ids, kinds):
         if is_file:
-            PAGE_SLAB.kind[i] = KIND_FILE
+            slab.kind[i] = KIND_FILE
     resident = ids[: len(ids) * 3 // 4]
     mm.make_resident_bulk_ids(resident)
     for k in touch:
-        PAGE_SLAB.flags[ids[k % len(ids)]] |= REFERENCED
+        slab.flags[ids[k % len(ids)]] |= REFERENCED
     if evict:
         mm.shrink(evict)
     for k in release:
-        mm.release_id(ids[k % len(ids)])
-    for i in ids:
-        PAGE_SLAB.view(i)  # cached views must be dropped on free
+        i = ids[k % len(ids)]
+        if slab.flags[i] & PRESENT:
+            mm.discard_ids([i])
     return mm, ids
 
 
 def _state(mm, ids):
-    slab = PAGE_SLAB
+    slab = mm.slab
     index = {i: k for k, i in enumerate(ids)}
     index[0] = None
 
@@ -273,7 +274,7 @@ def _state(mm, ids):
         "evictions": col(slab.evictions),
         "refaults": col(slab.refaults),
         "owner": col(slab.owner),
-        "views": [i in slab.views for i in ids],
+        "free_list": list(slab.free_list),
         "zram": sorted(index[i] for i in mm.zram._slots),
         "counters": (
             mm.resident_pages, mm.free_pages, mm._pool_charge,
@@ -285,15 +286,21 @@ def _state(mm, ids):
 
 
 def _discard_one(mm, i):
-    """The per-page ``MemoryManager.discard_page_id`` that
-    ``discard_ids`` replaced."""
-    slab = PAGE_SLAB
+    """The per-page release or zram/shadow drop that ``discard_ids``
+    replaced."""
+    slab = mm.slab
     if slab.flags[i] & PRESENT:
-        mm.release_id(i)
+        slab.flags[i] &= ~PRESENT & 0xFF
+        mm.lru.discard_id(i)
+        mm.resident_pages -= 1
+        mm.vmstat.pgfree += 1
     elif slab.shadow[i]:
         if slab.kind[i] != KIND_FILE:
             mm.zram.discard(i)
-        mm.workingset.drop_shadow_id(i)
+        slab.shadow[i] = 0
+        ws = mm.workingset
+        if ws.shadow_entries:
+            ws.shadow_entries -= 1
 
 
 def _free_one(slab, i):
@@ -303,7 +310,6 @@ def _free_one(slab, i):
     slab.evictions[i] = 0
     slab.refaults[i] = 0
     slab.owner[i] = None
-    slab.views.pop(i, None)
     slab.free_list.append(i)
 
 
@@ -323,22 +329,18 @@ def test_bulk_retirement_equals_per_page_discard_and_free(
     assert _state(ref_mm, ref_ids) == _state(bulk_mm, bulk_ids)
     order = [k for k in retire if k < len(kinds)]
 
-    free_mark = len(PAGE_SLAB.free_list)
     for k in order:
         _discard_one(ref_mm, ref_ids[k])
-        _free_one(PAGE_SLAB, ref_ids[k])
-    ref_freed = [ref_ids.index(i) for i in PAGE_SLAB.free_list[free_mark:]]
+        _free_one(ref_mm.slab, ref_ids[k])
+    ref_freed = [ref_ids.index(i) for i in ref_mm.slab.free_list]
 
-    free_mark = len(PAGE_SLAB.free_list)
     retired = [bulk_ids[k] for k in order]
     bulk_mm.discard_ids(retired)
-    PAGE_SLAB.free_ids(retired)
-    bulk_freed = [bulk_ids.index(i) for i in PAGE_SLAB.free_list[free_mark:]]
+    bulk_mm.slab.free_ids(retired)
+    bulk_freed = [bulk_ids.index(i) for i in bulk_mm.slab.free_list]
 
     assert bulk_freed == ref_freed == order
     assert _state(bulk_mm, bulk_ids) == _state(ref_mm, ref_ids)
-    # Recycled ids must not leak into the next test's allocations.
-    del PAGE_SLAB.free_list[-2 * len(order):]
 
 
 def test_discard_ids_counts_freed_resident_pages():
@@ -350,5 +352,5 @@ def test_discard_ids_counts_freed_resident_pages():
     assert mm.resident_pages == 0
     assert mm.zram.stored_pages == 0
     assert mm.workingset.shadow_entries == 0
-    assert not any(PAGE_SLAB.shadow[i] for i in ids)
+    assert not any(mm.slab.shadow[i] for i in ids)
     assert mm.free_pages == mm._recompute_free_pages()

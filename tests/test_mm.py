@@ -4,15 +4,15 @@ import pytest
 
 from repro.kernel.lru import LruKind
 from repro.kernel.mm import DIRECT_RECLAIM_BATCH, OutOfMemoryError
-from repro.kernel.page import HeapKind, PageKind
+from repro.kernel.page import PageKind
 
-from tests.conftest import make_pages
+from tests.conftest import make_ids
 
 
 def fill_memory(mm, count, kind=PageKind.ANON, owner=None, dirty=False):
-    pages = make_pages(count, kind=kind, owner=owner, dirty=dirty)
-    mm.make_resident_bulk(pages)
-    return pages
+    ids = make_ids(mm.slab, count, kind=kind, owner=owner, dirty=dirty)
+    mm.make_resident_bulk_ids(ids)
+    return [mm.slab.view(i) for i in ids]
 
 
 def test_initial_accounting(mm, small_spec):
@@ -22,35 +22,34 @@ def test_initial_accounting(mm, small_spec):
 
 
 def test_make_resident_updates_accounting(mm):
-    pages = make_pages(10)
-    outcome = mm.make_resident_bulk(pages)
+    ids = make_ids(mm.slab, 10)
+    outcome = mm.make_resident_bulk_ids(ids)
     assert outcome.pages == 10
     assert mm.resident_pages == 10
     assert mm.free_pages == mm.managed_pages - 10
-    assert all(page.present for page in pages)
+    assert all(mm.slab.view(i).present for i in ids)
     assert mm.vmstat.pgalloc == 10
 
 
 def test_make_resident_idempotent_for_present_pages(mm):
-    page = make_pages(1)[0]
-    mm.make_resident(page)
-    outcome = mm.make_resident(page)
+    ids = make_ids(mm.slab, 1)
+    mm.make_resident_bulk_ids(ids)
+    outcome = mm.make_resident_bulk_ids(ids)
     assert outcome.pages == 0
     assert mm.resident_pages == 1
 
 
 def test_new_pages_enter_inactive_unreferenced(mm):
-    page = make_pages(1)[0]
-    mm.make_resident(page)
+    (page,) = fill_memory(mm, 1)
     assert page.lru is LruKind.INACTIVE_ANON
     assert not page.referenced
 
 
 def test_release_frees_page(mm):
-    page = make_pages(1)[0]
-    mm.make_resident(page)
-    mm.release(page)
+    (page,) = fill_memory(mm, 1)
+    assert mm.discard_ids([page.page_id]) == 1
     assert not page.present
+    assert page.lru is None
     assert mm.resident_pages == 0
     assert mm.vmstat.pgfree == 1
 
@@ -128,7 +127,7 @@ def test_eviction_installs_shadow_entries(mm):
 def test_direct_reclaim_triggers_below_min(mm, small_spec):
     # Fill right up to the min watermark, then allocate more.
     fill_memory(mm, small_spec.managed_pages - small_spec.min_watermark_pages)
-    outcome = mm.make_resident_bulk(make_pages(5))
+    outcome = mm.make_resident_bulk_ids(make_ids(mm.slab, 5))
     assert outcome.direct_reclaims > 0
     assert outcome.stall_ms > 0
     assert mm.vmstat.pgsteal_direct > 0
@@ -138,13 +137,13 @@ def test_contention_charged_inside_watermark_band(mm, small_spec):
     fill_memory(
         mm, small_spec.managed_pages - small_spec.high_watermark_pages + 10
     )
-    outcome = mm.make_resident_bulk(make_pages(3))
+    outcome = mm.make_resident_bulk_ids(make_ids(mm.slab, 3))
     assert outcome.stall_ms > 0
     assert mm.vmstat.alloc_stall_ms > 0
 
 
 def test_no_contention_above_high_watermark(mm):
-    outcome = mm.make_resident_bulk(make_pages(3))
+    outcome = mm.make_resident_bulk_ids(make_ids(mm.slab, 3))
     assert outcome.stall_ms == 0.0
 
 
@@ -157,9 +156,8 @@ def test_oom_raised_when_nothing_reclaimable(mm, small_spec):
 
 
 def test_discard_page_releases_resident(mm):
-    page = make_pages(1)[0]
-    mm.make_resident(page)
-    mm.discard_page(page)
+    (page,) = fill_memory(mm, 1)
+    mm.discard_ids([page.page_id])
     assert not page.present
     assert mm.resident_pages == 0
 
@@ -169,7 +167,7 @@ def test_discard_page_clears_zram_slot(mm):
     mm.shrink(10)
     evicted = next(page for page in pages if not page.present)
     stored_before = mm.zram.stored_pages
-    mm.discard_page(evicted)
+    mm.discard_ids([evicted.page_id])
     assert mm.zram.stored_pages == stored_before - 1
     assert not evicted.was_evicted
 
@@ -178,7 +176,7 @@ def test_release_process_pages_mixed_state(mm):
     pages = fill_memory(mm, 20)
     mm.shrink(5)
     resident_before = mm.resident_pages
-    freed = mm.release_process_pages(pages)
+    freed = mm.discard_ids([page.page_id for page in pages])
     assert freed == resident_before
     assert mm.resident_pages == 0
     assert mm.zram.stored_pages == 0

@@ -1,21 +1,24 @@
 """Tests for the page-fault path and refault classification."""
 
-import pytest
+from repro.kernel.page import HeapKind, PageKind
 
-from repro.kernel.page import HeapKind, Page, PageKind
+from tests.conftest import make_ids
 
-from tests.conftest import make_pages
+
+def make_pages(mm, count, **kw):
+    return [mm.slab.view(i) for i in make_ids(mm.slab, count, **kw)]
 
 
 def evict_all(mm, pages):
-    mm.make_resident_bulk(pages)
-    for page in pages:
-        mm.lru.discard(page)
-        mm._evict_page(page, now=0.0)
+    ids = [page.page_id for page in pages]
+    mm.make_resident_bulk_ids(ids)
+    for i in ids:
+        mm.lru.discard_id(i)
+        mm._evict_page_id(i, now=0.0)
 
 
 def test_first_touch_anon_is_minor(mm, fault_handler):
-    page = make_pages(1)[0]
+    page = make_pages(mm, 1)[0]
     outcome = fault_handler.handle(page, pid=1, uid=1, foreground=True)
     assert page.present
     assert not outcome.major
@@ -25,7 +28,7 @@ def test_first_touch_anon_is_minor(mm, fault_handler):
 
 
 def test_first_touch_file_reads_flash(mm, fault_handler):
-    page = make_pages(1, kind=PageKind.FILE)[0]
+    page = make_pages(mm, 1, kind=PageKind.FILE)[0]
     outcome = fault_handler.handle(page, pid=1, uid=1, foreground=True)
     assert outcome.major
     assert outcome.io_complete_at is not None
@@ -33,7 +36,7 @@ def test_first_touch_file_reads_flash(mm, fault_handler):
 
 
 def test_anon_refault_decompresses_from_zram(mm, fault_handler, clock):
-    page = make_pages(1)[0]
+    page = make_pages(mm, 1)[0]
     evict_all(mm, [page])
     clock.advance(10.0)
     outcome = fault_handler.handle(page, pid=1, uid=1, foreground=False)
@@ -45,7 +48,7 @@ def test_anon_refault_decompresses_from_zram(mm, fault_handler, clock):
 
 
 def test_file_refault_reads_flash(mm, fault_handler):
-    page = make_pages(1, kind=PageKind.FILE)[0]
+    page = make_pages(mm, 1, kind=PageKind.FILE)[0]
     evict_all(mm, [page])
     outcome = fault_handler.handle(page, pid=1, uid=1, foreground=False)
     assert outcome.refault is not None
@@ -54,7 +57,7 @@ def test_file_refault_reads_flash(mm, fault_handler):
 
 
 def test_refault_classified_foreground(mm, fault_handler):
-    page = make_pages(1)[0]
+    page = make_pages(mm, 1)[0]
     evict_all(mm, [page])
     fault_handler.handle(page, pid=1, uid=1, foreground=True)
     assert mm.vmstat.refault_fg == 1
@@ -62,33 +65,33 @@ def test_refault_classified_foreground(mm, fault_handler):
 
 
 def test_refault_classified_background(mm, fault_handler):
-    page = make_pages(1)[0]
+    page = make_pages(mm, 1)[0]
     evict_all(mm, [page])
     fault_handler.handle(page, pid=1, uid=1, foreground=False)
     assert mm.vmstat.refault_bg == 1
 
 
 def test_java_vs_native_heap_accounting(mm, fault_handler):
-    java = Page(kind=PageKind.ANON, owner=None, heap=HeapKind.JAVA)
-    native = Page(kind=PageKind.ANON, owner=None, heap=HeapKind.NATIVE)
+    java = make_pages(mm, 1, heap=HeapKind.JAVA)[0]
+    native = make_pages(mm, 1, heap=HeapKind.NATIVE)[0]
     evict_all(mm, [java, native])
-    fault_handler.handle(java, pid=1, uid=1, foreground=False)
-    fault_handler.handle(native, pid=1, uid=1, foreground=False)
+    fault_handler.handle_id(java.page_id, pid=1, uid=1, foreground=False)
+    fault_handler.handle_id(native.page_id, pid=1, uid=1, foreground=False)
     assert mm.vmstat.refault_java_heap == 1
     assert mm.vmstat.refault_native_heap == 1
 
 
 def test_refaulted_page_enters_active_list(mm, fault_handler):
-    page = make_pages(1)[0]
+    page = make_pages(mm, 1)[0]
     evict_all(mm, [page])
-    fault_handler.handle(page, pid=1, uid=1, foreground=False)
+    fault_handler.handle_id(page.page_id, pid=1, uid=1, foreground=False)
     assert page.lru is not None
     assert "active" in page.lru.value
 
 
 def test_spurious_fault_on_present_page_is_cheap(mm, fault_handler):
-    page = make_pages(1)[0]
-    mm.make_resident(page)
+    page = make_pages(mm, 1)[0]
+    mm.make_resident_bulk_ids([page.page_id])
     before = mm.vmstat.pgfault
     outcome = fault_handler.handle(page, pid=1, uid=1, foreground=True)
     assert mm.vmstat.pgfault == before
@@ -98,22 +101,24 @@ def test_spurious_fault_on_present_page_is_cheap(mm, fault_handler):
 def test_refault_event_published_to_observers(mm, fault_handler):
     seen = []
     mm.workingset.subscribe(seen.append)
-    page = make_pages(1)[0]
+    page = make_pages(mm, 1)[0]
     evict_all(mm, [page])
-    fault_handler.handle(page, pid=77, uid=10077, foreground=False)
+    fault_handler.handle_id(page.page_id, pid=77, uid=10077, foreground=False)
     assert len(seen) == 1
     assert seen[0].pid == 77
     assert seen[0].uid == 10077
+    assert seen[0].page.page_id == page.page_id
 
 
 def test_blocking_ms_combines_cpu_and_io(mm, fault_handler, clock):
-    page = make_pages(1, kind=PageKind.FILE)[0]
+    page = make_pages(mm, 1, kind=PageKind.FILE)[0]
     outcome = fault_handler.handle(page, pid=1, uid=1, foreground=True)
     blocking = outcome.blocking_ms(clock.now)
     assert blocking >= mm.flash.spec.read_ms
 
 
 def test_write_fault_dirties_file_page(mm, fault_handler):
-    page = make_pages(1, kind=PageKind.FILE)[0]
-    fault_handler.handle(page, pid=1, uid=1, foreground=True, write=True)
+    page = make_pages(mm, 1, kind=PageKind.FILE)[0]
+    fault_handler.handle_id(page.page_id, pid=1, uid=1, foreground=True,
+                            write=True)
     assert page.dirty

@@ -32,6 +32,12 @@ def launch(system, package, frames=False):
     return record
 
 
+def first_page(system, package):
+    """The policy-facing view of an app's first page."""
+    process = system.get_app(package).processes[0]
+    return system.mm.slab.view(process.page_table.all_page_ids()[0])
+
+
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -65,7 +71,7 @@ def test_baseline_installs_no_hooks():
     policy = LruCfsPolicy()
     system = make_system(policy)
     launch(system, "WhatsApp")
-    page = next(iter(system.get_app("WhatsApp").all_pages()))
+    page = first_page(system, "WhatsApp")
     assert policy.reclaim_protect(page) is False
 
 
@@ -108,8 +114,8 @@ def test_acclaim_protects_only_foreground_pages():
     system = make_system(policy)
     launch(system, "WhatsApp")
     launch(system, "Skype")
-    fg_page = next(iter(system.get_app("Skype").all_pages()))
-    bg_page = next(iter(system.get_app("WhatsApp").all_pages()))
+    fg_page = first_page(system, "Skype")
+    bg_page = first_page(system, "WhatsApp")
     assert policy.reclaim_protect(fg_page) is True
     assert policy.reclaim_protect(bg_page) is False
 
@@ -117,9 +123,11 @@ def test_acclaim_protects_only_foreground_pages():
 def test_acclaim_ignores_kernel_pages():
     policy = AcclaimPolicy()
     system = make_system(policy)
-    from repro.kernel.page import HeapKind, Page, PageKind
+    from repro.kernel.slab import HEAP_NATIVE, KIND_ANON
 
-    orphan = Page(kind=PageKind.ANON, owner=None, heap=HeapKind.NATIVE)
+    slab = system.mm.slab
+    orphan = slab.view(slab.alloc(KIND_ANON, HEAP_NATIVE))
+    assert orphan.owner is None
     assert policy.reclaim_protect(orphan) is False
 
 

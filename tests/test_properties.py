@@ -11,7 +11,15 @@ from repro.core.mapping_table import (
     UID_ENTRY_BYTES,
 )
 from repro.kernel.lru import LruKind, LruLists
-from repro.kernel.page import HeapKind, Page, PageKind
+from repro.kernel.slab import (
+    HEAP_JAVA,
+    HEAP_NATIVE,
+    HEAP_NONE,
+    KIND_ANON,
+    KIND_FILE,
+    REFERENCED,
+    PageSlab,
+)
 from repro.kernel.workingset import WorkingSet
 from repro.metrics.stats import percentile
 from repro.sim.engine import Simulator
@@ -25,47 +33,48 @@ from repro.storage.zram import ZramDevice, ZramFullError
 @settings(max_examples=60, deadline=None)
 @given(
     ops=st.lists(
-        st.tuples(st.sampled_from(["add", "activate", "deactivate", "remove",
-                                   "rotate", "touch"]),
+        st.tuples(st.sampled_from(["add", "add_active", "discard", "scan",
+                                   "age", "touch"]),
                   st.integers(min_value=0, max_value=19)),
         max_size=120,
     )
 )
 def test_lru_membership_invariants(ops):
-    lru = LruLists()
-    pages = [
-        Page(kind=PageKind.ANON if i % 2 else PageKind.FILE,
-             owner=None,
-             heap=HeapKind.NATIVE if i % 2 else HeapKind.NONE)
+    slab = PageSlab()
+    lru = LruLists(slab)
+    ids = [
+        slab.alloc(KIND_ANON if i % 2 else KIND_FILE,
+                   HEAP_NATIVE if i % 2 else HEAP_NONE)
         for i in range(20)
     ]
     on_list = set()
     for op, index in ops:
-        page = pages[index]
-        if op == "add" and index not in on_list:
-            lru.add(page)
-            on_list.add(index)
-        elif op == "activate" and index in on_list:
-            lru.activate(page)
-        elif op == "deactivate" and index in on_list:
-            lru.deactivate(page)
-        elif op == "rotate" and index in on_list:
-            lru.rotate(page)
-        elif op == "remove" and index in on_list:
-            lru.remove(page)
-            on_list.discard(index)
+        i = ids[index]
+        if op in ("add", "add_active") and i not in on_list:
+            lru.add_id(i, active=op == "add_active")
+            on_list.add(i)
+        elif op == "discard":
+            lru.discard_id(i)
+            on_list.discard(i)
+        elif op == "scan":
+            kind = (LruKind.INACTIVE_ANON, LruKind.INACTIVE_FILE)[index % 2]
+            victims, _ = lru.scan_inactive_ids(kind, budget=index + 1)
+            on_list.difference_update(victims)
+        elif op == "age":
+            kind = (LruKind.ACTIVE_ANON, LruKind.ACTIVE_FILE)[index % 2]
+            lru.age_active(kind, budget=index + 1)
         elif op == "touch":
-            page.referenced = True
+            slab.flags[i] |= REFERENCED
     # Invariant 1: totals match tracked membership.
     assert lru.total == len(on_list)
     # Invariant 2: every on-list page knows its list, off-list pages don't.
-    for index, page in enumerate(pages):
-        assert (page.lru is not None) == (index in on_list)
+    for i in ids:
+        assert (slab.view(i).lru is not None) == (i in on_list)
     # Invariant 3: anon pages never sit on file lists and vice versa.
     for kind in (LruKind.ACTIVE_ANON, LruKind.INACTIVE_ANON):
-        assert all(page.is_anon for page in lru.iter_pages(kind))
+        assert all(slab.view(i).is_anon for i in lru.iter_ids(kind))
     for kind in (LruKind.ACTIVE_FILE, LruKind.INACTIVE_FILE):
-        assert all(page.is_file for page in lru.iter_pages(kind))
+        assert all(slab.view(i).is_file for i in lru.iter_ids(kind))
 
 
 @settings(max_examples=40, deadline=None)
@@ -73,19 +82,19 @@ def test_lru_membership_invariants(ops):
        referenced=st.lists(st.booleans(), min_size=1, max_size=40))
 def test_lru_scan_conserves_pages(budget, referenced):
     """Scanning never loses or duplicates pages."""
-    lru = LruLists()
-    pages = []
+    slab = PageSlab()
+    lru = LruLists(slab)
+    ids = []
     for flag in referenced:
-        page = Page(kind=PageKind.ANON, owner=None, heap=HeapKind.JAVA)
-        page.referenced = flag
-        lru.add(page)
-        pages.append(page)
-    victims, scanned = lru.scan_inactive(LruKind.INACTIVE_ANON, budget=budget)
-    assert scanned == min(budget, len(pages))
-    assert len(victims) + lru.total == len(pages)
-    assert len({page.page_id for page in victims}) == len(victims)
+        i = slab.alloc(KIND_ANON, HEAP_JAVA, REFERENCED if flag else 0)
+        lru.add_id(i)
+        ids.append(i)
+    victims, scanned = lru.scan_inactive_ids(LruKind.INACTIVE_ANON, budget=budget)
+    assert scanned == min(budget, len(ids))
+    assert len(victims) + lru.total == len(ids)
+    assert len(set(victims)) == len(victims)
     # Referenced pages are never evicted (second chance).
-    assert all(not page.referenced or False for page in victims)
+    assert not any(referenced[ids.index(i)] for i in victims)
 
 
 # ----------------------------------------------------------------------
@@ -145,14 +154,14 @@ def test_block_queue_completion_order(requests):
 @settings(max_examples=50, deadline=None)
 @given(interleaved=st.integers(min_value=0, max_value=200))
 def test_refault_distance_exact(interleaved):
-    ws = WorkingSet()
-    target = Page(kind=PageKind.ANON, owner=None, heap=HeapKind.JAVA)
-    ws.record_eviction(target)
+    slab = PageSlab()
+    ws = WorkingSet(slab)
+    target = slab.alloc(KIND_ANON, HEAP_JAVA)
+    ws.record_eviction_id(target)
     for _ in range(interleaved):
-        ws.record_eviction(Page(kind=PageKind.ANON, owner=None,
-                                heap=HeapKind.JAVA))
-    event = ws.check_refault(0.0, target, pid=1, uid=1, foreground=False)
-    assert event.refault_distance == interleaved
+        ws.record_eviction_id(slab.alloc(KIND_ANON, HEAP_JAVA))
+    distance = ws.check_refault_id(0.0, target, pid=1, uid=1, foreground=False)
+    assert distance == interleaved
 
 
 # ----------------------------------------------------------------------

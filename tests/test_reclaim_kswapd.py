@@ -2,13 +2,13 @@
 
 from repro.kernel.reclaim import Kswapd
 
-from tests.conftest import make_pages
+from tests.conftest import make_ids
 
 
 def fill(mm, count):
-    pages = make_pages(count)
-    mm.make_resident_bulk(pages)
-    return pages
+    ids = make_ids(mm.slab, count)
+    mm.make_resident_bulk_ids(ids)
+    return ids
 
 
 def test_wake_is_idempotent(mm):

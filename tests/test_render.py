@@ -96,8 +96,8 @@ def test_working_set_is_bounded(fg_system):
     sampler = fg_system.activity_manager.behaviors[
         fg_system.get_app("WhatsApp").main_process.pid
     ].sampler
-    assert len(engine._working_set) <= len(sampler.all_pages)
-    assert len(engine._working_set) >= len(sampler.hot_pages)
+    assert len(engine._working_set) <= len(sampler.all_ids)
+    assert len(engine._working_set) >= len(sampler.hot_ids)
 
 
 def test_render_task_registered_while_foreground(fg_system):

@@ -4,7 +4,7 @@ from repro.core.mapping_table import MappingTable
 from repro.core.rpf import RefaultDrivenFreezer
 from repro.core.whitelist import Whitelist
 from repro.kernel.freezer import Freezer
-from repro.kernel.page import HeapKind, Page, PageKind
+from repro.kernel.slab import HEAP_JAVA, KIND_ANON, PageSlab
 from repro.kernel.workingset import RefaultEvent
 
 
@@ -20,7 +20,8 @@ def make_rpf():
 
 
 def make_event(pid=101, uid=10001, foreground=False):
-    page = Page(kind=PageKind.ANON, owner=None, heap=HeapKind.JAVA)
+    slab = PageSlab()
+    page = slab.view(slab.alloc(KIND_ANON, HEAP_JAVA))
     return RefaultEvent(
         time_ms=1.0, page=page, pid=pid, uid=uid,
         foreground=foreground, refault_distance=3,

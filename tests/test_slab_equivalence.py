@@ -5,8 +5,10 @@ workingset produce *bit-identical* behaviour to the old object-backed
 implementation.  This module keeps an executable spec of that old
 implementation — ``OrderedDict`` LRU lists (cold end = front) and a
 dict of shadow entries — and drives both through identical random
-operation sequences derived from a seed.  After every sequence the two
-must agree on:
+sequences of the list and workingset operations the simulator performs
+(single and bulk adds, single and bulk discards, reclaim's scan with
+evict-and-rotate-back, active aging, the fault path's refault-then-add),
+derived from a seed.  After every sequence the two must agree on:
 
 * the cold-to-hot ordering of all four LRU lists,
 * every victim list returned by an inactive scan,
@@ -27,9 +29,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.lru import LruKind, LruLists
-from repro.kernel.page import HeapKind, Page, PageKind, reset_page_ids
-from repro.kernel.slab import PAGE_SLAB
-from repro.kernel.workingset import SHADOW_ENTRY_BYTES, WorkingSet
+from repro.kernel.slab import (
+    HEAP_NATIVE,
+    HEAP_NONE,
+    KIND_ANON,
+    KIND_FILE,
+    REFERENCED,
+    PageSlab,
+)
+from repro.kernel.workingset import (
+    DEFAULT_SHADOW_BUDGET_BYTES,
+    SHADOW_ENTRY_BYTES,
+    WorkingSet,
+)
 
 
 # ----------------------------------------------------------------------
@@ -69,24 +81,10 @@ class RefState:
         code = (1 if active else 2) + (2 if self.is_file[index] else 0)
         self.lists[code][index] = True
 
-    def activate(self, index):
-        code = self._code_of(index)
-        del self.lists[code][index]
-        self.lists[1 + (2 if self.is_file[index] else 0)][index] = True
-
-    def deactivate(self, index):
-        code = self._code_of(index)
-        del self.lists[code][index]
-        self.lists[2 + (2 if self.is_file[index] else 0)][index] = True
-
-    def rotate(self, index):
-        code = self._code_of(index)
-        del self.lists[code][index]
-        self.lists[code][index] = True
-
     def remove(self, index):
         code = self._code_of(index)
-        del self.lists[code][index]
+        if code is not None:
+            del self.lists[code][index]
 
     def scan_inactive(self, code, budget, protected):
         """Pop-front scan with second chance; returns victim indices."""
@@ -166,20 +164,22 @@ CODE_TO_KIND = {
 }
 
 
-def _make_pages(is_file):
-    return [
-        Page(
-            kind=PageKind.FILE if kf else PageKind.ANON,
-            owner=None,
-            heap=HeapKind.NONE if kf else HeapKind.NATIVE,
-        )
+def _make_world(is_file, shadow_budget_bytes=None):
+    """A private slab with one page per ``is_file`` flag, plus the LRU
+    lists and workingset over it."""
+    slab = PageSlab()
+    ids = [
+        slab.alloc(KIND_FILE if kf else KIND_ANON, HEAP_NONE if kf else HEAP_NATIVE)
         for kf in is_file
     ]
+    lru = LruLists(slab)
+    ws = WorkingSet(slab, shadow_budget_bytes=shadow_budget_bytes)
+    return slab, ids, lru, ws
 
 
 def _assert_orderings_match(lru, ref, ids):
     for code, kind in CODE_TO_KIND.items():
-        slab_order = [page.page_id for page in lru.iter_pages(kind)]
+        slab_order = list(lru.iter_ids(kind))
         ref_order = [ids[index] for index in ref.order(code)]
         assert slab_order == ref_order, f"list {kind} diverged"
         assert lru.size(kind) == len(ref.order(code))
@@ -189,98 +189,106 @@ def _drive(seed, steps, page_count, shadow_budget_entries=None):
     """Run one random op sequence through both implementations."""
     rng = random.Random(seed)
     is_file = [rng.random() < 0.5 for _ in range(page_count)]
-    pages = _make_pages(is_file)
-    ids = [page.page_id for page in pages]
-    lru = LruLists()
-    ws = WorkingSet(
+    slab, ids, lru, ws = _make_world(
+        is_file,
         shadow_budget_bytes=(
             None
             if shadow_budget_entries is None
             else shadow_budget_entries * SHADOW_ENTRY_BYTES
-        )
+        ),
     )
     ref = RefState(is_file, shadow_budget_entries=shadow_budget_entries)
     protected = set()
     distances_slab = []
     distances_ref = []
 
+    def chunk():
+        return [rng.randrange(page_count) for _ in range(rng.randrange(1, 6))]
+
     for _ in range(steps):
-        op = rng.randrange(10)
+        op = rng.randrange(9)
         index = rng.randrange(page_count)
-        page = pages[index]
         on_list = ref._code_of(index) is not None
         if op == 0 and not on_list:
             active = rng.random() < 0.5
-            lru.add(page, active)
+            lru.add_id(ids[index], active)
             ref.add(index, active)
-        elif op == 1 and on_list:
-            lru.activate(page)
-            ref.activate(index)
-        elif op == 2 and on_list:
-            lru.deactivate(page)
-            ref.deactivate(index)
-        elif op == 3 and on_list:
-            lru.rotate(page)
-            ref.rotate(index)
-        elif op == 4 and on_list:
-            lru.remove(page)
+        elif op == 1:
+            # Bulk allocation: distinct pages that are on no list.
+            active = rng.random() < 0.5
+            picks = [j for j in dict.fromkeys(chunk())
+                     if ref._code_of(j) is None]
+            lru.add_ids([ids[j] for j in picks], active)
+            for j in picks:
+                ref.add(j, active)
+        elif op == 2:
+            # Per-process reclaim takes a page off whatever list it is on.
+            lru.discard_id(ids[index])
             ref.remove(index)
-        elif op == 5:
+        elif op == 3:
+            # Bulk release (process teardown, frame-buffer retirement).
+            picks = chunk()
+            lru.discard_ids([ids[j] for j in picks])
+            for j in picks:
+                ref.remove(j)
+        elif op == 4:
             # Touch: set the young bit in both worlds.
-            page.referenced = True
+            slab.flags[ids[index]] |= REFERENCED
             ref.referenced[index] = True
-        elif op == 6:
+        elif op == 5:
             # Flip protection (the reclaim_protect policy hook).
             if index in protected:
                 protected.discard(index)
             else:
                 protected.add(index)
-        elif op == 7:
-            # Inactive scan + evict: victims leave the list and gain
-            # shadow entries, exactly like MemoryManager._evict_from.
+        elif op == 6:
+            # MemoryManager._evict_from: scan twice the target, evict
+            # the first ``count`` victims (shadow entries), rotate the
+            # rest back onto the inactive list.
             code = rng.choice((2, 4))
-            budget = rng.randrange(1, 2 * page_count)
+            count = rng.randrange(1, page_count)
             protected_ids = {ids[j] for j in protected}
-            victims, scanned = lru.scan_inactive(
+            victims, scanned = lru.scan_inactive_ids(
                 CODE_TO_KIND[code],
-                budget=budget,
+                budget=2 * count,
                 protect=lambda p: p.page_id in protected_ids,
             )
             ref_victims, ref_scanned = ref.scan_inactive(
-                code, budget, protected
+                code, 2 * count, protected
             )
-            assert [v.page_id for v in victims] == [
-                ids[j] for j in ref_victims
-            ]
+            assert victims == [ids[j] for j in ref_victims]
             assert scanned == ref_scanned
-            for victim in victims:
-                ws.record_eviction(victim)
-            for j in ref_victims:
+            lru.add_ids(victims[count:], False)
+            for j in ref_victims[count:]:
+                ref.add(j, False)
+            for i in victims[:count]:
+                ws.record_eviction_id(i)
+            for j in ref_victims[:count]:
                 ref.record_eviction(j)
-        elif op == 8:
+        elif op == 7:
             code = rng.choice((1, 3))
             budget = rng.randrange(1, 2 * page_count)
             demoted = lru.age_active(CODE_TO_KIND[code], budget=budget)
             assert demoted == ref.age_active(code, budget)
-        elif op == 9:
-            # Refault probe (first touch when no shadow entry exists).
-            distances_slab.append(
-                ws.check_refault_id(0.0, ids[index], pid=1, uid=1,
-                                    foreground=False)
-            )
+        elif op == 8 and not on_list:
+            # A fault on a non-resident page: resolve the shadow entry
+            # (refault distance, or first touch), then the page enters
+            # the active list if it refaulted, the inactive one if not.
+            distance = ws.check_refault_id(0.0, ids[index], pid=1, uid=1,
+                                           foreground=False)
+            distances_slab.append(distance)
             distances_ref.append(ref.refault(index))
+            lru.add_id(ids[index], distance >= 0)
+            ref.add(index, distances_ref[-1] >= 0)
 
     _assert_orderings_match(lru, ref, ids)
     assert distances_slab == distances_ref
     assert ws.eviction_clock == ref.clock
     assert ws.shadow_shed_total == ref.shed_total
     # Live shadow entries must agree; map ref indices to slab ids.
-    slab_shadows = {
-        i for i in ids if PAGE_SLAB.shadow[i]
-    }
+    slab_shadows = {i for i in ids if slab.shadow[i]}
     assert slab_shadows == {ids[j] for j in ref.shadow}
     assert ws.shadow_entries == len(ref.shadow)
-    # Refault vmstat counters (mirrored on ref by kind).
     return ref, distances_ref
 
 
@@ -294,13 +302,7 @@ def test_slab_matches_reference_implementation(seed):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_slab_matches_reference_under_shadow_shedding(seed):
-    """Same lockstep with a tiny shadow budget so shedding fires.
-
-    ``WorkingSet._shed_oldest`` scans the whole global shadow column, so
-    the slab is reset first to keep entries from other tests out of the
-    oldest-clock selection.
-    """
-    reset_page_ids()
+    """Same lockstep with a tiny shadow budget so shedding fires."""
     _drive(seed, steps=250, page_count=32, shadow_budget_entries=8)
 
 
@@ -310,22 +312,18 @@ def test_refault_distances_match_reference(seed):
     """Evict-then-refault heavy mix: distances agree step for step."""
     rng = random.Random(seed)
     is_file = [rng.random() < 0.5 for _ in range(16)]
-    pages = _make_pages(is_file)
-    ids = [page.page_id for page in pages]
-    lru = LruLists()
-    ws = WorkingSet()
+    _, ids, lru, ws = _make_world(is_file, DEFAULT_SHADOW_BUDGET_BYTES)
     ref = RefState(is_file)
     for _ in range(400):
         index = rng.randrange(16)
-        page = pages[index]
         if ref._code_of(index) is None:
-            lru.add(page)
+            lru.add_id(ids[index])
             ref.add(index, False)
             continue
         # Evict it (pull off the list, install a shadow entry) ...
-        lru.remove(page)
+        lru.discard_id(ids[index])
         ref.remove(index)
-        ws.record_eviction(page)
+        ws.record_eviction_id(ids[index])
         ref.record_eviction(index)
         # ... and refault it with probability 1/2, possibly much later.
         if rng.random() < 0.5:
