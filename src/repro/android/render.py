@@ -241,18 +241,34 @@ class FrameEngine:
         if count <= 0:
             return 0.0
         main = self.app.main_process
-        slab = self.system.mm.slab
         # Old buffers are freed before their replacements are allocated
         # (codecs and render caches recycle), so a warmed-up pool is
-        # memory-neutral; only pool *growth* creates net demand.  Retired
-        # ids go back to the slab free list — over a long session the
-        # churn recycles a bounded id pool instead of growing every
-        # column without limit.
+        # memory-neutral; only pool *growth* creates net demand.  The
+        # replacements reuse the retired ids, so over a long session the
+        # churn cycles a bounded id pool instead of growing every column
+        # without limit.
         transient = self._transient
         excess = len(transient) - (self._transient_cap - count)
         if excess > 0:
             popleft = transient.popleft
-            self._retire([popleft() for _ in range(excess)])
+            old = [popleft() for _ in range(excess)]
+            if excess == count:
+                # The pool is at its cap: the kernel turns the retired
+                # ids into the fresh ones in place, unless reclaim could
+                # be involved (then it returns None).
+                stall = self.system.mm.recycle_ids(old, main)
+                if stall is not None:
+                    if stall > 0:
+                        self.system._record_alloc_stall(main, stall)
+                    old.reverse()
+                    transient.extend(old)
+                    return stall
+            self._retire(old)
+        # Pool growth, or a recycle the kernel refused (an evicted buffer,
+        # free memory below the min watermark): the retired ids go to the
+        # slab free list and the fresh ones come off it through the full
+        # allocation path, which may direct-reclaim.
+        slab = self.system.mm.slab
         alloc = slab.alloc
         fresh = [alloc(KIND_ANON, HEAP_NATIVE, 0, main) for _ in range(count)]
         stall = self.system.allocate_ids(main, fresh)

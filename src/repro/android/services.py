@@ -18,6 +18,10 @@ from typing import List
 from repro.android.app import AppState
 from repro.sched.task import Task, WorkItem
 
+# Checked for every installed app on each 80 ms burst; module aliases
+# skip the enum descriptor calls (see repro.sched.task).
+_CACHED_STATES = (AppState.CACHED, AppState.PERCEPTIBLE)
+
 SERVICE_NAMES = (
     "system_server",
     "surfaceflinger",
@@ -68,7 +72,7 @@ class FrameworkLoad:
         return sum(
             1
             for app in self.system.apps.values()
-            if app.alive and app.state in (AppState.CACHED, AppState.PERCEPTIBLE)
+            if app.alive and app.state in _CACHED_STATES
         )
 
     def current_target(self) -> float:

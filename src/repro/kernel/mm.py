@@ -31,7 +31,15 @@ from typing import Callable, Iterable, List, Optional
 from repro.devices.specs import DeviceSpec
 from repro.kernel.lru import LruKind, LruLists
 from repro.kernel.page import Page
-from repro.kernel.slab import DIRTY, KIND_FILE, PRESENT, REFERENCED, PageSlab
+from repro.kernel.slab import (
+    DIRTY,
+    HEAP_NATIVE,
+    KIND_ANON,
+    KIND_FILE,
+    PRESENT,
+    REFERENCED,
+    PageSlab,
+)
 from repro.kernel.vmstat import VmStat
 from repro.kernel.workingset import SHADOW_ENTRY_BYTES, WorkingSet
 from repro.storage.flash import FlashDevice
@@ -95,6 +103,8 @@ PAGE_RECLAIM_COST_EST_MS = 1.0
 ALLOC_CONTENTION_LOW_MS = 6.0   # free in [min, low): kswapd fighting inflow
 ALLOC_CONTENTION_HIGH_MS = 0.3  # free in [low, high): mild churn
 ALLOC_CONTENTION_CAP_MS = 30.0
+# Flags of a just-recycled frame buffer: resident, and written at once.
+_FRESH_BUFFER = PRESENT | REFERENCED
 
 
 # List kinds bound once: enum member lookups are descriptor calls on
@@ -262,24 +272,75 @@ class MemoryManager:
         self._resident_pages = resident
         self.vmstat.pgalloc += pages
         outcome.pages = pages
-        self._charge_contention(outcome, pages)
+        outcome.stall_ms += self._charge_contention(pages)
         self._check_watermarks()
         return outcome
 
-    def _charge_contention(self, outcome: AllocationOutcome, pages: int) -> None:
+    def _charge_contention(self, pages: int) -> float:
         """Allocator slow-path latency while reclaim churns (§2.2.3(2)):
         the non-preemptive reclaim machinery slows every allocator down,
-        foreground render threads included."""
+        foreground render threads included.  Returns the stall in ms."""
         free = self._free_pages
         if pages <= 0 or free >= self._wm_high:
-            return
+            return 0.0
         if free < self._wm_low:
             per_page = ALLOC_CONTENTION_LOW_MS
         else:
             per_page = ALLOC_CONTENTION_HIGH_MS
         stall = min(ALLOC_CONTENTION_CAP_MS, per_page * pages)
-        outcome.stall_ms += stall
         self.vmstat.alloc_stall_ms += stall
+        return stall
+
+    def recycle_ids(self, old_ids: List[int], owner: object) -> Optional[float]:
+        """Free the retired frame buffers ``old_ids`` and allocate as many
+        fresh ones to ``owner`` in one call; returns the allocator stall
+        in ms, which the caller records in PSI.
+
+        The slab's free list is LIFO, so the fresh ids are ``old_ids``
+        reversed.  The effects equal :meth:`discard_ids` and
+        ``slab.free_ids`` of ``old_ids``, one ``slab.alloc(KIND_ANON,
+        HEAP_NATIVE, 0, owner)`` per id, :meth:`make_resident_bulk_ids`
+        of the fresh ids and setting their REFERENCED bit.  That holds
+        only when every retired id is resident and free memory is at
+        least the min watermark, so the allocation can neither
+        direct-reclaim nor OOM; otherwise this changes nothing and
+        returns ``None``, and the caller takes that unfused path.
+        """
+        if self._free_pages < self._wm_min:
+            return None
+        slab = self.slab
+        flags = slab.flags
+        for i in old_ids:
+            if not flags[i] & PRESENT:
+                return None
+        # The retired ids leave their lists in order and, with the
+        # columns ``free_ids`` and ``alloc`` would leave, re-enter at the
+        # inactive-anon tail newest first, as the LIFO free list hands
+        # them back.
+        lru = self.lru
+        lru.discard_ids(old_ids)
+        kind = slab.kind
+        heap = slab.heap
+        shadow = slab.shadow
+        evictions = slab.evictions
+        refaults = slab.refaults
+        owners = slab.owner
+        for i in old_ids:
+            kind[i] = KIND_ANON
+            heap[i] = HEAP_NATIVE
+            flags[i] = _FRESH_BUFFER
+            shadow[i] = 0
+            evictions[i] = 0
+            refaults[i] = 0
+            owners[i] = owner
+        lru.add_ids(old_ids[::-1])
+        count = len(old_ids)
+        vmstat = self.vmstat
+        vmstat.pgfree += count
+        vmstat.pgalloc += count
+        stall = self._charge_contention(count)
+        self._check_watermarks()
+        return stall
 
     def discard_ids(self, ids: Iterable[int]) -> int:
         """Drop pages entirely, in order: free each resident page (off

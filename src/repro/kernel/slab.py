@@ -31,9 +31,11 @@ Kernel code works on raw ids.  :meth:`PageSlab.view` builds a fresh,
 read-only :class:`~repro.kernel.page.Page` for the places where a
 policy receives a page (the reclaim-protect hook, refault events).
 
-Transient pages (frame-churn allocations) are recycled through an
-explicit free list — columns would otherwise grow without bound over a
-long run.  Freed ids must be fully retired first (not resident, not on
+Transient pages (frame-churn allocations) reuse their ids, so the
+columns do not grow without bound over a long run.  In steady state
+:meth:`~repro.kernel.mm.MemoryManager.recycle_ids` turns retired ids
+straight into fresh ones; otherwise they go through an explicit LIFO
+free list.  Freed ids must be fully retired first (not resident, not on
 an LRU list, no zram slot).
 """
 

@@ -115,6 +115,9 @@ class Job:
     max_events: Optional[int] = None
     events_base: int = 0
     events_dropped: int = 0
+    # Progress rows of the current attempt added to ``events``, which is
+    # also the index of the next row the server accepts.
+    progress_rows: int = field(default=0, repr=False, compare=False)
     # Optional hook the server wires to its metrics counter so every
     # dropped event is visible on /metrics without the Job knowing
     # about registries.

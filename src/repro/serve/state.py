@@ -363,6 +363,12 @@ class ServerState:
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.add_event("failed", {"error": job.error})
                 return
+            # The result can overtake the attempt's last progress rows,
+            # which travel through the fleet's drain thread, and a row
+            # that finds its job terminal is dropped: the worker returns
+            # every row, so the missing ones go out here, before ``done``.
+            for data in outcome["progress"][job.progress_rows:]:
+                job.add_event("sample", data)
             job.result = outcome["result"]
             job.state = JobState.DONE
             job.finished_at = loop.time()
@@ -446,7 +452,15 @@ class ServerState:
 
     def _on_progress(self, message: dict) -> None:
         job = self.jobs.get(message.get("job_id", ""))
-        if job is not None and not job.terminal:
+        # An attempt's rows arrive in order.  A row with another index is
+        # a late row of an attempt whose worker died; the retry, being
+        # deterministic, sends the same row again.
+        if (
+            job is not None
+            and not job.terminal
+            and message["row"] == job.progress_rows
+        ):
+            job.progress_rows += 1
             job.add_event(message["event"], message["data"])
 
     # ------------------------------------------------------------------

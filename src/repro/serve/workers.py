@@ -98,6 +98,7 @@ def execute_request(payload) -> dict:
     # passes.
     gc.collect(1)
     on_sample = None
+    progress: list = []
     if progress_interval_ms and _PROGRESS_QUEUE is not None:
         queue = _PROGRESS_QUEUE
 
@@ -105,7 +106,11 @@ def execute_request(payload) -> dict:
             data = {"now_ms": now_ms}
             for key in PROGRESS_SAMPLE_KEYS:
                 data[key] = round(float(row[key]), 3)
-            queue.put({"job_id": job_id, "event": "sample", "data": data})
+            queue.put({
+                "job_id": job_id, "event": "sample",
+                "row": len(progress), "data": data,
+            })
+            progress.append(data)
 
     result = run_scenario(
         request.scenario,
@@ -121,7 +126,13 @@ def execute_request(payload) -> dict:
         ),
         on_sample=on_sample,
     )
-    return {"result": result.to_dict(), "worker_pid": os.getpid()}
+    # The rows come back with the result too: the server sends any that
+    # the result overtook before ``done``.
+    return {
+        "result": result.to_dict(),
+        "worker_pid": os.getpid(),
+        "progress": progress,
+    }
 
 
 class WorkerFleet:
@@ -263,6 +274,7 @@ class WorkerFleet:
         for attempt in range(self.max_retries + 1):
             pool = self._pool
             job.attempts += 1
+            job.progress_rows = 0  # a retried attempt streams afresh
             self.started_total += 1
             self._counters["started"].inc()
             self.busy += 1

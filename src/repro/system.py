@@ -37,17 +37,19 @@ from repro.obs.procfs import ProcFs
 from repro.obs.psi import PsiMonitor
 from repro.policies.base import ManagementPolicy
 from repro.sched.cfs import CfsScheduler
-from repro.sched.task import Task, TaskBody, TaskState
+from repro.sched.task import BLOCKED, RUNNABLE, SLEEPING, Task, TaskBody
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.flash import FlashDevice
 from repro.storage.zram import ZramDevice
 
 
-# Module-level alias: ``AppState.FOREGROUND`` is a descriptor call on
+# Module-level aliases: ``AppState.FOREGROUND`` is a descriptor call on
 # CPython 3.11 (see repro.sched.task), and the cpuset check below runs
-# for every runnable task in most quanta.
+# for every runnable task in most quanta; kswapd wakes and allocation
+# stalls check states as often.
 _FOREGROUND = AppState.FOREGROUND
+_KSWAPD_WAKEABLE = (SLEEPING, BLOCKED)
 
 
 class _KswapdBody(TaskBody):
@@ -203,8 +205,9 @@ class MobileSystem:
         self.sched.tick(self.sim.now)
 
     def _wake_kswapd_task(self) -> None:
-        if self._kswapd_task.state in (TaskState.SLEEPING, TaskState.BLOCKED):
-            self._kswapd_task.state = TaskState.RUNNABLE
+        task = self._kswapd_task
+        if task.state in _KSWAPD_WAKEABLE:
+            task.state = RUNNABLE
 
     def _on_freeze_change(self, pid: int, frozen: bool) -> None:
         if frozen:
@@ -346,10 +349,15 @@ class MobileSystem:
             return stall
         finally:
             if stall > 0:
-                self.psi.record(
-                    "memory", stall, uid=process.uid,
-                    full=process.app.state is AppState.FOREGROUND,
-                )
+                self._record_alloc_stall(process, stall)
+
+    def _record_alloc_stall(self, process: Process, stall: float) -> None:
+        """Charge an allocation stall of ``stall`` ms to PSI memory; it is
+        a full stall while the process's app is in the foreground."""
+        self.psi.record(
+            "memory", stall, uid=process.uid,
+            full=process.app.state is _FOREGROUND,
+        )
 
     # ------------------------------------------------------------------
     # Running

@@ -209,53 +209,142 @@ def test_bad_tenant_rejected_with_400(client):
     assert excinfo.value.status == 400
 
 
+async def _hold_worker_slot(state):
+    """Take the server's one worker slot and keep it.
+
+    The supervisor holds the free slot while it waits for a job, so this
+    queues for the slot first and then submits a short run: when that
+    run finishes and releases the slot, this waiter is ahead of the
+    supervisor's next acquire and gets it.
+    """
+    import asyncio
+
+    acquired = asyncio.ensure_future(state._slots.acquire())
+    await asyncio.sleep(0)  # queued for the slot before the run starts
+    _, primer = state.submit({**REQUEST, "seed": 40})
+    await acquired
+    assert primer.state == "done"
+
+
 def test_sse_keepalive_comment_frames():
     """An idle follower receives `: ping` comment frames (satellite 2)."""
+    import asyncio
     import http.client as http_client
 
     config = ServeConfig(port=0, workers=1, sse_keepalive_s=0.2)
     with ServerThread(config) as thread:
         client = ServeClient(thread.base_url)
-        # The single worker is pinned by a long blocker, so the watched
-        # job stays queued and its stream stays quiet — every frame
-        # after "queued" must be a keepalive, no matter how fast the
-        # simulator runs.
-        blocker = client.submit({
-            "scenario": "S-A", "bg_case": "bg-null",
-            "seconds": 120.0, "seed": 40,
-        })
-        job = client.submit({
-            "scenario": "S-A", "bg_case": "bg-null",
-            "seconds": 2.0, "seed": 41,
-        })
-        conn = http_client.HTTPConnection(
-            client.host, client.port, timeout=30.0
-        )
+        state = thread.server.state
+        loop = thread._loop
+        # The test holds the single worker slot, so the watched job stays
+        # queued and its stream stays quiet — every frame after "queued"
+        # must be a keepalive, however fast the simulator runs.
+        asyncio.run_coroutine_threadsafe(
+            _hold_worker_slot(state), loop
+        ).result(timeout=120.0)
         try:
-            conn.request("GET", f"/v1/runs/{job['id']}/events")
-            response = conn.getresponse()
-            assert response.status == 200
-            pings = 0
-            for _ in range(200):
-                line = response.readline().decode("utf-8").rstrip("\n")
-                if line.startswith(": ping"):
-                    pings += 1
-                    if pings >= 2:
-                        break
-            assert pings >= 2, "no keepalive comment frames seen"
-        finally:
-            conn.close()
-        for run_id in (job["id"], blocker["id"]):
+            job = client.submit({
+                "scenario": "S-A", "bg_case": "bg-null",
+                "seconds": 2.0, "seed": 41,
+            })
+            conn = http_client.HTTPConnection(
+                client.host, client.port, timeout=30.0
+            )
             try:
-                client.cancel(run_id)
-            except ServeError:
-                pass  # already running (409); shutdown drain finishes it
+                conn.request("GET", f"/v1/runs/{job['id']}/events")
+                response = conn.getresponse()
+                assert response.status == 200
+                pings = 0
+                for _ in range(200):
+                    line = response.readline().decode("utf-8").rstrip("\n")
+                    if line.startswith(": ping"):
+                        pings += 1
+                        if pings >= 2:
+                            break
+                assert pings >= 2, "no keepalive comment frames seen"
+            finally:
+                conn.close()
+            assert client.get(job["id"])["state"] == "queued"
+            client.cancel(job["id"])
+        finally:
+            loop.call_soon_threadsafe(state._slots.release)
         scrape = client.metrics_text()
         keepalive_line = next(
             line for line in scrape.splitlines()
             if line.startswith("repro_serve_sse_keepalives_total")
         )
         assert float(keepalive_line.split()[1]) >= 2
+
+
+def test_progress_rows_all_arrive_before_done(monkeypatch):
+    """A streaming run delivers every progress row before ``done``, even
+    when its result reaches the server ahead of the rows."""
+    import time
+
+    from repro.serve.workers import WorkerFleet
+
+    drain = WorkerFleet._drain_progress
+
+    def held_drain(self):
+        # Forward no row until the fleet holds the job's result, so the
+        # result always overtakes the rows.
+        deadline = time.monotonic() + 120.0
+        while not self.completed_total and time.monotonic() < deadline:
+            time.sleep(0.005)
+        drain(self)
+
+    monkeypatch.setattr(WorkerFleet, "_drain_progress", held_drain)
+    request = {**REQUEST, "seed": 74}
+    rows = []
+    run_scenario(
+        request["scenario"], policy=request["policy"],
+        spec=get_device("P20"), bg_case=BgCase.NULL,
+        seconds=request["seconds"], seed=request["seed"],
+        sample_interval_ms=250.0,
+        on_sample=lambda now_ms, row: rows.append(now_ms),
+    )
+    with ServerThread(ServeConfig(port=0, workers=1)) as thread:
+        client = ServeClient(thread.base_url)
+        job = client.submit(request, progress_interval_ms=250.0)
+        final = client.wait(job["id"], timeout_s=120.0)
+        assert final["state"] == "done", final.get("error")
+        events = list(client.events(job["id"], timeout_s=30.0))
+    kinds = [kind for kind, _ in events]
+    assert kinds[-1] == "done"
+    samples = [data["now_ms"] for kind, data in events if kind == "sample"]
+    assert samples == rows and rows
+
+
+def test_late_progress_row_of_a_dead_attempt_is_dropped():
+    """A row that the first attempt's worker sent before it died, and
+    that arrives after the retry began, does not count as a row of the
+    retry, whose rows then all stream."""
+    from repro.serve.queue import Job
+    from repro.serve.spec import RunRequest
+    from repro.serve.state import ServerState
+
+    state = ServerState(ServeConfig(port=0, workers=1))
+    job = Job(
+        id="j1", request=RunRequest(scenario="S-A", seconds=2.0),
+        priority=10, submitted_at=0.0,
+    )
+    state.table.add(job)
+
+    def row(index):
+        return {
+            "job_id": job.id, "event": "sample", "row": index,
+            "data": {"now_ms": 250.0 * (index + 1)},
+        }
+
+    for index in range(3):  # the first attempt, before its worker died
+        state._on_progress(row(index))
+    job.progress_rows = 0  # the fleet starts the retry
+    state._on_progress(row(3))  # late row of the dead attempt
+    for index in range(2):
+        state._on_progress(row(index))
+    assert job.progress_rows == 2
+    samples = [e["data"]["now_ms"] for e in job.events if e["event"] == "sample"]
+    assert samples == [250.0, 500.0, 750.0, 250.0, 500.0]
 
 
 def test_sse_follower_receives_done_within_ms_of_finish(client):

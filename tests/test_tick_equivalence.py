@@ -371,7 +371,11 @@ class World:
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
-_cpu = st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 6.0, 9.0, 13.0])
+# 4.0000000005 and 8.000000001 leave remainders within 1e-9 of a 4 ms
+# quantum: the edge of the drain loop's completion test.
+_cpu = st.sampled_from(
+    [0.0, 0.5, 1.0, 2.5, 4.0, 4.0000000005, 6.0, 8.000000001, 9.0, 13.0]
+)
 _touch = st.one_of(
     st.none(),
     st.tuples(st.just("zero"), st.just(0)),
