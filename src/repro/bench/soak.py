@@ -13,8 +13,9 @@ whole time:
 * **Budget enforcement** — the job-table's ``terminal_bytes`` must
   respect its configured budget at every sample.
 * **Stats/metrics consistency** — every ``/v1/stats`` total must
-  exactly equal its ``/metrics`` counter (the class of bug where one
-  accounting path bumps one ledger but not the other).
+  exactly equal its ``/metrics`` counter.  The stats totals are read
+  from those counters, so this holds by construction; the check keeps
+  the HTTP rendering of both documents honest.
 * **Tombstones, not 404s** — recently submitted run ids must answer
   200 or 410, never 404, across retention eviction.
 
@@ -55,6 +56,9 @@ CONSISTENCY_PAIRS = (
     ("workers.started_total", "repro_serve_worker_started_total"),
     ("workers.completed_total", "repro_serve_worker_completed_total"),
     ("workers.failed_total", "repro_serve_worker_failed_total"),
+    ("workers.retries_total", "repro_serve_worker_retries_total"),
+    ("workers.crashes_total", "repro_serve_worker_crashes_total"),
+    ("workers.abandoned_total", "repro_serve_worker_abandoned_total"),
     ("retention.evicted_total", "repro_serve_jobs_evicted_total"),
 )
 

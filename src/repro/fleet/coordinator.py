@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -104,6 +103,7 @@ class Coordinator(HttpBase):
             self.limiter = TenantRateLimiter(
                 rate_per_s=self.config.ratelimit_rps,
                 burst=self.config.ratelimit_burst,
+                registry=self.registry,
             )
         self.nodes: Dict[str, NodeInfo] = {}
         self.jobs: Dict[str, CoordJob] = {}
@@ -112,17 +112,9 @@ class Coordinator(HttpBase):
         self._sweep_task: Optional[asyncio.Task] = None
         self._stopped = asyncio.Event()
         self._started_at: Optional[float] = None
-        self.submitted_total = 0
-        self.resubmitted_total = 0
-        self.evicted_total = 0
         self._submissions_counter = self.registry.counter(
             "repro_fleet_submissions_total",
             "Submissions admitted and proxied to a node",
-        )
-        self._ratelimited_counter = self.registry.counter(
-            "repro_fleet_ratelimited_total",
-            "Submissions rejected by the per-tenant token bucket",
-            labelnames=("tenant",),
         )
         self._proxy_errors_counter = self.registry.counter(
             "repro_fleet_proxy_errors_total",
@@ -193,7 +185,6 @@ class Coordinator(HttpBase):
         node.alive = False
         self.ring.remove(node.node_id)
         self._node_up_gauge.remove(node.node_id)
-        self.evicted_total += 1
         self._evicted_counter.inc()
         orphans = [
             job for job in self.jobs.values()
@@ -226,7 +217,6 @@ class Coordinator(HttpBase):
             job.node_id = target.node_id
             job.node_job_id = doc["id"]
             job.resubmits += 1
-            self.resubmitted_total += 1
             self._resubmitted_counter.inc()
             if status == 200:
                 job.terminal = True  # answered from the shared store
@@ -389,22 +379,7 @@ class Coordinator(HttpBase):
         if self.limiter is not None:
             decision = self.limiter.admit(tenant, priority_class(priority))
             if not decision.allowed:
-                self._ratelimited_counter.labels(tenant).inc()
-                retry_after = max(1, math.ceil(decision.retry_after_s))
-                self._write_json(
-                    writer, 429,
-                    {
-                        "error": (
-                            f"tenant {tenant!r} rate limited; retry in "
-                            f"{decision.retry_after_s:.3f}s"
-                        ),
-                        "retry_after_s": round(decision.retry_after_s, 4),
-                        "ratelimited": True,
-                        "tenant": tenant,
-                        "priority_class": decision.priority_class,
-                    },
-                    extra_headers=(("Retry-After", str(retry_after)),),
-                )
+                self._write_ratelimited(writer, decision)
                 return
         # Routing needs the content address, which the submission
         # options must not perturb — strip them exactly as a node does.
@@ -443,7 +418,6 @@ class Coordinator(HttpBase):
                     terminal=(status == 200),  # cache hits are born done
                 )
                 self.jobs[job.public_id] = job
-                self.submitted_total += 1
                 self._submissions_counter.inc()
                 doc["node"] = target.node_id
             extra = ()
@@ -536,14 +510,14 @@ class Coordinator(HttpBase):
             "ring": self.ring.stats(),
             "nodes": self._node_docs(),
             "jobs": {
-                "submitted_total": self.submitted_total,
+                "submitted_total": int(self._submissions_counter.value),
                 "tracked": tracked,
                 "terminal": terminal,
                 "in_flight": tracked - terminal,
-                "resubmitted_total": self.resubmitted_total,
+                "resubmitted_total": int(self._resubmitted_counter.value),
             },
             "evictions": {
-                "nodes_evicted_total": self.evicted_total,
+                "nodes_evicted_total": int(self._evicted_counter.value),
                 "heartbeat_timeout_s": self.config.heartbeat_timeout_s,
             },
         })

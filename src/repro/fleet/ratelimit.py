@@ -27,6 +27,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.obs.metrics import MetricsRegistry
+
 DEFAULT_RATE_PER_S = 50.0
 DEFAULT_BURST = 100.0
 
@@ -105,7 +107,6 @@ class TokenBucket:
 class _TenantLedger:
     bucket: TokenBucket
     admitted: int = 0
-    rejected: int = 0
     rejected_by_class: Dict[str, int] = field(default_factory=dict)
 
 
@@ -116,6 +117,10 @@ class TenantRateLimiter:
     a paid tier, or a deliberately throttled batch account — while
     every other tenant shares the default shape (each still gets its
     *own* bucket; only the parameters are shared).
+
+    Rejections are counted only in ``repro_fleet_ratelimited_total``
+    (per tenant) on ``registry``, a private one when none is shared;
+    :meth:`stats` reads them from there.
     """
 
     def __init__(
@@ -125,6 +130,7 @@ class TenantRateLimiter:
         clock: Callable[[], float] = time.monotonic,
         class_costs: Optional[Dict[str, float]] = None,
         overrides: Optional[Dict[str, Tuple[float, float]]] = None,
+        registry: Optional[MetricsRegistry] = None,
     ):
         self.rate_per_s = float(rate_per_s)
         self.burst = float(burst) if burst is not None else 2.0 * self.rate_per_s
@@ -133,7 +139,11 @@ class TenantRateLimiter:
         self.overrides = dict(overrides or {})
         self._tenants: Dict[str, _TenantLedger] = {}
         self.admitted_total = 0
-        self.rejected_total = 0
+        self._rejected = (registry or MetricsRegistry()).counter(
+            "repro_fleet_ratelimited_total",
+            "Submissions rejected by the per-tenant token bucket",
+            labelnames=("tenant",),
+        )
 
     # ------------------------------------------------------------------
     def _ledger(self, tenant: str) -> _TenantLedger:
@@ -156,11 +166,10 @@ class TenantRateLimiter:
             ledger.admitted += 1
             self.admitted_total += 1
         else:
-            ledger.rejected += 1
             ledger.rejected_by_class[priority_class] = (
                 ledger.rejected_by_class.get(priority_class, 0) + 1
             )
-            self.rejected_total += 1
+            self._rejected.labels(tenant).inc()
         return Decision(
             allowed=allowed,
             tenant=tenant,
@@ -173,19 +182,23 @@ class TenantRateLimiter:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """The ``ratelimit`` block `/v1/stats` serves."""
+        rejected = {
+            tenant: int(child.value)
+            for (tenant,), child in self._rejected.items()
+        }
         return {
             "rate_per_s": self.rate_per_s,
             "burst": self.burst,
             "class_costs": dict(self.class_costs),
             "admitted_total": self.admitted_total,
-            "rejected_total": self.rejected_total,
+            "rejected_total": sum(rejected.values()),
             "tenants": {
                 tenant: {
                     "tokens": round(ledger.bucket.tokens, 4),
                     "rate_per_s": ledger.bucket.rate_per_s,
                     "burst": ledger.bucket.burst,
                     "admitted": ledger.admitted,
-                    "rejected": ledger.rejected,
+                    "rejected": rejected.get(tenant, 0),
                     "rejected_by_class": dict(ledger.rejected_by_class),
                 }
                 for tenant, ledger in sorted(self._tenants.items())

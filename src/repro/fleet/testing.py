@@ -1,7 +1,8 @@
 """In-process fleet harnesses for tests and the CI smoke job.
 
-Same pattern as :class:`repro.serve.testing.ServerThread`: each fleet
-process (coordinator, node) runs a real asyncio listener on its own
+Subclasses of :class:`repro.serve.testing.LoopThread`, like
+:class:`~repro.serve.testing.ServerThread`: each fleet process
+(coordinator, node) runs a real asyncio listener on its own
 daemon-thread event loop, so blocking test code exercises the exact
 HTTP paths production traffic takes — registration, heartbeats,
 routing, proxying, eviction — with nothing mocked out.
@@ -10,67 +11,15 @@ routing, proxying, eviction — with nothing mocked out.
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Optional
 
 from repro.serve.http import ServeConfig
+from repro.serve.testing import LoopThread
 from repro.fleet.coordinator import Coordinator, CoordinatorConfig
 from repro.fleet.node import FleetNode
 
 
-class _LoopThread:
-    """One asyncio loop on a daemon thread with ready/stop signaling."""
-
-    name = "repro-fleet-test"
-
-    def __init__(self, startup_timeout_s: float = 30.0):
-        self.startup_timeout_s = startup_timeout_s
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._failure: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._main, name=self.name, daemon=True
-        )
-
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # surface startup/runtime failures
-            self._failure = exc
-            self._ready.set()
-
-    async def _amain(self) -> None:  # pragma: no cover - subclasses
-        raise NotImplementedError
-
-    def start(self):
-        self._thread.start()
-        if not self._ready.wait(timeout=self.startup_timeout_s):
-            raise TimeoutError(f"{self.name} did not start in time")
-        if self._failure is not None:
-            raise RuntimeError(
-                f"{self.name} failed to start"
-            ) from self._failure
-        return self
-
-    def call(self, fn, *args) -> None:
-        """Run ``fn`` on the harness loop (thread-safe, fire-and-forget)."""
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(fn, *args)
-
-    def join(self, timeout_s: float = 30.0) -> None:
-        self._thread.join(timeout=timeout_s)
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def stop(self, timeout_s: float = 30.0) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
-class CoordinatorThread(_LoopThread):
+class CoordinatorThread(LoopThread):
     """``with CoordinatorThread(config) as coord: ...``"""
 
     name = "repro-fleet-coordinator"
@@ -80,20 +29,13 @@ class CoordinatorThread(_LoopThread):
         config: Optional[CoordinatorConfig] = None,
         startup_timeout_s: float = 30.0,
     ):
-        super().__init__(startup_timeout_s)
-        self.config = config or CoordinatorConfig(port=0)
+        super().__init__(
+            config or CoordinatorConfig(port=0), startup_timeout_s
+        )
         self.coordinator: Optional[Coordinator] = None
 
-    @property
-    def port(self) -> int:
-        assert (
-            self.coordinator is not None and self.coordinator.port is not None
-        )
-        return self.coordinator.port
-
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
+    def _listener(self) -> Optional[Coordinator]:
+        return self.coordinator
 
     async def _amain(self) -> None:
         self._loop = asyncio.get_event_loop()
@@ -102,18 +44,8 @@ class CoordinatorThread(_LoopThread):
         self._ready.set()
         await self.coordinator.serve_forever()
 
-    def stop(self, timeout_s: float = 30.0) -> None:
-        if self._loop is not None and self.coordinator is not None:
-            try:
-                self._loop.call_soon_threadsafe(
-                    self.coordinator.request_shutdown
-                )
-            except RuntimeError:
-                pass  # loop already closed
-        self.join(timeout_s)
 
-
-class FleetNodeThread(_LoopThread):
+class FleetNodeThread(LoopThread):
     """``with FleetNodeThread(config, coord_url) as node: ...``"""
 
     name = "repro-fleet-node"
@@ -125,20 +57,13 @@ class FleetNodeThread(_LoopThread):
         heartbeat_interval_s: float = 0.25,
         startup_timeout_s: float = 30.0,
     ):
-        super().__init__(startup_timeout_s)
-        self.config = config
+        super().__init__(config, startup_timeout_s)
         self.coordinator_url = coordinator_url
         self.heartbeat_interval_s = heartbeat_interval_s
         self.node: Optional[FleetNode] = None
 
-    @property
-    def port(self) -> int:
-        assert self.node is not None and self.node.port is not None
-        return self.node.port
-
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
+    def _listener(self) -> Optional[FleetNode]:
+        return self.node
 
     async def _amain(self) -> None:
         self._loop = asyncio.get_event_loop()
@@ -150,20 +75,11 @@ class FleetNodeThread(_LoopThread):
         self._ready.set()
         await self.node.server.serve_forever()
 
+    def _shutdown(self) -> None:
+        # Graceful leave: deregister, then drain.
+        asyncio.ensure_future(self.node.stop())
+
     def kill(self) -> None:
         """Fault injection: die without deregistering (no drain)."""
         assert self._loop is not None and self.node is not None
         self._loop.call_soon_threadsafe(self.node.simulate_death)
-
-    def stop(self, timeout_s: float = 30.0) -> None:
-        if self._loop is not None and self.node is not None:
-            node = self.node
-
-            def _begin_stop() -> None:
-                asyncio.ensure_future(node.stop())
-
-            try:
-                self._loop.call_soon_threadsafe(_begin_stop)
-            except RuntimeError:
-                pass  # loop already closed
-        self.join(timeout_s)

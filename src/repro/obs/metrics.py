@@ -176,6 +176,11 @@ class CounterFamily(_Family):
     def value(self) -> float:
         return self._default().value
 
+    @property
+    def total(self) -> float:
+        """Sum over every series; reading creates none."""
+        return sum(child.value for _, child in self.items())
+
     def _render_child(self, labelvalues, child) -> List[str]:
         labels = _fmt_labels(self.labelnames, labelvalues)
         return [f"{self.name}{labels} {_fmt_value(child.value)}"]

@@ -24,9 +24,10 @@ never leaves a torn entry, and re-read lazily so a restarted server
 warms itself from disk as requests arrive.
 
 Hit/miss counters are split by tier — a single blended ``hits`` number
-hides whether the disk tier is earning its I/O — and every counter is
-optionally mirrored into a :class:`~repro.obs.metrics.MetricsRegistry`
-for ``GET /metrics`` scrapes.
+hides whether the disk tier is earning its I/O — and live only in a
+:class:`~repro.obs.metrics.MetricsRegistry` (the server's, or a private
+one): ``GET /metrics`` renders them and :meth:`ResultCache.stats` reads
+them.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import time
 from collections import OrderedDict
 from typing import Dict, Optional
 
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.spec import canonical_size_bytes
 
 CACHE_SCHEMA_VERSION = 1
@@ -64,41 +66,34 @@ class ResultCache:
         self._memory: "OrderedDict[str, dict]" = OrderedDict()
         self._sizes: Dict[str, int] = {}
         self.memory_bytes = 0
-        self.memory_hits = 0
-        self.disk_hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.disk_loads = 0
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
-        self._hits_counter = None
-        self._misses_counter = None
-        self._evictions_counter = None
-        if registry is not None:
-            self._hits_counter = registry.counter(
-                "repro_serve_cache_hits_total",
-                "Result-cache hits by tier", labelnames=("tier",),
-            )
-            # Touch both tier children so the scrape shows them at 0.
-            self._hits_counter.labels("memory")
-            self._hits_counter.labels("disk")
-            self._misses_counter = registry.counter(
-                "repro_serve_cache_misses_total", "Result-cache misses",
-            )
-            self._evictions_counter = registry.counter(
-                "repro_serve_cache_evictions_total",
-                "Memory-tier entries evicted to honor the byte budget",
-            )
-            registry.gauge(
-                "repro_serve_cache_memory_bytes",
-                "Canonical-JSON bytes held by the memory tier",
-                fn=lambda: self.memory_bytes,
-            )
-            registry.gauge(
-                "repro_serve_cache_entries",
-                "Entries resident in the memory tier",
-                fn=lambda: len(self._memory),
-            )
+        registry = registry or MetricsRegistry()
+        hits = registry.counter(
+            "repro_serve_cache_hits_total",
+            "Result-cache hits by tier", labelnames=("tier",),
+        )
+        # Both tier series exist from the start, so the scrape shows
+        # them at 0.
+        self._memory_hits = hits.labels("memory")
+        self._disk_hits = hits.labels("disk")
+        self._misses = registry.counter(
+            "repro_serve_cache_misses_total", "Result-cache misses",
+        )
+        self._evictions = registry.counter(
+            "repro_serve_cache_evictions_total",
+            "Memory-tier entries evicted to honor the byte budget",
+        )
+        registry.gauge(
+            "repro_serve_cache_memory_bytes",
+            "Canonical-JSON bytes held by the memory tier",
+            fn=lambda: self.memory_bytes,
+        )
+        registry.gauge(
+            "repro_serve_cache_entries",
+            "Entries resident in the memory tier",
+            fn=lambda: len(self._memory),
+        )
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> str:
@@ -109,22 +104,15 @@ class ResultCache:
         entry = self._memory.get(key)
         if entry is not None:
             self._memory.move_to_end(key)  # refresh LRU recency
-            self.memory_hits += 1
-            if self._hits_counter is not None:
-                self._hits_counter.labels("memory").inc()
+            self._memory_hits.inc()
             return entry["result"]
         if self.cache_dir:
             entry = self._load_from_disk(key)
             if entry is not None:
-                self.disk_loads += 1
                 self._admit(key, entry)
-                self.disk_hits += 1
-                if self._hits_counter is not None:
-                    self._hits_counter.labels("disk").inc()
+                self._disk_hits.inc()
                 return entry["result"]
-        self.misses += 1
-        if self._misses_counter is not None:
-            self._misses_counter.inc()
+        self._misses.inc()
         return None
 
     def _load_from_disk(self, key: str) -> Optional[dict]:
@@ -169,9 +157,7 @@ class ResultCache:
             # Larger than the whole budget: admitting it would evict
             # everything *and* still bust the cap, so it lives on disk
             # (or gets recomputed) instead.
-            self.evictions += 1
-            if self._evictions_counter is not None:
-                self._evictions_counter.inc()
+            self._evictions.inc()
             return
         self._memory[key] = entry
         self._sizes[key] = cost
@@ -180,9 +166,7 @@ class ResultCache:
             while self.memory_bytes > budget and len(self._memory) > 1:
                 cold_key, _ = self._memory.popitem(last=False)
                 self.memory_bytes -= self._sizes.pop(cold_key)
-                self.evictions += 1
-                if self._evictions_counter is not None:
-                    self._evictions_counter.inc()
+                self._evictions.inc()
 
     def _write_to_disk(self, key: str, entry: dict) -> None:
         fd, tmp_path = tempfile.mkstemp(
@@ -209,27 +193,23 @@ class ResultCache:
     def entries(self) -> int:
         return len(self._memory)
 
-    @property
-    def hits(self) -> int:
-        """Total hits across tiers (memory + disk)."""
-        return self.memory_hits + self.disk_hits
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict:
+        memory_hits = int(self._memory_hits.value)
+        disk_hits = int(self._disk_hits.value)
+        misses = int(self._misses.value)
+        hits = memory_hits + disk_hits
+        lookups = hits + misses
         return {
             "entries": self.entries,
             "memory_bytes": self.memory_bytes,
             "memory_budget_bytes": self.memory_budget_bytes,
-            "hits": self.hits,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "evictions": self.evictions,
-            "disk_loads": self.disk_loads,
+            "hits": hits,
+            "memory_hits": memory_hits,
+            "disk_hits": disk_hits,
+            "misses": misses,
+            "hit_rate": round(hits / lookups if lookups else 0.0, 4),
+            "evictions": int(self._evictions.value),
+            # Every disk hit is one load from disk.
+            "disk_loads": disk_hits,
             "disk_dir": self.cache_dir,
         }

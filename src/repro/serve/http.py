@@ -235,6 +235,25 @@ class HttpBase:
             "application/json", extra_headers,
         )
 
+    def _write_ratelimited(self, writer, decision) -> None:
+        """The 429 for a token-bucket rejection, node or coordinator.
+
+        Retry-After is delta-seconds (an integer per RFC 9110); the body
+        carries the exact float for clients that parse.
+        """
+        retry_after = max(1, math.ceil(decision.retry_after_s))
+        self._write_json(
+            writer, 429,
+            {
+                "error": str(RateLimited(decision)),
+                "retry_after_s": round(decision.retry_after_s, 4),
+                "ratelimited": True,
+                "tenant": decision.tenant,
+                "priority_class": decision.priority_class,
+            },
+            extra_headers=(("Retry-After", str(retry_after)),),
+        )
+
     def _write_text(self, writer, status: int, text: str,
                     content_type: str = "text/plain; charset=utf-8") -> None:
         self._write_bytes(writer, status, text.encode("utf-8"), content_type)
@@ -305,14 +324,6 @@ class SimulationServer(HttpBase):
     @property
     def tenants(self) -> Dict[str, dict]:
         return self.state.tenants
-
-    @property
-    def submitted_total(self) -> int:
-        return self.state.submitted_total
-
-    @property
-    def cache_hit_jobs(self) -> int:
-        return self.state.cache_hit_jobs
 
     @property
     def draining(self) -> bool:
@@ -440,21 +451,7 @@ class SimulationServer(HttpBase):
             self._write_json(writer, 400, {"error": str(exc)})
             return
         except RateLimited as exc:
-            decision = exc.decision
-            # Retry-After is delta-seconds (an integer per RFC 9110);
-            # the body carries the exact float for clients that parse.
-            retry_after = max(1, math.ceil(decision.retry_after_s))
-            self._write_json(
-                writer, 429,
-                {
-                    "error": str(exc),
-                    "retry_after_s": round(decision.retry_after_s, 4),
-                    "ratelimited": True,
-                    "tenant": decision.tenant,
-                    "priority_class": decision.priority_class,
-                },
-                extra_headers=(("Retry-After", str(retry_after)),),
-            )
+            self._write_ratelimited(writer, exc.decision)
             return
         except QueueFull as exc:
             self._write_json(writer, 429, {
@@ -500,8 +497,7 @@ class SimulationServer(HttpBase):
         job = self._lookup_or_respond(writer, job_id)
         if job is None:
             return
-        if self.queue.cancel(job_id):
-            self.state._tenant_acc(job.tenant)["cancelled"] += 1
+        if self.state.cancel(job_id):
             self._write_json(writer, 200, job.snapshot())
             return
         self._write_json(writer, 409, {

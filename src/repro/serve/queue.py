@@ -237,9 +237,6 @@ class JobQueue:
         self._seq = itertools.count()
         self._not_empty = asyncio.Condition()
         self._queued: Dict[str, Job] = {}
-        self.enqueued_total = 0
-        self.expired_total = 0
-        self.cancelled_total = 0
         self._closed = False
         # Fired for every job the queue expires (dequeue-time or via
         # :meth:`expire`), so the server can fold the job into tenant
@@ -247,8 +244,8 @@ class JobQueue:
         # surface from :meth:`pop` and would otherwise be invisible.
         self.on_expired: Optional[Callable[[Job], None]] = None
         # Metrics: a private registry when none is shared keeps the
-        # span accounting identical whether or not a scrape endpoint
-        # exists (unit tests read stats() from the same histograms).
+        # accounting identical whether or not a scrape endpoint exists
+        # (stats() reads the same counters and histograms).
         registry = registry or MetricsRegistry()
         self._wait_hist = registry.histogram(
             "repro_serve_queue_wait_seconds",
@@ -300,7 +297,6 @@ class JobQueue:
         job.enqueued_at = self._now()
         heapq.heappush(self._heap, (job.priority, next(self._seq), job))
         self._queued[job.id] = job
-        self.enqueued_total += 1
         self._enqueued_counter.labels(job.priority_class).inc()
         job.add_event("queued", {
             "priority": job.priority, "depth": self.depth,
@@ -311,11 +307,11 @@ class JobQueue:
         """Expire a job through the one shared accounting path.
 
         Every deadline expiry — at dequeue time or pre-dispatch in the
-        server's run loop — funnels here so ``expired_total`` and the
-        ``repro_serve_queue_expired_total`` Prometheus counter can
-        never diverge (they used to: the pre-dispatch path bumped only
-        the plain attribute).  Idempotent: a job that already expired
-        (or otherwise reached a terminal state) is left untouched.
+        server's run loop — funnels here, so each one moves the
+        ``repro_serve_queue_expired_total`` counter and reaches
+        :attr:`on_expired` exactly once.  Idempotent: a job that already
+        expired (or otherwise reached a terminal state) is left
+        untouched.
         """
         if job.terminal:
             return
@@ -326,7 +322,6 @@ class JobQueue:
             f"queue deadline exceeded after "
             f"{now - job.submitted_at:.3f}s waiting"
         )
-        self.expired_total += 1
         self._expired_counter.inc()
         job.add_event("expired", {"error": job.error})
         if self.on_expired is not None:
@@ -340,7 +335,6 @@ class JobQueue:
         # The heap entry stays behind as a tombstone; pop() skips it.
         job.state = JobState.CANCELLED
         job.finished_at = self._now()
-        self.cancelled_total += 1
         self._cancelled_counter.inc()
         job.add_event("cancelled", {})
         return True
@@ -392,9 +386,9 @@ class JobQueue:
         """Cancel every waiting job (forced shutdown).
 
         Returns the cancelled jobs so the caller can fold them into the
-        same per-tenant/terminal accounting the DELETE handler applies —
-        a hard drain used to skip those accumulators entirely, leaving
-        tenant docs and queue totals disagreeing after shutdown.
+        same per-tenant/terminal accounting a DELETE cancel gets
+        (``ServerState.cancel``); otherwise tenant docs and queue totals
+        would disagree after a hard drain.
         """
         cancelled: List[Job] = []
         for job_id in list(self._queued):
@@ -407,8 +401,8 @@ class JobQueue:
         return {
             "depth": self.depth,
             "capacity": self.maxsize,
-            "enqueued_total": self.enqueued_total,
-            "expired_total": self.expired_total,
-            "cancelled_total": self.cancelled_total,
+            "enqueued_total": int(self._enqueued_counter.total),
+            "expired_total": int(self._expired_counter.value),
+            "cancelled_total": int(self._cancelled_counter.value),
             "queue_wait_s": latency_summary(self._wait_hist),
         }

@@ -34,6 +34,7 @@ import asyncio
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.queue import Job, JobState
 from repro.serve.spec import canonical_size_bytes
 
@@ -75,35 +76,34 @@ class JobTable:
         self._costs: Dict[str, int] = {}
         self.terminal_bytes = 0
         self._tombstones: "OrderedDict[str, dict]" = OrderedDict()
-        self.evicted_total = 0
+        # No family counts dropped tombstones, so this stays a plain count.
         self.tombstones_dropped_total = 0
-        self._evicted_counter = None
-        if registry is not None:
-            self._evicted_counter = registry.counter(
-                "repro_serve_jobs_evicted_total",
-                "Terminal jobs evicted from the job table to honor the "
-                "byte budget (each leaves a tombstone)",
-            )
-            registry.gauge(
-                "repro_serve_jobs_retained",
-                "Jobs (live + terminal) currently held by the job table",
-                fn=lambda: len(self.jobs),
-            )
-            registry.gauge(
-                "repro_serve_job_table_bytes",
-                "Canonical-JSON bytes charged to retained terminal jobs",
-                fn=lambda: self.terminal_bytes,
-            )
-            registry.gauge(
-                "repro_serve_job_table_budget_bytes",
-                "Terminal-job retention budget (0 = unbounded)",
-                fn=lambda: self.budget_bytes or 0,
-            )
-            registry.gauge(
-                "repro_serve_job_tombstones",
-                "Eviction tombstones currently answering 410 Gone",
-                fn=lambda: len(self._tombstones),
-            )
+        registry = registry or MetricsRegistry()
+        self._evicted_counter = registry.counter(
+            "repro_serve_jobs_evicted_total",
+            "Terminal jobs evicted from the job table to honor the "
+            "byte budget (each leaves a tombstone)",
+        )
+        registry.gauge(
+            "repro_serve_jobs_retained",
+            "Jobs (live + terminal) currently held by the job table",
+            fn=lambda: len(self.jobs),
+        )
+        registry.gauge(
+            "repro_serve_job_table_bytes",
+            "Canonical-JSON bytes charged to retained terminal jobs",
+            fn=lambda: self.terminal_bytes,
+        )
+        registry.gauge(
+            "repro_serve_job_table_budget_bytes",
+            "Terminal-job retention budget (0 = unbounded)",
+            fn=lambda: self.budget_bytes or 0,
+        )
+        registry.gauge(
+            "repro_serve_job_tombstones",
+            "Eviction tombstones currently answering 410 Gone",
+            fn=lambda: len(self._tombstones),
+        )
 
     # ------------------------------------------------------------------
     def _now(self) -> float:
@@ -175,9 +175,7 @@ class JobTable:
         del self._terminal[job_id]
         self.terminal_bytes -= self._costs.pop(job_id)
         job = self.jobs.pop(job_id)
-        self.evicted_total += 1
-        if self._evicted_counter is not None:
-            self._evicted_counter.inc()
+        self._evicted_counter.inc()
         if self.tombstone_limit <= 0:
             return
         self._tombstones[job_id] = self._tombstone_doc(job, now)
@@ -219,7 +217,7 @@ class JobTable:
             "terminal_bytes": self.terminal_bytes,
             "budget_bytes": self.budget_bytes,
             "min_retention_s": self.min_retention_s,
-            "evicted_total": self.evicted_total,
+            "evicted_total": int(self._evicted_counter.value),
             "tombstones": len(self._tombstones),
             "tombstone_limit": self.tombstone_limit,
             "tombstones_dropped_total": self.tombstones_dropped_total,

@@ -13,8 +13,8 @@ independently: the coordinator reuses the HTTP plumbing with entirely
 different state behind it, and tests/loadtests drive a
 :class:`ServerState` through ``submit()`` without a socket in sight.
 Every accounting invariant the serve plane promises (one finalize path
-per job, stats totals exactly equal to /metrics counters) lives here,
-in one place, regardless of which transport delivered the request.
+per job, stats totals read from the /metrics counters) lives here, in
+one place, regardless of which transport delivered the request.
 """
 
 from __future__ import annotations
@@ -159,9 +159,8 @@ class ServerState:
             self.limiter = TenantRateLimiter(
                 rate_per_s=self.config.ratelimit_rps,
                 burst=self.config.ratelimit_burst,
+                registry=self.registry,
             )
-        self.submitted_total = 0
-        self.cache_hit_jobs = 0
         self.draining = False
         self._supervisor_task: Optional[asyncio.Task] = None
         self._job_tasks: set = set()
@@ -208,14 +207,8 @@ class ServerState:
             fn=lambda: self.healthz()["uptime_s"],
         )
         # Fleet-facing observability, registered only in fleet mode so
-        # a plain single-node scrape stays free of dead families.
-        self._ratelimited_counter = None
-        if self.limiter is not None:
-            self._ratelimited_counter = self.registry.counter(
-                "repro_fleet_ratelimited_total",
-                "Submissions rejected by the per-tenant token bucket",
-                labelnames=("tenant",),
-            )
+        # a plain single-node scrape stays free of dead families (the
+        # limiter registers its own rejection counter).
         self._misrouted_counter = None
         if self.config.node_id is not None:
             self._misrouted_counter = self.registry.counter(
@@ -326,8 +319,7 @@ class ServerState:
                 remaining = job.deadline_at - loop.time()
                 if remaining <= 0:
                     # One accounting path with dequeue-time expiry:
-                    # queue.expire moves the stats total AND the
-                    # Prometheus counter (they used to diverge here).
+                    # queue.expire counts it and finalizes the job.
                     self.queue.expire(
                         job,
                         reason="deadline exceeded before a worker was free",
@@ -483,8 +475,6 @@ class ServerState:
                 options["tenant"], priority_class(options["priority"])
             )
             if not decision.allowed:
-                if self._ratelimited_counter is not None:
-                    self._ratelimited_counter.labels(options["tenant"]).inc()
                 raise RateLimited(decision)
         loop = asyncio.get_event_loop()
         job = Job(
@@ -503,7 +493,6 @@ class ServerState:
         if timeout_s is not None:
             job.deadline_at = job.submitted_at + timeout_s
 
-        self.submitted_total += 1
         self._submitted_counter.inc()
         acc = self._tenant_acc(job.tenant)
         acc["submitted"] += 1
@@ -515,7 +504,6 @@ class ServerState:
             job.result = cached
             job.state = JobState.DONE
             job.finished_at = loop.time()
-            self.cache_hit_jobs += 1
             self._cache_hit_jobs_counter.inc()
             acc["cache_hits"] += 1
             self.table.add(job)
@@ -532,16 +520,17 @@ class ServerState:
         self._recent.append(job.id)
         return 202, job
 
+    def cancel(self, job_id: str) -> bool:
+        """Cancel a queued job and finalize it; False if it is not waiting."""
+        if not self.queue.cancel(job_id):
+            return False
+        self._finalize_job(self.jobs[job_id])
+        return True
+
     def note_misrouted(self) -> None:
         """Record a submission the coordinator aimed at another node."""
         if self._misrouted_counter is not None:
             self._misrouted_counter.inc()
-
-    @property
-    def misrouted_total(self) -> int:
-        if self._misrouted_counter is None:
-            return 0
-        return int(self._misrouted_counter.value)
 
     def _parse_submission(self, payload: dict) -> Tuple[dict, RunRequest]:
         if not isinstance(payload, dict):
@@ -633,8 +622,8 @@ class ServerState:
         doc = self.healthz()
         doc.update({
             "jobs": {
-                "submitted_total": self.submitted_total,
-                "cache_hits": self.cache_hit_jobs,
+                "submitted_total": int(self._submitted_counter.value),
+                "cache_hits": int(self._cache_hit_jobs_counter.value),
                 "events_dropped_total": int(
                     self._events_dropped_counter.value
                 ),
@@ -664,7 +653,7 @@ class ServerState:
         if self.config.node_id is not None:
             doc["fleet"] = {
                 "node_id": self.config.node_id,
-                "misrouted_total": self.misrouted_total,
+                "misrouted_total": int(self._misrouted_counter.value),
             }
         return doc
 

@@ -156,21 +156,16 @@ class WorkerFleet:
         self._drain_thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.busy = 0
-        self.started_total = 0
-        self.completed_total = 0
-        self.failed_total = 0
-        self.retries_total = 0
-        self.crashes_total = 0
         # Attempts whose job gave up (deadline fired, caller cancelled)
         # while the pool process was still executing.  A pool worker
         # cannot be interrupted mid-call, so the attempt stays counted
         # busy until the process actually returns — releasing the slot
         # at cancel time would over-admit the fleet.
         self.abandoned = 0
-        self.abandoned_total = 0
         self._abandoned_drains: dict = {}
-        # Metrics (a private registry when none is shared, so exec
-        # latency summaries work identically without a scrape endpoint).
+        # Metrics (a private registry when none is shared, so stats()
+        # reads the same counters and exec latencies without a scrape
+        # endpoint).
         from repro.obs.metrics import MetricsRegistry
 
         registry = registry or MetricsRegistry()
@@ -275,7 +270,6 @@ class WorkerFleet:
             pool = self._pool
             job.attempts += 1
             job.progress_rows = 0  # a retried attempt streams afresh
-            self.started_total += 1
             self._counters["started"].inc()
             self.busy += 1
             attempt_started = loop.time()
@@ -288,12 +282,10 @@ class WorkerFleet:
                 )
                 outcome = await asyncio.wrap_future(future)
             except BrokenProcessPool as exc:
-                self.crashes_total += 1
                 self._counters["crashes"].inc()
                 last_error = exc
                 self._rebuild_pool(pool)
                 if attempt < self.max_retries:
-                    self.retries_total += 1
                     self._counters["retries"].inc()
                     job.add_event("retry", {
                         "attempt": job.attempts,
@@ -311,11 +303,9 @@ class WorkerFleet:
                     self._abandon(job.id, future)
                 raise
             except Exception:
-                self.failed_total += 1
                 self._counters["failed"].inc()
                 raise
             else:
-                self.completed_total += 1
                 self._counters["completed"].inc()
                 self._exec_hist.labels(job.priority_class).observe(
                     loop.time() - attempt_started
@@ -324,7 +314,6 @@ class WorkerFleet:
             finally:
                 if not abandoned:
                     self.busy -= 1
-        self.failed_total += 1
         self._counters["failed"].inc()
         raise WorkerCrashed(
             f"worker died {job.attempts} time(s) running {job.id}"
@@ -335,7 +324,6 @@ class WorkerFleet:
     # ------------------------------------------------------------------
     def _abandon(self, job_id: str, future) -> None:
         self.abandoned += 1
-        self.abandoned_total += 1
         self._counters["abandoned"].inc()
         drain = self._loop.create_future()
         self._abandoned_drains[job_id] = drain
@@ -371,17 +359,20 @@ class WorkerFleet:
     def stats(self) -> dict:
         from repro.obs.metrics import latency_summary
 
+        def total(name: str) -> int:
+            return int(self._counters[name].value)
+
         return {
             "pool_size": self.size,
             "busy": self.busy,
             "utilization": round(self.utilization, 4),
-            "started_total": self.started_total,
-            "completed_total": self.completed_total,
-            "failed_total": self.failed_total,
-            "retries_total": self.retries_total,
-            "crashes_total": self.crashes_total,
+            "started_total": total("started"),
+            "completed_total": total("completed"),
+            "failed_total": total("failed"),
+            "retries_total": total("retries"),
+            "crashes_total": total("crashes"),
             "abandoned": self.abandoned,
-            "abandoned_total": self.abandoned_total,
+            "abandoned_total": total("abandoned"),
             "exec_s": latency_summary(self._exec_hist),
         }
 

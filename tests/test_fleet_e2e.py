@@ -261,6 +261,9 @@ def test_node_side_ratelimit_and_misroute_counter(tmp_path):
         assert client.submit(payload)["id"]
         with pytest.raises(QueueFullError) as exc_info:
             client.submit(payload)
+        body = exc_info.value.body
+        assert body["ratelimited"] is True
+        assert body["tenant"] == "t"
         assert exc_info.value.retry_after_s > 0
 
         # A submission stamped for a different node still serves, but

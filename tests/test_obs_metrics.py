@@ -42,6 +42,16 @@ def test_counter_labels_are_independent_series():
     assert family.labels("disk").value == 1
 
 
+def test_counter_total_sums_series_and_creates_none():
+    reg = MetricsRegistry()
+    family = reg.counter("hits_total", "hits", labelnames=("tier",))
+    assert family.total == 0
+    family.labels("memory").inc(3)
+    family.labels("disk").inc()
+    assert family.total == 4
+    assert [labels for labels, _ in family.items()] == [("disk",), ("memory",)]
+
+
 def test_wrong_label_arity_raises():
     reg = MetricsRegistry()
     family = reg.counter("hits_total", "hits", labelnames=("tier",))

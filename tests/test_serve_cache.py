@@ -27,7 +27,8 @@ def test_contains_does_not_move_counters():
     cache.put(KEY, RESULT)
     assert KEY in cache
     assert "0" * 64 not in cache
-    assert cache.hits == 0 and cache.misses == 0
+    stats = cache.stats()
+    assert stats["hits"] == 0 and stats["misses"] == 0
 
 
 def test_disk_tier_survives_restart(tmp_path):
@@ -36,10 +37,10 @@ def test_disk_tier_survives_restart(tmp_path):
     # A second instance (fresh memory tier) warms itself from disk.
     second = ResultCache(cache_dir=str(tmp_path))
     assert second.get(KEY) == RESULT
-    assert second.disk_loads == 1
+    assert second.stats()["disk_loads"] == 1
     # Now in memory: a second get doesn't re-read the file.
     assert second.get(KEY) == RESULT
-    assert second.disk_loads == 1
+    assert second.stats()["disk_loads"] == 1
 
 
 def test_corrupt_disk_entry_is_a_miss(tmp_path):
@@ -48,7 +49,7 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path):
     with open(path, "w") as handle:
         handle.write("{torn json")
     assert cache.get(KEY) is None
-    assert cache.misses == 1
+    assert cache.stats()["misses"] == 1
 
 
 def test_wrong_schema_version_is_a_miss(tmp_path):
@@ -98,9 +99,9 @@ def test_budget_evicts_least_recently_used_first():
     cache = ResultCache(memory_budget_bytes=3 * cost + _SLACK)
     for i in range(3):
         cache.put(_key(i), RESULT)
-    assert cache.evictions == 0
+    assert cache.stats()["evictions"] == 0
     cache.put(_key(3), RESULT)  # over budget: coldest (_key(0)) goes
-    assert cache.evictions == 1
+    assert cache.stats()["evictions"] == 1
     assert cache.get(_key(0)) is None
     assert cache.get(_key(1)) == RESULT
     assert cache.stats()["misses"] == 1
@@ -124,7 +125,7 @@ def test_memory_bytes_never_exceeds_budget():
     for i in range(50):
         cache.put(_key(i), {"fps": 45.75, "refault": i})
         assert cache.memory_bytes <= 1024
-    assert cache.evictions > 0
+    assert cache.stats()["evictions"] > 0
     assert cache.stats()["memory_budget_bytes"] == 1024
 
 
@@ -134,10 +135,10 @@ def test_oversize_entry_is_never_admitted_to_memory(tmp_path):
     cache.put(KEY, big)
     assert cache.entries == 0
     assert cache.memory_bytes == 0
-    assert cache.evictions == 1
+    assert cache.stats()["evictions"] == 1
     # Still served — from the disk tier.
     assert cache.get(KEY) == big
-    assert cache.disk_hits == 1
+    assert cache.stats()["disk_hits"] == 1
 
 
 def test_evicted_entry_reloads_from_disk_as_disk_hit(tmp_path):
@@ -148,7 +149,7 @@ def test_evicted_entry_reloads_from_disk_as_disk_hit(tmp_path):
                         memory_budget_bytes=cost + _SLACK)
     cache.put(_key(0), RESULT)
     cache.put(_key(1), RESULT)  # evicts _key(0) from memory
-    assert cache.evictions == 1
+    assert cache.stats()["evictions"] == 1
     assert cache.get(_key(0)) == RESULT  # disk tier recovers it
     stats = cache.stats()
     assert stats["disk_hits"] == 1
@@ -175,7 +176,7 @@ def test_unbounded_cache_never_evicts():
     cache = ResultCache()  # memory_budget_bytes=None
     for i in range(200):
         cache.put(_key(i % 100), RESULT)
-    assert cache.evictions == 0
+    assert cache.stats()["evictions"] == 0
     assert cache.entries == 100
 
 
@@ -210,7 +211,7 @@ def test_soak_thousand_runs_stays_under_budget(tmp_path):
         docs[key] = doc
         cache.put(key, doc, request={"seed": i})
         assert cache.memory_bytes <= budget
-    assert cache.evictions > 0
+    assert cache.stats()["evictions"] > 0
     assert cache.entries < 1000  # the budget actually bit
     # Every one of the 1,000 results is still served bit-identically.
     for key, doc in docs.items():

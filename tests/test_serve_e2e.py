@@ -276,6 +276,39 @@ def test_sse_keepalive_comment_frames():
         assert float(keepalive_line.split()[1]) >= 2
 
 
+def test_cancelled_job_is_finalized_and_evicted():
+    """A DELETE-cancelled job goes through the one terminal path: it is
+    charged to the job table (and, under a 1-byte budget, evicted to a
+    tombstone) and counted once in its tenant's ``cancelled``."""
+    import asyncio
+
+    config = ServeConfig(
+        port=0, workers=1, job_budget_bytes=1, job_min_retention_s=0.0,
+    )
+    with ServerThread(config) as thread:
+        client = ServeClient(thread.base_url)
+        state = thread.server.state
+        loop = thread._loop
+        # Holding the one worker slot keeps the cancelled job queued.
+        asyncio.run_coroutine_threadsafe(
+            _hold_worker_slot(state), loop
+        ).result(timeout=120.0)
+        try:
+            evicted = client.stats()["retention"]["evicted_total"]
+            job = client.submit({**REQUEST, "seed": 42}, tenant="quitter")
+            assert client.cancel(job["id"])["state"] == "cancelled"
+        finally:
+            loop.call_soon_threadsafe(state._slots.release)
+        with pytest.raises(ServeError) as excinfo:
+            client.get(job["id"])
+        assert excinfo.value.status == 410
+        assert excinfo.value.body["state"] == "cancelled"
+        stats = client.stats()
+        assert stats["retention"]["evicted_total"] == evicted + 1
+        assert stats["queue"]["cancelled_total"] == 1
+        assert stats["tenants"]["quitter"]["cancelled"] == 1
+
+
 def test_progress_rows_all_arrive_before_done(monkeypatch):
     """A streaming run delivers every progress row before ``done``, even
     when its result reaches the server ahead of the rows."""
@@ -289,7 +322,10 @@ def test_progress_rows_all_arrive_before_done(monkeypatch):
         # Forward no row until the fleet holds the job's result, so the
         # result always overtakes the rows.
         deadline = time.monotonic() + 120.0
-        while not self.completed_total and time.monotonic() < deadline:
+        while (
+            not self.stats()["completed_total"]
+            and time.monotonic() < deadline
+        ):
             time.sleep(0.005)
         drain(self)
 

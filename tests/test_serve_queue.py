@@ -124,7 +124,7 @@ def test_cancel_all_sweeps_the_queue():
         swept = queue.cancel_all()
         assert len(swept) == 3
         assert all(job.state == JobState.CANCELLED for job in swept)
-        assert queue.cancelled_total == 3
+        assert queue.stats()["cancelled_total"] == 3
         queue.close()
         assert await queue.pop() is None
 

@@ -80,7 +80,7 @@ def test_gc_evicts_oldest_terminal_jobs_until_budget_holds():
         table.add(job)
         table.note_terminal(job)
     assert table.terminal_bytes <= 10_000
-    assert table.evicted_total > 0
+    assert table.stats()["evicted_total"] > 0
     # Eviction is strictly oldest-first: the survivors are a suffix.
     survivors = [job.id for job in jobs if job.id in table]
     assert survivors == [f"j{i}" for i in range(50 - len(survivors), 50)]
@@ -118,7 +118,7 @@ def test_unbounded_table_never_evicts():
         table.note_terminal(job)
     assert table.gc() == 0
     assert len(table) == 20
-    assert table.evicted_total == 0
+    assert table.stats()["evicted_total"] == 0
 
 
 def test_event_heavy_jobs_cost_more():

@@ -61,7 +61,8 @@ def test_check_consistency_flags_divergence():
                   "cancelled_total": 0},
         "cache": {"hits": 2, "misses": 3, "evictions": 0},
         "workers": {"started_total": 3, "completed_total": 3,
-                    "failed_total": 0},
+                    "failed_total": 0, "retries_total": 1,
+                    "crashes_total": 1, "abandoned_total": 0},
         "retention": {"evicted_total": 0},
     }
     metrics = "\n".join([
@@ -78,6 +79,9 @@ def test_check_consistency_flags_divergence():
         "repro_serve_worker_started_total 3",
         "repro_serve_worker_completed_total 3",
         "repro_serve_worker_failed_total 0",
+        "repro_serve_worker_retries_total 1",
+        "repro_serve_worker_crashes_total 1",
+        "repro_serve_worker_abandoned_total 0",
         "repro_serve_jobs_evicted_total 0",
     ])
     failures = check_consistency(stats, metrics)
