@@ -22,42 +22,48 @@ Quickstart::
     system.install_apps(catalog_apps())
 """
 
-from repro.system import MobileSystem
-from repro.core.ice import IcePolicy
-from repro.core.config import IceConfig
-from repro.policies import (
-    AcclaimPolicy,
-    LruCfsPolicy,
-    ManagementPolicy,
-    PowerFreezerPolicy,
-    UcsgPolicy,
-    available_policies,
-    make_policy,
-)
-from repro.devices import DeviceSpec, get_device, huawei_p20, huawei_p40, pixel3, pixel4
-from repro.apps import catalog_apps, extended_catalog, get_profile
+# Public name -> defining module.  Nothing is imported when the package
+# loads: ``import repro.serve.client`` (or any other submodule) must not
+# pay for the simulator.  A name's module is imported the first time
+# the name is read (PEP 562), so ``from repro import MobileSystem`` still
+# works and costs exactly the modules that name needs.
+_EXPORTS = {
+    "MobileSystem": "repro.system",
+    "IcePolicy": "repro.core.ice",
+    "IceConfig": "repro.core.config",
+    "ManagementPolicy": "repro.policies.base",
+    "LruCfsPolicy": "repro.policies.lru_cfs",
+    "UcsgPolicy": "repro.policies.ucsg",
+    "AcclaimPolicy": "repro.policies.acclaim",
+    "PowerFreezerPolicy": "repro.policies.power_freezer",
+    "available_policies": "repro.policies.registry",
+    "make_policy": "repro.policies.registry",
+    "DeviceSpec": "repro.devices.specs",
+    "get_device": "repro.devices.specs",
+    "pixel3": "repro.devices.specs",
+    "pixel4": "repro.devices.specs",
+    "huawei_p20": "repro.devices.specs",
+    "huawei_p40": "repro.devices.specs",
+    "catalog_apps": "repro.apps.catalog",
+    "extended_catalog": "repro.apps.catalog",
+    "get_profile": "repro.apps.catalog",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MobileSystem",
-    "IcePolicy",
-    "IceConfig",
-    "ManagementPolicy",
-    "LruCfsPolicy",
-    "UcsgPolicy",
-    "AcclaimPolicy",
-    "PowerFreezerPolicy",
-    "available_policies",
-    "make_policy",
-    "DeviceSpec",
-    "get_device",
-    "pixel3",
-    "pixel4",
-    "huawei_p20",
-    "huawei_p40",
-    "catalog_apps",
-    "extended_catalog",
-    "get_profile",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

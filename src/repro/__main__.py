@@ -24,14 +24,20 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from repro.devices.specs import get_device
-from repro.experiments.cpu_utilization import format_table1, table1
-from repro.experiments.overhead import format_overhead
-from repro.experiments.scenarios import BgCase, SCENARIOS, run_scenario
+from repro.bench.options import add_bench_args
+from repro.devices.specs import DEVICES, get_device
+from repro.experiments.cases import BgCase, SCENARIOS
 from repro.policies.registry import available_policies
-from repro.trace.export import write_chrome_trace, write_timeseries
-from repro.trace.tracer import Tracer
+
+if TYPE_CHECKING:
+    from repro.trace.tracer import Tracer
+
+# Building the parser imports only the names above.  Each command
+# imports what it runs (the simulator, the serve plane, the fleet) when
+# it runs, so `repro submit` or `repro coordinator` never loads the
+# simulator.
 
 DEFAULT_SAMPLE_MS = 100.0
 
@@ -40,8 +46,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", default="S-A",
                         choices=sorted(SCENARIOS),
                         help="paper scenario (S-A video call ... S-D game)")
-    parser.add_argument("--device", default="P20",
-                        choices=["Pixel3", "P20", "P40", "Pixel4"])
+    parser.add_argument("--device", default="P20", choices=list(DEVICES))
     parser.add_argument("--bg", type=int, default=None,
                         help="number of cached BG apps (default: paper's)")
     parser.add_argument("--bg-case", default=BgCase.APPS,
@@ -87,6 +92,8 @@ def _emit_result(result, as_json: bool) -> None:
 
 
 def _make_tracer(args: argparse.Namespace) -> Tracer:
+    from repro.trace.tracer import Tracer
+
     kwargs = {}
     if getattr(args, "trace_buffer", None):
         kwargs["capacity"] = args.trace_buffer
@@ -102,6 +109,8 @@ def _tracing_requested(args: argparse.Namespace) -> bool:
 
 
 def _run_one(args: argparse.Namespace, policy: str, tracer) -> object:
+    from repro.experiments.scenarios import run_scenario
+
     return run_scenario(
         args.scenario,
         policy=policy,
@@ -118,6 +127,8 @@ def _run_one(args: argparse.Namespace, policy: str, tracer) -> object:
 def _write_trace_outputs(
     args: argparse.Namespace, tracer, result, trace_path=None, ts_path=None
 ) -> None:
+    from repro.trace.export import write_chrome_trace, write_timeseries
+
     trace_path = trace_path or args.trace_out
     ts_path = ts_path or args.timeseries_out
     if trace_path:
@@ -288,6 +299,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
         return console.run(iterations=args.iterations)
     if args.policy not in available_policies():
         return _unknown_policy(args.policy)
+    from repro.experiments.scenarios import run_scenario
+
     header = " ".join(
         title.rjust(len(fmt.format(0))) for title, _key, fmt in _WATCH_COLUMNS
     )
@@ -525,12 +538,16 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    from repro.experiments.cpu_utilization import format_table1, table1
+
     rows = table1(seconds=args.seconds, rounds=args.rounds)
     print(format_table1(rows))
     return 0
 
 
 def cmd_overhead(_args: argparse.Namespace) -> int:
+    from repro.experiments.overhead import format_overhead
+
     print(format_overhead())
     return 0
 
@@ -617,8 +634,6 @@ def main(argv=None) -> int:
     p_bench = sub.add_parser(
         "bench", help="self-profiling benchmark harness (repro.bench)"
     )
-    from repro.bench.runner import add_bench_args
-
     add_bench_args(p_bench)
     p_bench.set_defaults(func=cmd_bench)
     # Nested, non-required: `repro bench` alone still runs the matrix;

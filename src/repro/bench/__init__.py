@@ -19,31 +19,3 @@ Companion tools:
   consistency into a ``SOAK_<date>.json`` artifact
   (:mod:`repro.bench.soak`) — the CI leak gate.
 """
-
-from repro.bench.compare import compare_docs
-from repro.bench.runner import (
-    BENCH_SCHEMA_VERSION,
-    BenchConfig,
-    run_bench,
-    write_bench_file,
-)
-from repro.bench.soak import (
-    SOAK_SCHEMA_VERSION,
-    SoakConfig,
-    check_consistency,
-    run_soak,
-    write_soak_file,
-)
-
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "BenchConfig",
-    "SOAK_SCHEMA_VERSION",
-    "SoakConfig",
-    "check_consistency",
-    "compare_docs",
-    "run_bench",
-    "run_soak",
-    "write_bench_file",
-    "write_soak_file",
-]

@@ -7,7 +7,8 @@ gate; anything else runs the matrix.
 import argparse
 import sys
 
-from repro.bench.runner import add_bench_args, main
+from repro.bench.options import add_bench_args
+from repro.bench.runner import main
 
 if __name__ == "__main__":
     if len(sys.argv) > 1 and sys.argv[1] == "compare":

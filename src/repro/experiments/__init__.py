@@ -3,6 +3,8 @@
 Each module maps to one or more artifacts of the evaluation (see
 DESIGN.md §3 for the full index):
 
+* :mod:`repro.experiments.cases` — the scenario ids and BG-case names,
+  importable without the simulator (request validation, the CLI).
 * :mod:`repro.experiments.scenarios` — the four §2.2.1 scenario drivers
   plus the BG-case machinery (BG-null / BG-apps / BG-cputester /
   BG-memtester) shared by Figures 1, 2, 8, 9, 10 and Table 5.
@@ -16,21 +18,3 @@ DESIGN.md §3 for the full index):
 * :mod:`repro.experiments.launch_study` — Figure 11.
 * :mod:`repro.experiments.overhead` — §6.4.
 """
-
-from repro.experiments.scenarios import (
-    BgCase,
-    ScenarioResult,
-    SCENARIOS,
-    average_results,
-    run_scenario,
-    run_scenario_rounds,
-)
-
-__all__ = [
-    "BgCase",
-    "ScenarioResult",
-    "SCENARIOS",
-    "run_scenario",
-    "run_scenario_rounds",
-    "average_results",
-]

@@ -23,17 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps.catalog import APP_CATALOG, SCENARIO_APPS, catalog_apps
+from repro.apps.catalog import APP_CATALOG, catalog_apps
 from repro.apps.synthetic import cputester_profile, memtester_profile
 from repro.devices.specs import MIB, DeviceSpec, huawei_p20
+from repro.experiments.cases import BgCase, SCENARIOS
 from repro.policies.registry import make_policy
 from repro.sim.rng import RngStream
 from repro.system import MobileSystem
 from repro.trace.sampler import Sampler
 from repro.trace.tracer import SCENARIO_TID, SYSTEM_PID, Tracer
-
-# Scenario id → foreground application (Table 3 / §2.2.1).
-SCENARIOS: Dict[str, str] = dict(SCENARIO_APPS)
 
 # The paper caches 8 BG apps on the P20 and 6 on the Pixel3 ("to fully
 # fill the memory", §6.1 footnote).
@@ -51,15 +49,6 @@ class _NullPhase:
 
 
 _NULL_PHASE = _NullPhase()
-
-
-class BgCase:
-    NULL = "bg-null"
-    APPS = "bg-apps"
-    CPUTESTER = "bg-cputester"
-    MEMTESTER = "bg-memtester"
-
-    ALL = (NULL, APPS, CPUTESTER, MEMTESTER)
 
 
 @dataclass

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE, MetricsRegistry
-from repro.serve.http import HttpBase, ROUTE_NODE_HEADER
-from repro.serve.queue import priority_class
+from repro.serve.httpbase import HttpBase
+from repro.serve.queue import DEFAULT_TENANT, priority_class
 from repro.serve.spec import SPEC_VERSION, RunRequest
 from repro.fleet.ratelimit import TenantRateLimiter
 from repro.fleet.routing import DEFAULT_VNODES, HashRing
@@ -371,7 +371,7 @@ class Coordinator(HttpBase):
                 writer, 400, {"error": "request body must be a JSON object"}
             )
             return
-        tenant = payload.get("tenant") or "anonymous"
+        tenant = payload.get("tenant") or DEFAULT_TENANT
         try:
             priority = int(payload.get("priority", 10))
         except (TypeError, ValueError):

@@ -52,6 +52,21 @@ class Decision:
     retry_after_s: float = 0.0
 
 
+class RateLimited(Exception):
+    """Tenant bucket empty; maps to 429 + Retry-After.
+
+    Carries the limiter's decision so the transport can surface the
+    exact wait (header and body) instead of a generic backoff hint.
+    """
+
+    def __init__(self, decision: Decision):
+        self.decision = decision
+        super().__init__(
+            f"tenant {decision.tenant!r} rate limited; retry in "
+            f"{decision.retry_after_s:.3f}s"
+        )
+
+
 class TokenBucket:
     """One continuously refilling bucket (float tokens, no timers)."""
 

@@ -4,7 +4,7 @@ The coordinator proxies submissions and polls to nodes, and nodes
 register/heartbeat back to the coordinator — all from inside running
 event loops, where ``urllib`` would block the loop for the duration of
 a worker-bound request.  This module is the asyncio-streams
-counterpart of the plumbing in :mod:`repro.serve.http`: HTTP/1.1, one
+counterpart of the plumbing in :mod:`repro.serve.httpbase`: HTTP/1.1, one
 request per connection (``Connection: close``), JSON bodies only.
 
 It is deliberately not a general HTTP client — no TLS, no redirects,

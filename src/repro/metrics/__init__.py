@@ -1,27 +1,10 @@
 """Measurement utilities shared by experiments and benchmarks.
 
-Re-exports the per-subsystem stat carriers and provides small, typed
-helpers for summary statistics and plain-text table rendering (the
-benchmarks print paper-style tables through these).
+Small, typed helpers for summary statistics (:mod:`repro.metrics.stats`)
+and plain-text table rendering (:mod:`repro.metrics.tables`); the
+benchmarks print paper-style tables through these.  The per-subsystem
+stat carriers live with their subsystems (``FrameStats`` in
+:mod:`repro.android.render`, ``VmStat`` in :mod:`repro.kernel.vmstat`,
+``CpuStats`` in :mod:`repro.sched.cfs`, ``IoStats`` in
+:mod:`repro.storage.block`).
 """
-
-from repro.android.render import FrameStats
-from repro.kernel.vmstat import VmStat
-from repro.metrics.stats import mean, percentile, stddev, summarize
-from repro.metrics.tables import render_table
-from repro.sched.cfs import CpuStats
-from repro.storage.block import IoStats
-from repro.trace.histogram import Histogram
-
-__all__ = [
-    "FrameStats",
-    "VmStat",
-    "CpuStats",
-    "IoStats",
-    "Histogram",
-    "mean",
-    "percentile",
-    "stddev",
-    "summarize",
-    "render_table",
-]

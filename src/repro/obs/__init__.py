@@ -15,48 +15,8 @@
   counters, gauges, log-bucketed latency histograms) with Prometheus
   text exposition, used by the serve control plane's ``GET /metrics``
   endpoint, plus RSS/tracemalloc memory-accounting helpers.
+
+The package imports none of them: the simulator needs only ``psi``
+(and ``procfs``), the control plane only ``metrics``, and each imports
+the submodule it uses.
 """
-
-from repro.obs.metrics import (
-    EXPOSITION_CONTENT_TYPE,
-    CounterFamily,
-    GaugeFamily,
-    HistogramFamily,
-    MetricsRegistry,
-    get_registry,
-    latency_summary,
-    memory_snapshot,
-    read_rss_bytes,
-    validate_exposition,
-)
-from repro.obs.psi import (
-    PSI_UPDATE_MS,
-    PsiEvent,
-    PsiGroup,
-    PsiLine,
-    PsiMonitor,
-    PsiTrigger,
-    StallClock,
-)
-from repro.obs.procfs import ProcFs
-
-__all__ = [
-    "EXPOSITION_CONTENT_TYPE",
-    "CounterFamily",
-    "GaugeFamily",
-    "HistogramFamily",
-    "MetricsRegistry",
-    "PSI_UPDATE_MS",
-    "ProcFs",
-    "PsiEvent",
-    "PsiGroup",
-    "PsiLine",
-    "PsiMonitor",
-    "PsiTrigger",
-    "StallClock",
-    "get_registry",
-    "latency_summary",
-    "memory_snapshot",
-    "read_rss_bytes",
-    "validate_exposition",
-]

@@ -4,24 +4,11 @@
 * ``ucsg`` — user-centric scheduling: FG tasks get priority (DAC'14).
 * ``acclaim`` — FG-aware eviction: BG pages reclaimed preferentially
   (USENIX ATC'20).
-* ``ice`` — the paper's contribution (re-exported from
-  :mod:`repro.core`): refault-driven freezing + memory-aware thawing.
+* ``ice`` — the paper's contribution (:mod:`repro.core.ice`):
+  refault-driven freezing + memory-aware thawing.
 * ``power_freezer`` — power-manager-style freezing for Table 5.
+
+:mod:`repro.policies.registry` maps the paper names to these and
+imports a policy's module only when :func:`make_policy` first needs it,
+so validating a policy name costs no simulator import.
 """
-
-from repro.policies.base import ManagementPolicy
-from repro.policies.lru_cfs import LruCfsPolicy
-from repro.policies.ucsg import UcsgPolicy
-from repro.policies.acclaim import AcclaimPolicy
-from repro.policies.power_freezer import PowerFreezerPolicy
-from repro.policies.registry import available_policies, make_policy
-
-__all__ = [
-    "ManagementPolicy",
-    "LruCfsPolicy",
-    "UcsgPolicy",
-    "AcclaimPolicy",
-    "PowerFreezerPolicy",
-    "available_policies",
-    "make_policy",
-]

@@ -1,31 +1,52 @@
-"""Policy registry: name → factory for all evaluated schemes."""
+"""Policy registry: name → factory for all evaluated schemes.
+
+The built-in factories import their policy's module on first use: a
+policy module imports the simulator's app, page and task types, and
+the names alone are what request validation and the CLI parser need.
+"""
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List
 
-from repro.policies.base import ManagementPolicy
-from repro.policies.lru_cfs import LruCfsPolicy
-from repro.policies.ucsg import UcsgPolicy
-from repro.policies.acclaim import AcclaimPolicy
-from repro.policies.power_freezer import PowerFreezerPolicy
+if TYPE_CHECKING:
+    from repro.policies.base import ManagementPolicy
 
 
-def _ice_factory() -> ManagementPolicy:
-    # Imported lazily to avoid a circular import at package load time.
-    from repro.core.ice import IcePolicy
+# Paper name -> (module, class) of each built-in policy.
+_BUILTINS = {
+    "LRU+CFS": ("repro.policies.lru_cfs", "LruCfsPolicy"),
+    "UCSG": ("repro.policies.ucsg", "UcsgPolicy"),
+    "Acclaim": ("repro.policies.acclaim", "AcclaimPolicy"),
+    "Ice": ("repro.core.ice", "IcePolicy"),
+    "PowerManager": ("repro.policies.power_freezer", "PowerFreezerPolicy"),
+}
 
-    return IcePolicy()
+
+def _builtin(module: str, cls: str) -> Callable[[], ManagementPolicy]:
+    """Factory for ``module.cls()`` that imports ``module`` when called."""
+
+    def factory() -> ManagementPolicy:
+        return getattr(importlib.import_module(module), cls)()
+
+    return factory
 
 
 _REGISTRY: Dict[str, Callable[[], ManagementPolicy]] = {
-    "LRU+CFS": LruCfsPolicy,
-    "UCSG": UcsgPolicy,
-    "Acclaim": AcclaimPolicy,
-    "Ice": _ice_factory,
-    "PowerManager": PowerFreezerPolicy,
+    name: _builtin(module, cls) for name, (module, cls) in _BUILTINS.items()
 }
+
+
+def import_builtin_policies() -> None:
+    """Import every built-in policy's module now instead of on first use.
+
+    A serve node calls this before it forks its pool, so the workers
+    inherit the policies along with the rest of the simulator.
+    """
+    for module, _cls in _BUILTINS.values():
+        importlib.import_module(module)
 
 
 def available_policies() -> List[str]:

@@ -10,33 +10,13 @@ Turns one-shot CLI runs into addressable, deduplicated requests:
 * :mod:`repro.serve.cache`   — content-addressed result store
 * :mod:`repro.serve.retention` — byte-budgeted terminal-job table with
   eviction tombstones (410 Gone)
+* :mod:`repro.serve.httpbase` — request parsing and response encoding
+  shared with the fleet coordinator
 * :mod:`repro.serve.http`    — asyncio HTTP/JSON + SSE API
 * :mod:`repro.serve.client`  — blocking client (`repro submit`)
 * :mod:`repro.serve.testing` — in-process server harness
+
+The package imports none of them, so a client (``repro submit``) loads
+only the client and the request spec.  No module here imports the
+simulator; a node loads it once, just before it forks its worker pool.
 """
-
-from repro.serve.cache import ResultCache
-from repro.serve.client import QueueFullError, ServeClient, ServeError
-from repro.serve.http import ServeConfig, SimulationServer, run_server
-from repro.serve.queue import Job, JobQueue, JobState, QueueFull
-from repro.serve.retention import JobTable
-from repro.serve.spec import RunRequest
-from repro.serve.workers import WorkerCrashed, WorkerFleet
-
-__all__ = [
-    "Job",
-    "JobQueue",
-    "JobState",
-    "JobTable",
-    "QueueFull",
-    "QueueFullError",
-    "ResultCache",
-    "RunRequest",
-    "ServeClient",
-    "ServeConfig",
-    "ServeError",
-    "SimulationServer",
-    "WorkerCrashed",
-    "WorkerFleet",
-    "run_server",
-]

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
-from repro.experiments.scenarios import BgCase, SCENARIOS
+from repro.experiments.cases import BgCase, SCENARIOS
 
 # Bump when the request shape or its semantics change: old cache
 # entries must never be served for a request they no longer describe.

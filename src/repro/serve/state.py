@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.apps.catalog import APP_CATALOG
 from repro.devices.specs import DEVICES
-from repro.fleet.ratelimit import TenantRateLimiter
+from repro.fleet.ratelimit import RateLimited, TenantRateLimiter
 from repro.obs.metrics import (
     MetricsRegistry,
     latency_summary,
@@ -36,6 +36,7 @@ from repro.obs.metrics import (
 )
 from repro.policies.registry import available_policies
 from repro.serve.cache import DEFAULT_MEMORY_BUDGET_BYTES, ResultCache
+from repro.serve.httpbase import SERVER_NAME
 from repro.serve.queue import (
     DEFAULT_TENANT,
     MAX_PRIORITY,
@@ -106,21 +107,6 @@ class ServeConfig:
 
 class BadSubmission(Exception):
     """Malformed submission; the HTTP layer maps it to a 400."""
-
-
-class RateLimited(Exception):
-    """Tenant bucket empty; maps to 429 + Retry-After.
-
-    Carries the limiter's decision so the transport can surface the
-    exact wait (header and body) instead of a generic backoff hint.
-    """
-
-    def __init__(self, decision):
-        self.decision = decision
-        super().__init__(
-            f"tenant {decision.tenant!r} rate limited; retry in "
-            f"{decision.retry_after_s:.3f}s"
-        )
 
 
 class ServerState:
@@ -602,17 +588,12 @@ class ServerState:
         )
         doc = {
             "status": "draining" if self.draining else "ok",
-            "server": self.server_name(),
+            "server": SERVER_NAME,
             "uptime_s": round(uptime, 3),
         }
         if self.config.node_id is not None:
             doc["node_id"] = self.config.node_id
         return doc
-
-    def server_name(self) -> str:
-        from repro.serve.http import SERVER_NAME
-
-        return SERVER_NAME
 
     def stats(self) -> dict:
         states = self.table.state_counts()

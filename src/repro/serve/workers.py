@@ -84,9 +84,8 @@ def execute_request(payload) -> dict:
     protocol drift.
     """
     job_id, request_dict, progress_interval_ms = payload
-    # Imported here so the parent's import graph stays light and the
-    # worker pays the simulator import cost once per process, not once
-    # per job.
+    # Imported here so that importing this module loads no simulator;
+    # a forked worker inherited it from the node (see ``_build_pool``).
     from repro.devices.specs import get_device
     from repro.experiments.scenarios import run_scenario
 
@@ -221,6 +220,15 @@ class WorkerFleet:
         self._drain_thread.start()
 
     def _build_pool(self) -> None:
+        # Nothing else in the serve plane imports the simulator.  Import
+        # it here, once, with every built-in policy, so the workers
+        # forked below inherit it: a worker importing it itself would
+        # hold the event loop thread, which waits for the warm-up on
+        # every pool rebuild.
+        import repro.experiments.scenarios  # noqa: F401
+        from repro.policies.registry import import_builtin_policies
+
+        import_builtin_policies()
         self._pool = ProcessPoolExecutor(
             max_workers=self.size,
             initializer=_init_worker,
@@ -231,7 +239,8 @@ class WorkerFleet:
         # and a fork duplicates every open fd — a worker forked while a
         # client connection is live would hold that socket open forever
         # after the server closes its copy (the peer never sees EOF).
-        # Eager warmup also pre-imports the simulator per worker.
+        # Under a start method that does not fork, the warm-up is also
+        # where each worker imports the simulator.
         _futures_wait([self._pool.submit(_warmup) for _ in range(self.size)])
 
     def _rebuild_pool(self, broken: ProcessPoolExecutor) -> None:

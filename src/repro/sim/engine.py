@@ -221,6 +221,11 @@ class Simulator:
                 heappush(heap, (when, seq, event))
                 self._live += 1
 
+        # Engine-event traces name an event after its callback; without
+        # this every periodic would read "tick".  Only the name is
+        # copied: ``__module__`` still marks the closure as the engine's
+        # re-arm wrapper.
+        tick.__name__ = getattr(fn, "__name__", None) or type(fn).__name__
         handle._current = self.schedule(
             interval if first_delay is None else first_delay, tick
         )

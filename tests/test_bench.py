@@ -5,13 +5,13 @@ import json
 
 import pytest
 
-from repro.bench import (
+from repro.bench import compare
+from repro.bench.runner import (
     BENCH_SCHEMA_VERSION,
     BenchConfig,
     run_bench,
     write_bench_file,
 )
-from repro.bench import compare
 
 # Machine-dependent cell fields; everything else must be deterministic.
 _PERF_KEYS = {"wall_s", "events_per_sec", "sim_ms_per_wall_s"}

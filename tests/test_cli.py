@@ -1,11 +1,50 @@
 """Tests for the `python -m repro` CLI."""
 
 import json
+import re
 
 import pytest
 
 from repro.__main__ import main
+from repro.devices.specs import DEVICES
 from repro.policies.registry import available_policies
+
+COMMANDS = (
+    "scenario", "compare", "trace", "dump", "watch", "bench", "serve",
+    "coordinator", "loadtest", "submit", "table1", "overhead",
+)
+
+
+def _help_text(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command(capsys):
+    usage = _help_text(["--help"], capsys)
+    listed = re.search(r"\{([^}]*)\}", usage).group(1).split(",")
+    assert sorted(listed) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, "--help"] for command in COMMANDS]
+    + [["bench", "compare", "--help"]],
+    ids=lambda argv: " ".join(argv[:-1]),
+)
+def test_every_command_parser_builds(argv, capsys):
+    # Commands import what they run lazily; this keeps every parser
+    # (and everything it imports at parse time) exercised.
+    assert "usage:" in _help_text(argv, capsys)
+
+
+@pytest.mark.parametrize("command", ["scenario", "submit", "bench"])
+def test_device_choices_come_from_the_device_table(command, capsys):
+    assert "{" + ",".join(DEVICES) + "}" in _help_text(
+        [command, "--help"], capsys
+    )
 
 
 def test_overhead_command(capsys):

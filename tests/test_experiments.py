@@ -8,7 +8,12 @@ import pytest
 
 from repro.apps.catalog import catalog_apps
 from repro.devices.specs import huawei_p20
-from repro.experiments import BgCase, SCENARIOS, average_results, run_scenario
+from repro.experiments.scenarios import (
+    BgCase,
+    SCENARIOS,
+    average_results,
+    run_scenario,
+)
 from repro.experiments.cpu_utilization import measure_cpu_utilization
 from repro.experiments.launch_study import launch_study, worst_case_hot_launch
 from repro.experiments.overhead import (

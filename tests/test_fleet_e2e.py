@@ -19,6 +19,7 @@ from repro.fleet.testing import CoordinatorThread, FleetNodeThread
 from repro.obs.metrics import family_total, parse_samples
 from repro.serve.client import QueueFullError, ServeClient
 from repro.serve.http import ServeConfig
+from repro.serve.queue import DEFAULT_TENANT
 from repro.serve.testing import ServerThread
 
 
@@ -243,6 +244,35 @@ def test_coordinator_ratelimits_with_retry_after(tmp_path):
             assert family_total(
                 parse_samples(text), "repro_fleet_ratelimited_total"
             ) == 2
+        finally:
+            node.stop(timeout_s=15.0)
+
+
+def test_untagged_submission_is_one_tenant_fleet_wide(tmp_path):
+    # The coordinator's limiter and the node's accounting must name an
+    # untagged submission alike, or one client's traffic shows up as two
+    # tenants in the two /v1/stats documents.
+    store = tmp_path / "store"
+    store.mkdir()
+    with CoordinatorThread(CoordinatorConfig(
+        port=0, heartbeat_timeout_s=5.0, sweep_interval_s=1.0,
+        ratelimit_rps=50.0,
+    )) as coord:
+        node = FleetNodeThread(
+            _node_config(store, "n1"), coord.base_url,
+            heartbeat_interval_s=0.2,
+        ).start()
+        try:
+            client = ServeClient(coord.base_url)
+            _wait_for_nodes(client, 1)
+            job = client.submit({
+                "scenario": "S-A", "bg_case": "bg-null",
+                "seconds": 1.0, "seed": 41,
+            })
+            client.wait(job["id"], timeout_s=120.0)
+            coordinator_tenants = set(client.stats()["ratelimit"]["tenants"])
+            node_tenants = set(ServeClient(node.base_url).stats()["tenants"])
+            assert coordinator_tenants == node_tenants == {DEFAULT_TENANT}
         finally:
             node.stop(timeout_s=15.0)
 

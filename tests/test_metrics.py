@@ -61,7 +61,7 @@ def test_summarize_empty():
 
 
 def test_summarize_delegates_to_histogram():
-    from repro.metrics import Histogram
+    from repro.trace.histogram import Histogram
 
     hist = Histogram()
     for value in (1.0, 2.0, 4.0, 8.0):

@@ -4,14 +4,11 @@ import pytest
 
 from repro.apps.catalog import get_profile
 from repro.core.ice import IcePolicy
-from repro.policies import (
-    AcclaimPolicy,
-    LruCfsPolicy,
-    PowerFreezerPolicy,
-    UcsgPolicy,
-    available_policies,
-    make_policy,
-)
+from repro.policies.acclaim import AcclaimPolicy
+from repro.policies.lru_cfs import LruCfsPolicy
+from repro.policies.power_freezer import PowerFreezerPolicy
+from repro.policies.registry import available_policies, make_policy
+from repro.policies.ucsg import UcsgPolicy
 from repro.system import MobileSystem
 
 from tests.conftest import make_small_spec
@@ -42,9 +39,9 @@ def first_page(system, package):
 # Registry
 # ----------------------------------------------------------------------
 def test_registry_names_match_paper():
-    assert set(available_policies()) == {
+    assert available_policies() == [
         "LRU+CFS", "UCSG", "Acclaim", "Ice", "PowerManager",
-    }
+    ]
 
 
 def test_registry_instantiates_each():

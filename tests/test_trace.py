@@ -144,6 +144,18 @@ def test_engine_events_gated():
     assert tracer.events[0].cat == "engine"
 
 
+def test_engine_events_name_periodic_callbacks():
+    # A periodic firing runs the engine's re-arm closure; the event must
+    # still carry the callback's own name, or every periodic reads "tick".
+    from repro.experiments.scenarios import BgCase, run_scenario
+
+    tracer = Tracer(engine_events=True)
+    run_scenario("S-A", policy="Ice", bg_case=BgCase.NULL, seconds=1.0,
+                 settle_s=0.0, tracer=tracer)
+    names = {event.name for event in tracer.events if event.cat == "engine"}
+    assert {"_sched_tick", "_on_vsync", "_issue_bursts", "_psi_tick"} <= names
+
+
 # ----------------------------------------------------------------------
 # Histogram
 # ----------------------------------------------------------------------
