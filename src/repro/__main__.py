@@ -16,6 +16,7 @@ Examples::
     python -m repro coordinator --port 8090 --ratelimit-rps 50
     python -m repro serve --port 8081 --node-id n1 --coordinator http://127.0.0.1:8090
     python -m repro loadtest --url http://127.0.0.1:8090 --requests 200
+    python -m repro loadtest --soak 30 --requests 10000 --duplicate-fraction 1
 """
 
 from __future__ import annotations
@@ -453,7 +454,7 @@ def cmd_coordinator(args: argparse.Namespace) -> int:
 
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
-    """Replay a synthetic RunRequest mix; emit LOADTEST_<date>.json."""
+    """Replay a synthetic RunRequest mix or soak a node; emit the artifact."""
     from repro.fleet.loadtest import main as loadtest_main
 
     return loadtest_main(args)
@@ -760,13 +761,25 @@ def main(argv=None) -> int:
     p_loadtest = sub.add_parser(
         "loadtest",
         help="replay a synthetic RunRequest mix against a coordinator "
-             "or node; emit a schema-versioned LOADTEST_<date>.json",
+             "or node, or soak an in-process node; emit a "
+             "schema-versioned LOADTEST_<date>.json",
     )
-    p_loadtest.add_argument("--url", default="http://127.0.0.1:8090",
-                            help="coordinator or node base URL")
-    p_loadtest.add_argument("--requests", type=int, default=200, metavar="N")
-    p_loadtest.add_argument("--concurrency", type=int, default=8, metavar="N",
-                            help="closed-loop client threads")
+    target = p_loadtest.add_mutually_exclusive_group()
+    target.add_argument("--url", default="http://127.0.0.1:8090",
+                        help="coordinator or node base URL")
+    target.add_argument("--soak", type=float, default=None,
+                        metavar="SECONDS",
+                        help="instead of --url, boot a node in this "
+                             "process and hold the main level for at "
+                             "least this long, sampling RSS and "
+                             "accounting invariants between submissions")
+    p_loadtest.add_argument("--requests", type=int, default=200, metavar="N",
+                            help="requests in the main level (a soak's "
+                                 "minimum submissions)")
+    p_loadtest.add_argument("--concurrency", type=int, default=None,
+                            metavar="N",
+                            help="closed-loop client threads (default 8; "
+                                 "a soak runs 1)")
     p_loadtest.add_argument("--seed", type=int, default=42,
                             help="mix generator seed (same seed, same mix)")
     p_loadtest.add_argument("--tenants", default=None, metavar="A,B,C",
@@ -787,6 +800,21 @@ def main(argv=None) -> int:
     p_loadtest.add_argument("--out", default=None, metavar="PATH",
                             help="artifact path "
                                  "(default: LOADTEST_<date>.json)")
+    soak = p_loadtest.add_argument_group("soak (with --soak)")
+    soak.add_argument("--soak-sample-every", type=int, default=250,
+                      metavar="N",
+                      help="sample memory/consistency every N submissions")
+    soak.add_argument("--soak-fault-every", type=int, default=0,
+                      metavar="N",
+                      help="every N submissions SIGKILL the node's pool "
+                           "worker and check that a cache-miss probe "
+                           "completes through the rebuilt pool (0 = off)")
+    soak.add_argument("--soak-max-drift-pct", type=float, default=None,
+                      metavar="PCT",
+                      help="fail if post-warmup RSS drift exceeds ±PCT")
+    soak.add_argument("--job-budget-mb", type=float, default=1.0,
+                      metavar="MB",
+                      help="the node's terminal-job retention budget")
     p_loadtest.set_defaults(func=cmd_loadtest)
 
     p_submit = sub.add_parser(

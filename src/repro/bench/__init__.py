@@ -14,8 +14,7 @@ Companion tools:
 * ``python -m repro bench compare OLD NEW`` diffs two artifacts and
   exits nonzero on regression (:mod:`repro.bench.compare`) — the CI
   perf gate.
-* ``--soak SECONDS`` boots a live serve-plane server and holds it under
-  sustained mixed-tenant traffic, sampling RSS and stats/metrics
-  consistency into a ``SOAK_<date>.json`` artifact
-  (:mod:`repro.bench.soak`) — the CI leak gate.
+
+The serve plane's leak gate is a soak run by
+``repro loadtest --soak SECONDS`` (:mod:`repro.fleet.loadtest`).
 """

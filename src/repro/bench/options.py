@@ -41,29 +41,3 @@ def add_bench_args(parser: argparse.ArgumentParser) -> None:
                              "and embed them in the artifact")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="artifact path (default: BENCH_<date>.json)")
-    soak = parser.add_argument_group(
-        "soak mode",
-        "drive a live serve-plane server with sustained traffic and "
-        "sample RSS + accounting invariants (repro.bench.soak)",
-    )
-    soak.add_argument("--soak", type=float, default=None, metavar="SECONDS",
-                      help="run the control-plane soak for at least this "
-                           "many seconds instead of the simulator matrix")
-    soak.add_argument("--soak-submissions", type=int, default=2000,
-                      metavar="N",
-                      help="minimum submissions before the soak may stop")
-    soak.add_argument("--soak-sample-every", type=int, default=250,
-                      metavar="N",
-                      help="sample memory/consistency every N submissions")
-    soak.add_argument("--soak-fault-every", type=int, default=0,
-                      metavar="N",
-                      help="every N submissions SIGKILL one pool worker "
-                           "and verify a cache-miss probe still completes "
-                           "through the rebuilt pool (0 = off)")
-    soak.add_argument("--soak-max-drift-pct", type=float, default=None,
-                      metavar="PCT",
-                      help="fail if post-warmup RSS drift exceeds ±PCT")
-    soak.add_argument("--job-budget-mb", type=float, default=None,
-                      metavar="MB",
-                      help="terminal-job retention budget for the soak "
-                           "server (default 1 MB)")

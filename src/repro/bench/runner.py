@@ -322,10 +322,6 @@ def config_from_args(args: argparse.Namespace) -> BenchConfig:
 
 
 def main(args: argparse.Namespace) -> int:
-    if getattr(args, "soak", None) is not None:
-        from repro.bench import soak
-
-        return soak.main(args)
     config = config_from_args(args)
 
     def progress(cell: Dict[str, object]) -> None:

@@ -15,10 +15,12 @@ one cache), this package scales it out:
   jobs of an evicted node.
 * :mod:`repro.fleet.node` — a :class:`~repro.serve.http.SimulationServer`
   plus the registration/heartbeat loop that makes it a fleet member.
-* :mod:`repro.fleet.loadtest` — ``repro loadtest``: replays synthetic
-  ``RunRequest`` mixes against a coordinator or single node and emits
-  a schema-versioned ``LOADTEST_<date>.json`` artifact cross-checked
-  against an M/M/k processor-sharing queue model.
+* :mod:`repro.fleet.loadtest` — ``repro loadtest``, the one load
+  generator: replays synthetic ``RunRequest`` mixes against a
+  coordinator or single node, or soaks a node it boots in-process
+  (RSS, accounting and worker-kill checks between submissions), and
+  emits a schema-versioned ``LOADTEST_<date>.json`` artifact
+  cross-checked against an M/M/k processor-sharing queue model.
 
 Everything is stdlib-only, like the serve plane it grows out of.
 Submodules are imported lazily by their users so ``import repro.fleet``

@@ -1,7 +1,7 @@
 """Blocking HTTP client for the serve control plane.
 
-Used by ``python -m repro submit``, the test suite, the fleet
-loadtest generator, and anything else that wants a simulation result
+Used by ``python -m repro submit``, the test suite, ``repro loadtest``
+(soaks included), and anything else that wants a simulation result
 without speaking HTTP by hand.  One plain :mod:`http.client`
 connection per call keeps the client free of state and safe to use
 from any thread.

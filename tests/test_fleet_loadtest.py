@@ -1,33 +1,39 @@
 """Loadtest internals: mix determinism, percentiles, knee, M/M/k model."""
 
+import random
+from itertools import islice
+
 import pytest
 
 from repro.fleet.loadtest import (
+    _KEEP,
     LoadtestConfig,
-    _latency_doc,
-    _percentile,
     _priority_class,
+    _Samples,
     find_knee,
     generate_mix,
     mmk_model,
 )
+from repro.metrics.stats import percentile
+
+
+def take(config, count, salt=""):
+    return list(islice(generate_mix(config, salt=salt), count))
 
 
 # ----------------------------------------------------------------------
 # Mix generation
 # ----------------------------------------------------------------------
 def test_mix_is_deterministic_per_seed():
-    config = LoadtestConfig(requests=50, seed=7)
-    assert generate_mix(config) == generate_mix(config)
-    assert generate_mix(config) != generate_mix(
-        LoadtestConfig(requests=50, seed=8)
-    )
+    config = LoadtestConfig(seed=7)
+    assert take(config, 50) == take(config, 50)
+    assert take(config, 50) != take(LoadtestConfig(seed=8), 50)
 
 
 def test_mix_salt_uniquifies_sweep_levels():
-    config = LoadtestConfig(requests=30, seed=7)
-    plain = generate_mix(config)
-    salted = generate_mix(config, salt="sweep-4")
+    config = LoadtestConfig(seed=7)
+    plain = take(config, 30)
+    salted = take(config, 30, salt="sweep-4")
     seeds = {p["seed"] for p in plain}
     salted_seeds = {p["seed"] for p in salted}
     assert seeds.isdisjoint(salted_seeds)
@@ -35,10 +41,9 @@ def test_mix_salt_uniquifies_sweep_levels():
 
 def test_mix_contains_duplicates_and_valid_fields():
     config = LoadtestConfig(
-        requests=200, seed=3, duplicate_fraction=0.5,
-        tenants=("a", "b"),
+        seed=3, duplicate_fraction=0.5, tenants=("a", "b"),
     )
-    mix = generate_mix(config)
+    mix = take(config, 200)
     assert len(mix) == 200
     # Duplicate fraction 0.5 must produce real duplicate content
     # addresses (tenant/priority are options, not content).
@@ -54,20 +59,37 @@ def test_mix_contains_duplicates_and_valid_fields():
 # ----------------------------------------------------------------------
 # Statistics helpers
 # ----------------------------------------------------------------------
-def test_percentiles_nearest_rank():
-    samples = sorted(float(i) for i in range(1, 101))
-    assert _percentile(samples, 0.50) == 50.0
-    assert _percentile(samples, 0.95) == 95.0
-    assert _percentile(samples, 0.99) == 99.0
-    assert _percentile([4.2], 0.99) == 4.2
-    assert _percentile([], 0.5) == 0.0
+def test_level_percentiles_are_the_stats_percentiles():
+    samples = [0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.05, 1.4]
+    level = _Samples(random.Random(1))
+    for value in samples:
+        level.add(value)
+    doc = level.doc()
+    assert doc["count"] == len(samples)
+    mean = sum(samples) / len(samples)
+    assert doc["mean_s"] == pytest.approx(mean, abs=1e-4)
+    for q in (50, 95, 99):
+        assert doc[f"p{q}_s"] == round(percentile(samples, q), 4)
 
 
 def test_latency_doc_shape():
-    doc = _latency_doc([0.3, 0.1, 0.2])
+    level = _Samples(random.Random(1))
+    for value in (0.3, 0.1, 0.2):
+        level.add(value)
+    doc = level.doc()
     assert doc["count"] == 3
     assert doc["p50_s"] == 0.2
     assert doc["mean_s"] == pytest.approx(0.2)
+
+
+def test_level_samples_stay_bounded():
+    level = _Samples(random.Random(1))
+    for value in range(10 * _KEEP):
+        level.add(float(value))
+    assert len(level.values) == _KEEP
+    assert level.count == 10 * _KEEP
+    # A uniform sample of 0..9999 has its median near the middle.
+    assert 3000 < level.doc()["p50_s"] < 7000
 
 
 def test_priority_class_mapping():

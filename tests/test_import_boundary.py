@@ -80,8 +80,9 @@ def under(modules: set, packages) -> list:
     "import repro.fleet.coordinator",
     "import repro.serve.client",
     "import repro.serve.http",
+    "import repro.fleet.loadtest",
     BUILD_CLI_PARSER,
-], ids=["coordinator", "client", "http", "cli-parser"])
+], ids=["coordinator", "client", "http", "loadtest", "cli-parser"])
 def test_control_plane_does_not_import_the_simulator(code):
     assert under(loaded_after(code), SIMULATOR) == []
 

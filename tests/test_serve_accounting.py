@@ -12,8 +12,8 @@ import asyncio
 
 import pytest
 
-from repro.bench.soak import CONSISTENCY_PAIRS
 from repro.fleet.coordinator import Coordinator, CoordinatorConfig
+from repro.fleet.loadtest import CONSISTENCY_PAIRS
 from repro.serve.http import ServeConfig
 from repro.serve.state import ServerState
 

@@ -553,7 +553,7 @@ def test_out_of_range_priority_is_400(client):
 def test_stats_totals_exactly_match_metrics_counters(client):
     import time
 
-    from repro.bench.soak import check_consistency
+    from repro.fleet.loadtest import check_consistency
 
     client.run(REQUEST, timeout_s=120.0)
     client.run({**REQUEST, "seed": 61}, timeout_s=120.0)

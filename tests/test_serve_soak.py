@@ -1,56 +1,108 @@
-"""Short in-process soak: the CI-sized version of `repro bench --soak`.
+"""Short in-process soak: the CI-sized version of `repro loadtest --soak`.
 
-A real server takes a few hundred sustained submissions while the
-harness samples RSS, retention budgets, and stats/metrics consistency.
-The full 10k+ soak runs in CI's soak-smoke job; this keeps the same
-invariants under pytest at a size that fits the tier-1 budget.
+A real node booted by the loadtest takes a few hundred sustained
+submissions while the loadtest samples RSS, retention budgets, and
+stats/metrics consistency.  The full 10k+ soak runs in CI's soak-smoke
+job; this keeps the same invariants under pytest at a size that fits
+the tier-1 budget.
 """
 
-from repro.bench.soak import (
-    SOAK_SCHEMA_VERSION,
-    SoakConfig,
+import dataclasses
+import json
+
+import pytest
+
+from repro.fleet.loadtest import (
+    SCHEMA_VERSION,
+    LoadtestConfig,
     check_consistency,
-    run_soak,
-    write_soak_file,
+    run_loadtest,
+    write_report,
 )
+from repro.serve.http import ServeConfig
+from repro.serve.testing import ServerThread
 
 
-def test_short_soak_holds_every_invariant(tmp_path):
-    config = SoakConfig(
+@pytest.fixture(scope="module")
+def soak_doc():
+    return run_loadtest(LoadtestConfig(
         duration_s=2.0,
-        min_submissions=400,
-        workers=1,
-        warm_pool=3,
+        requests=400,
+        concurrency=1,
+        duplicate_fraction=1.0,
         job_budget_bytes=64 * 1024,
         sample_every=100,
-        probe_ids=3,
-    )
-    doc = run_soak(config)
-    summary = doc["summary"]
+    ))
 
-    assert doc["schema_version"] == SOAK_SCHEMA_VERSION
-    assert summary["submissions"] >= 400
+
+def test_short_soak_holds_every_invariant(soak_doc, tmp_path):
+    doc = soak_doc
+    soak = doc["soak"]["summary"]
+
+    assert doc["schema_version"] == SCHEMA_VERSION
+    assert doc["results"]["requests"] >= 400
     # The invariants the CI gate enforces at 10k submissions:
-    assert summary["consistency_failures"] == []
-    assert summary["tombstone_404s"] == 0
-    assert summary["budget_over_bytes_max"] == 0
+    assert soak["consistency_failures"] == []
+    assert soak["tombstone_404s"] == 0
+    assert soak["budget_over_bytes_max"] == 0
     # Retention actually cycled (evictions happened) under the budget.
-    assert summary["evicted_total"] > 0
-    assert summary["baseline_rss_bytes"] > 0
+    assert soak["evicted_total"] > 0
+    assert soak["baseline_rss_bytes"] > 0
 
     # Samples carry the charted series.
-    assert len(doc["samples"]) >= 3
-    for sample in doc["samples"]:
+    assert len(doc["soak"]["samples"]) >= 3
+    for sample in doc["soak"]["samples"]:
         assert sample["rss_bytes"] > 0
         assert sample["retention"]["terminal_bytes"] <= 64 * 1024
         assert sample["consistency_failures"] == []
 
     # The artifact is valid JSON on disk.
-    out = write_soak_file(doc, str(tmp_path / "SOAK_test.json"))
-    import json
-
+    out = write_report(doc, str(tmp_path / "SOAK_test.json"))
     with open(out) as handle:
-        assert json.load(handle)["summary"]["submissions"] >= 400
+        assert json.load(handle)["results"]["requests"] >= 400
+
+
+def test_artifact_records_every_config_field(soak_doc):
+    fields = {f.name for f in dataclasses.fields(LoadtestConfig)}
+    assert set(soak_doc["config"]) == fields
+    assert soak_doc["config"]["job_budget_bytes"] == 64 * 1024
+    assert soak_doc["config"]["fault_every"] == 0
+
+
+def test_soak_and_loadtest_share_one_schema(soak_doc):
+    with ServerThread(ServeConfig(port=0, workers=1)) as node:
+        doc = run_loadtest(LoadtestConfig(
+            base_url=node.base_url, requests=3, concurrency=1,
+            duplicate_fraction=1.0,
+        ))
+    assert doc["results"]["completed"] == 3
+    assert doc["soak"] is None
+    assert set(doc) == set(soak_doc)
+    assert doc["schema_version"] == soak_doc["schema_version"]
+
+
+def test_coinciding_cadences_sample_once_per_boundary():
+    # A fault probe is a submission, so every fault lands the count one
+    # past a sample boundary; the sample due there must still be taken.
+    doc = run_loadtest(LoadtestConfig(
+        duration_s=0.0,
+        requests=60,
+        concurrency=1,
+        duplicate_fraction=1.0,
+        sample_every=10,
+        fault_every=20,
+    ))
+    soak = doc["soak"]["summary"]
+    boundaries = [s["submissions"] // 10 for s in doc["soak"]["samples"]]
+    assert boundaries == list(range(7))
+    assert soak["faults_injected"] == 2
+    assert soak["fault_probes_done"] == 2
+    assert soak["consistency_failures"] == []
+
+
+def test_a_soak_runs_one_client():
+    with pytest.raises(ValueError, match="one client"):
+        LoadtestConfig(duration_s=1.0, concurrency=2)
 
 
 def test_check_consistency_flags_divergence():
