@@ -1,16 +1,17 @@
 """Perf-regression gate: diff two BENCH artifacts.
 
-``python -m repro bench compare OLD NEW`` pairs up matrix cells by
-their identity key and checks every metric against a tolerance:
+``repro bench compare OLD NEW`` pairs up matrix cells by their identity
+key and applies one rule: every paper metric (fps, refaults, RIA, ...)
+must match exactly.  The simulator is seeded, so any drift means
+behaviour changed; it is a regression and fails the gate.  Perf metrics
+(wall_s, events_per_sec, sim_ms_per_wall_s) measure the host as much as
+the code, so a cell more than a quarter slower is only a note.
 
-* **Paper metrics** (fps, refaults, RIA, ...) are *determinism*
-  checks — the simulator is seeded, so any drift means behaviour
-  changed.  Default tolerance is exact; ``--rel-tol`` loosens it for
-  cross-machine comparisons of float-derived fields.  Violations are
-  regressions and fail the gate.
-* **Perf metrics** (wall_s, events_per_sec, RSS) measure the machine
-  as much as the code.  They are reported, and only fail the gate when
-  ``--fail-on-perf`` is given (with its own, looser tolerance).
+When both artifacts carry a work ledger (schema 4), the gate also
+prints each package's Python and C call counts over the cells both
+hold, old against new.  Counts are exact on any host, but they depend
+on the interpreter version, so the gate says when ``host.python``
+differs.  They are information, never a failure.
 
 Exit codes: 0 clean, 1 regression(s), 2 usage/shape error — so CI can
 wire the gate as a plain job step.
@@ -53,12 +54,14 @@ PAPER_METRICS = (
     "psi_cpu_some_total_us",
 )
 
-# Machine-dependent measurements: informational unless --fail-on-perf.
+# Machine-dependent measurements: drift here is only a note.
 PERF_METRICS = (
     "wall_s",
     "events_per_sec",
     "sim_ms_per_wall_s",
 )
+# A cell this much slower on a perf metric gets a note.
+PERF_NOTE_FRAC = 0.25
 
 
 class CompareError(ValueError):
@@ -72,11 +75,6 @@ def cell_key(cell: Dict[str, object]) -> Tuple:
         raise CompareError(f"cell is missing identity field {exc}") from exc
 
 
-def _exceeds(old: float, new: float, rel_tol: float, abs_tol: float) -> bool:
-    """True when |new - old| is outside max(abs_tol, rel_tol * |old|)."""
-    return abs(new - old) > max(abs_tol, rel_tol * abs(old))
-
-
 def load_artifact(path: str) -> Dict[str, object]:
     with open(path) as handle:
         doc = json.load(handle)
@@ -86,19 +84,13 @@ def load_artifact(path: str) -> Dict[str, object]:
 
 
 def compare_docs(
-    old: Dict[str, object],
-    new: Dict[str, object],
-    rel_tol: float = 0.0,
-    abs_tol: float = 0.0,
-    perf_rel_tol: float = 0.25,
-    fail_on_perf: bool = False,
+    old: Dict[str, object], new: Dict[str, object]
 ) -> Dict[str, List[Dict[str, object]]]:
     """Diff two artifact documents.
 
     Returns ``{"regressions": [...], "perf_notes": [...],
     "missing": [...]}``.  ``regressions`` non-empty means the gate
-    fails; ``perf_notes`` are promoted into regressions when
-    ``fail_on_perf`` is set.
+    fails: a paper metric differs, or a cell or metric is missing.
     """
     old_cells = {cell_key(c): c for c in old["runs"]}
     new_cells = {cell_key(c): c for c in new["runs"]}
@@ -120,9 +112,7 @@ def compare_docs(
                     {"cell": label, "problem": f"NEW lacks metric {metric}"}
                 )
                 continue
-            old_val = float(old_cell[metric])
-            new_val = float(new_cell[metric])
-            if _exceeds(old_val, new_val, rel_tol, abs_tol):
+            if float(old_cell[metric]) != float(new_cell[metric]):
                 regressions.append(
                     {
                         "cell": label,
@@ -137,23 +127,19 @@ def compare_docs(
                 continue
             old_val = float(old_cell[metric])
             new_val = float(new_cell[metric])
-            # Only slower counts against the gate: less wall per event
-            # or more events per second is an improvement.
+            # Only slower earns a note: less wall per event or more
+            # events per second is an improvement.
             slower = (
                 new_val > old_val if metric == "wall_s" else new_val < old_val
             )
-            if slower and _exceeds(old_val, new_val, perf_rel_tol, 0.0):
-                note = {
+            if slower and abs(new_val - old_val) > PERF_NOTE_FRAC * abs(old_val):
+                perf_notes.append({
                     "cell": label,
                     "metric": metric,
                     "old": old_cell[metric],
                     "new": new_cell[metric],
                     "kind": "perf",
-                }
-                if fail_on_perf:
-                    regressions.append(note)
-                else:
-                    perf_notes.append(note)
+                })
     for key in new_cells:
         if key not in old_cells:
             label = "/".join(str(part) for part in key)
@@ -183,50 +169,73 @@ def _render(entries: Iterable[Dict[str, object]], stream) -> None:
             )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench compare",
-        description="Diff two BENCH artifacts; exit nonzero on regression.",
-    )
-    parser.add_argument("old", help="baseline BENCH json")
-    parser.add_argument("new", help="candidate BENCH json")
-    parser.add_argument("--rel-tol", type=float, default=0.0,
-                        help="relative tolerance for paper metrics "
-                             "(default exact)")
-    parser.add_argument("--abs-tol", type=float, default=0.0,
-                        help="absolute tolerance for paper metrics")
-    parser.add_argument("--perf-rel-tol", type=float, default=0.25,
-                        help="relative tolerance for perf metrics "
-                             "(default 0.25; they depend on the machine)")
-    parser.add_argument("--fail-on-perf", action="store_true",
-                        help="perf drift beyond tolerance fails the gate "
-                             "instead of warning")
-    return parser
+def ledger_totals(
+    old: Dict[str, object], new: Dict[str, object]
+) -> Optional[Dict[str, object]]:
+    """Per-package call counts, old and new, over the cells both ledgers
+    hold; None when either artifact has no ledger.
+
+    Returns ``{"cells": n, "packages": {package: {"python": [old, new],
+    "c": [old, new]}}}``.
+    """
+    if "ledger" not in old or "ledger" not in new:
+        return None
+    old_cells = {cell_key(c): c for c in old["ledger"]["cells"]}
+    pairs = [
+        (old_cells[cell_key(c)], c)
+        for c in new["ledger"]["cells"] if cell_key(c) in old_cells
+    ]
+    packages: Dict[str, Dict[str, List[int]]] = {}
+    for pair in pairs:
+        for side, cell in enumerate(pair):
+            for kind in ("python", "c"):
+                for package, calls in cell[f"{kind}_calls"].items():
+                    row = packages.setdefault(
+                        package, {"python": [0, 0], "c": [0, 0]}
+                    )
+                    row[kind][side] += calls
+    return {"cells": len(pairs), "packages": dict(sorted(packages.items()))}
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    return run_compare(build_parser().parse_args(argv))
+def _render_ledger(totals: Dict[str, object], stream) -> None:
+    def delta(pair: List[int]) -> str:
+        old, new = pair
+        change = f"{(new - old) / old:+.1%}" if old else "new"
+        return f"{old:>12,} -> {new:>12,} {change:>7}"
+
+    rows = totals["packages"]
+    total = {
+        kind: [sum(row[kind][side] for row in rows.values()) for side in (0, 1)]
+        for kind in ("python", "c")
+    }
+    print(f"  {'package':<12} {'Python calls':^36} {'C calls':^36}",
+          file=stream)
+    for package, row in [*rows.items(), ("total", total)]:
+        print(f"  {package:<12} {delta(row['python'])} {delta(row['c'])}",
+              file=stream)
 
 
 def run_compare(args: argparse.Namespace) -> int:
-    """Gate body, shared by ``repro bench compare`` and ``-m`` entry."""
+    """The ``repro bench compare OLD NEW`` gate."""
     try:
         old = load_artifact(args.old)
         new = load_artifact(args.new)
-        report = compare_docs(
-            old,
-            new,
-            rel_tol=args.rel_tol,
-            abs_tol=args.abs_tol,
-            perf_rel_tol=args.perf_rel_tol,
-            fail_on_perf=args.fail_on_perf,
-        )
+        report = compare_docs(old, new)
+        ledger = ledger_totals(old, new)
     except (CompareError, OSError, json.JSONDecodeError) as exc:
         print(f"bench compare: {exc}", file=sys.stderr)
         return 2
     if report["perf_notes"]:
         print("bench compare: perf drift (informational):", file=sys.stderr)
         _render(report["perf_notes"], sys.stderr)
+    if ledger is not None:
+        print(f"bench compare: call ledger over {ledger['cells']} shared "
+              "cells (informational):")
+        _render_ledger(ledger, sys.stdout)
+        versions = [doc.get("host", {}).get("python") for doc in (old, new)]
+        if versions[0] != versions[1]:
+            print(f"bench compare: host.python differs ({versions[0]} -> "
+                  f"{versions[1]}); call counts depend on the interpreter")
     if report["regressions"]:
         print("bench compare: REGRESSIONS:", file=sys.stderr)
         _render(report["regressions"], sys.stderr)
@@ -240,7 +249,3 @@ def run_compare(args: argparse.Namespace) -> int:
     cells = len(old["runs"])
     print(f"bench compare: OK ({cells} cells, {args.old} -> {args.new})")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI shim
-    sys.exit(main())

@@ -28,16 +28,7 @@ def add_bench_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run matrix cells across N worker processes "
                              "(results merge in matrix order; paper metrics "
-                             "are identical to a serial run)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run each cell under cProfile and embed the "
-                             "top-N cumulative table in the artifact "
-                             "(forces serial execution)")
-    parser.add_argument("--profile-top", type=int, default=15, metavar="N",
-                        help="rows per cell in the --profile table")
-    parser.add_argument("--micro", action="store_true",
-                        help="also run the slab hot-path microbenchmarks "
-                             "(LRU ops/s, fused fault-loop iterations/s) "
-                             "and embed them in the artifact")
+                             "and the call ledger are identical to a serial "
+                             "run)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="artifact path (default: BENCH_<date>.json)")

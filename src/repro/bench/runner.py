@@ -1,17 +1,19 @@
 """The benchmark runner: matrix execution, measurement, JSON artifact.
 
 Each matrix cell is one ``run_scenario`` invocation.  The harness
-profiles the *simulator itself* — wall time, simulated events per wall
+measures the *simulator itself* — wall time, simulated events per wall
 second, peak RSS — alongside the paper-facing metrics of the run, so a
 commit that slows the event loop or regresses FPS shows up in the same
-artifact.
+artifact.  After its timed pass each cell runs once more under the work
+ledger (:mod:`repro.bench.ledger`), which counts its Python and C calls
+per package: the record of work that host noise cannot blur.
 
 Cells are independent (every ``run_scenario`` builds its own system,
 whose page slab and id sequences nothing else shares, and derives its
 randomness from the cell seed alone), so the matrix can fan out across
-a process pool with ``jobs > 1``.  Results
-are merged back in matrix order and are bit-identical to a serial run
-on every paper-facing metric; only the wall-clock fields differ.
+a process pool with ``jobs > 1``.  Results are merged back in matrix
+order and are bit-identical to a serial run on every paper-facing
+metric and in the ledger; only the wall-clock fields differ.
 
 The artifact is schema-versioned (:data:`BENCH_SCHEMA_VERSION` bumps on
 any shape change) so downstream tooling can diff BENCH files across
@@ -32,16 +34,19 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.compare import CELL_KEY_FIELDS, PAPER_METRICS
+from repro.bench.ledger import count_calls, top_functions
 from repro.bench.options import DEFAULT_POLICIES, DEFAULT_SCENARIOS
 from repro.devices.specs import get_device
 from repro.experiments.scenarios import BgCase, SCENARIOS, run_scenario
 from repro.metrics.stats import percentile
 
-# v2: parallel-mode worker stats, unrounded wall totals, optional
-# per-cell profile tables, "jobs" knob recorded at top level.
-# v3: optional "micro" section (--micro): slab hot-path microbenchmarks
-# (intrusive-LRU ops/s, fused fault-loop iterations/s).
-BENCH_SCHEMA_VERSION = 3
+# v2: parallel-mode worker stats, unrounded wall totals, "jobs" knob
+# recorded at top level.
+# v3: optional "micro" section (slab hot-path microbenchmarks).
+# v4: "ledger" section (per-cell call counts per package and the most
+# called functions); the "profiles" and "micro" sections are gone.
+BENCH_SCHEMA_VERSION = 4
 
 
 def _peak_rss_kb() -> Optional[int]:
@@ -69,9 +74,6 @@ class BenchConfig:
     bg_case: str = BgCase.APPS
     smoke: bool = False
     jobs: int = 1
-    profile: bool = False
-    profile_top: int = 15
-    micro: bool = False
 
     @classmethod
     def smoke_config(cls) -> "BenchConfig":
@@ -150,63 +152,59 @@ def _run_cell(
     return cell, wall_s
 
 
-def _pool_worker(
-    payload: Tuple[BenchConfig, str, str]
-) -> Dict[str, object]:
-    """Process-pool entry point: one cell plus worker-side accounting."""
+class LedgerDrift(RuntimeError):
+    """A cell's ledger pass disagreed with its timed pass."""
+
+
+def _measure_cell(payload: Tuple[BenchConfig, str, str]) -> Dict[str, object]:
+    """One cell's timed pass, then its ledger pass, in this process.
+
+    The ledger pass runs the cell again under :func:`count_calls`.  It
+    comes second so that whatever the cell imports or caches on first
+    use is already there, whichever process runs it and in what order;
+    its paper metrics must equal the timed pass's.
+    """
     config, scenario, policy = payload
     cell, wall_s = _run_cell(config, scenario, policy)
+    (again, _), calls = count_calls(_run_cell, config, scenario, policy)
     return {
         "cell": cell,
         "wall_s": wall_s,
+        "calls": calls,
+        "drift": [m for m in PAPER_METRICS if again[m] != cell[m]],
         "worker_pid": os.getpid(),
         "worker_peak_rss_kb": _peak_rss_kb(),
     }
 
 
-def _run_matrix_serial(
-    config: BenchConfig, progress
-) -> Tuple[List[Dict[str, object]], float, List[Dict[str, object]]]:
+def _merge(outcomes, progress, pooled: bool) -> Dict[str, object]:
+    """Fold per-cell outcomes, in matrix order, into the artifact's parts."""
     runs: List[Dict[str, object]] = []
-    total_wall = 0.0
-    for scenario, policy in config.cells():
-        cell, wall_s = _run_cell(config, scenario, policy)
-        runs.append(cell)
-        total_wall += wall_s
-        if progress is not None:
-            progress(cell)
-    return runs, total_wall, []
-
-
-def _run_matrix_parallel(
-    config: BenchConfig, progress
-) -> Tuple[List[Dict[str, object]], float, List[Dict[str, object]]]:
-    """Fan the matrix out over a process pool.
-
-    ``executor.map`` preserves submission order, so the merged ``runs``
-    list is in the same canonical matrix order as a serial run no matter
-    which worker finishes first.
-    """
-    cells = config.cells()
-    payloads = [(config, scenario, policy) for scenario, policy in cells]
-    runs: List[Dict[str, object]] = []
+    ledger_cells: List[Dict[str, object]] = []
+    functions: List[Dict[str, int]] = []
+    drift: List[str] = []
     total_wall = 0.0
     per_worker: Dict[int, Dict[str, object]] = {}
-    max_workers = min(config.jobs, len(payloads))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-        for outcome in pool.map(_pool_worker, payloads):
-            cell = outcome["cell"]
-            runs.append(cell)
-            total_wall += outcome["wall_s"]
+    for outcome in outcomes:
+        cell = outcome["cell"]
+        runs.append(cell)
+        total_wall += outcome["wall_s"]
+        calls = outcome["calls"]
+        ledger_cells.append({
+            **{field: cell[field] for field in CELL_KEY_FIELDS},
+            "python_calls": calls["python"],
+            "c_calls": calls["c"],
+        })
+        functions.append(calls["functions"])
+        drift += [
+            f"{cell['scenario']}/{cell['policy']} {metric}"
+            for metric in outcome["drift"]
+        ]
+        if pooled:
             pid = outcome["worker_pid"]
-            stats = per_worker.get(pid)
-            if stats is None:
-                stats = per_worker[pid] = {
-                    "pid": pid,
-                    "cells": 0,
-                    "wall_s": 0.0,
-                    "peak_rss_kb": outcome["worker_peak_rss_kb"],
-                }
+            stats = per_worker.setdefault(pid, {
+                "pid": pid, "cells": 0, "wall_s": 0.0, "peak_rss_kb": None,
+            })
             stats["cells"] += 1
             stats["wall_s"] += outcome["wall_s"]
             rss = outcome["worker_peak_rss_kb"]
@@ -214,29 +212,52 @@ def _run_matrix_parallel(
                 stats["peak_rss_kb"] is None or rss > stats["peak_rss_kb"]
             ):
                 stats["peak_rss_kb"] = rss
-            if progress is not None:
-                progress(cell)
+        if progress is not None:
+            progress(cell)
+    if drift:
+        raise LedgerDrift(
+            "the ledger pass changed paper metrics: " + ", ".join(drift)
+        )
     workers = [per_worker[pid] for pid in sorted(per_worker)]
     for stats in workers:
         stats["wall_s"] = round(stats["wall_s"], 3)
-    return runs, total_wall, workers
+    return {
+        "runs": runs,
+        "total_wall": total_wall,
+        "workers": workers,
+        "ledger": {
+            "cells": ledger_cells,
+            "top_functions": top_functions(functions),
+        },
+    }
+
+
+def _run_matrix(config: BenchConfig, progress) -> Dict[str, object]:
+    """Every cell, serially or over a process pool.
+
+    ``executor.map`` preserves submission order, so the merged lists
+    are in the same canonical matrix order as a serial run no matter
+    which worker finishes first.
+    """
+    payloads = [(config, scenario, policy) for scenario, policy in config.cells()]
+    if config.jobs <= 1:
+        return _merge(map(_measure_cell, payloads), progress, pooled=False)
+    max_workers = min(config.jobs, len(payloads))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
+        return _merge(pool.map(_measure_cell, payloads), progress, pooled=True)
 
 
 def run_bench(config: BenchConfig, progress=None) -> Dict[str, object]:
-    """Execute the matrix; returns the full artifact document."""
-    config.cells()  # validate scenario ids before any work
-    profiles: List[Dict[str, object]] = []
-    if config.profile:
-        # Profiling owns the process's profiler hook; always serial.
-        from repro.bench.profile import profile_matrix
+    """Execute the matrix; returns the full artifact document.
 
-        runs, total_wall, workers, profiles = profile_matrix(config, progress)
-    elif config.jobs > 1:
-        runs, total_wall, workers = _run_matrix_parallel(config, progress)
-    else:
-        runs, total_wall, workers = _run_matrix_serial(config, progress)
+    Raises :class:`LedgerDrift` when a cell's ledger pass disagrees
+    with its timed pass on any paper metric.
+    """
+    config.cells()  # validate scenario ids before any work
+    matrix = _run_matrix(config, progress)
+    runs, total_wall = matrix["runs"], matrix["total_wall"]
     total_events = sum(cell["events_executed"] for cell in runs)
-    doc = {
+    return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat(
             timespec="seconds"
@@ -264,18 +285,10 @@ def run_bench(config: BenchConfig, progress=None) -> Dict[str, object]:
             ),
             "peak_rss_kb": _peak_rss_kb(),
         },
-        "workers": workers,
+        "workers": matrix["workers"],
         "runs": runs,
+        "ledger": matrix["ledger"],
     }
-    if profiles:
-        doc["profiles"] = profiles
-    if config.micro:
-        # After the matrix so cell measurements come first; each micro
-        # (like each cell) builds its own memory manager and slab.
-        from repro.bench.micro import run_micro
-
-        doc["micro"] = run_micro()
-    return doc
 
 
 def default_out_path() -> str:
@@ -290,34 +303,26 @@ def write_bench_file(doc: Dict[str, object], path: str) -> str:
 
 
 def config_from_args(args: argparse.Namespace) -> BenchConfig:
-    jobs = max(1, int(getattr(args, "jobs", 1) or 1))
-    profile = bool(getattr(args, "profile", False))
-    profile_top = int(getattr(args, "profile_top", 15))
-    micro = bool(getattr(args, "micro", False))
+    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
+    jobs = max(1, args.jobs)
     if args.smoke:
         base = BenchConfig.smoke_config()
         return BenchConfig(
             scenarios=base.scenarios,
-            policies=tuple(p.strip() for p in args.policies.split(",") if p.strip()),
+            policies=policies,
             device=args.device,
             seconds=base.seconds,
             seed=args.seed,
             smoke=True,
             jobs=jobs,
-            profile=profile,
-            profile_top=profile_top,
-            micro=micro,
         )
     return BenchConfig(
         scenarios=tuple(s.strip() for s in args.scenarios.split(",") if s.strip()),
-        policies=tuple(p.strip() for p in args.policies.split(",") if p.strip()),
+        policies=policies,
         device=args.device,
         seconds=args.seconds,
         seed=args.seed,
         jobs=jobs,
-        profile=profile,
-        profile_top=profile_top,
-        micro=micro,
     )
 
 
@@ -333,14 +338,21 @@ def main(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    doc = run_bench(config, progress=progress)
+    try:
+        doc = run_bench(config, progress=progress)
+    except LedgerDrift as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return 1
     out = args.out or default_out_path()
     write_bench_file(doc, out)
     totals = doc["totals"]
     mode = f", jobs={config.jobs}" if config.jobs > 1 else ""
+    ledger = doc["ledger"]["cells"]
     print(
         f"bench: {totals['runs']} runs in {totals['wall_s']}s wall "
         f"({totals['events_per_sec']} events/s, "
-        f"peak RSS {totals['peak_rss_kb']} kB{mode}) -> {out}"
+        f"peak RSS {totals['peak_rss_kb']} kB{mode}; ledger "
+        f"{sum(sum(c['python_calls'].values()) for c in ledger)} Python, "
+        f"{sum(sum(c['c_calls'].values()) for c in ledger)} C calls) -> {out}"
     )
     return 0

@@ -34,17 +34,13 @@ from typing import Dict, Optional, Tuple
 
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE, MetricsRegistry
 from repro.serve.httpbase import HttpBase
-from repro.serve.queue import DEFAULT_TENANT, priority_class
-from repro.serve.spec import SPEC_VERSION, RunRequest
+from repro.serve.queue import BadSubmission, parse_submission, priority_class
+from repro.serve.spec import SPEC_VERSION, TERMINAL_STATES
 from repro.fleet.ratelimit import TenantRateLimiter
 from repro.fleet.routing import DEFAULT_VNODES, HashRing
 from repro.fleet.transport import TransportError, async_request
 
 COORDINATOR_NAME = f"repro-fleet/{SPEC_VERSION}"
-
-# Submission options the node parses but the cache key must not see
-# (two tenants asking for the same run share one content address).
-_OPTION_KEYS = ("priority", "timeout_s", "progress_interval_ms", "tenant")
 
 
 @dataclass
@@ -366,31 +362,22 @@ class Coordinator(HttpBase):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._write_json(writer, 400, {"error": f"invalid JSON: {exc}"})
             return
-        if not isinstance(payload, dict):
-            self._write_json(
-                writer, 400, {"error": "request body must be a JSON object"}
-            )
-            return
-        tenant = payload.get("tenant") or DEFAULT_TENANT
+        # Parse as a node does, before admission: a submission the node
+        # would reject gets its 400 here and spends no token.
         try:
-            priority = int(payload.get("priority", 10))
-        except (TypeError, ValueError):
-            priority = 10
+            options, request = parse_submission(payload)
+        except BadSubmission as exc:
+            self._write_json(writer, 400, {"error": str(exc)})
+            return
+        tenant = options["tenant"]
         if self.limiter is not None:
-            decision = self.limiter.admit(tenant, priority_class(priority))
+            decision = self.limiter.admit(
+                tenant, priority_class(options["priority"])
+            )
             if not decision.allowed:
                 self._write_ratelimited(writer, decision)
                 return
-        # Routing needs the content address, which the submission
-        # options must not perturb — strip them exactly as a node does.
-        core = {
-            k: v for k, v in payload.items() if k not in _OPTION_KEYS
-        }
-        try:
-            cache_key = RunRequest.from_dict(core).cache_key()
-        except (TypeError, ValueError) as exc:
-            self._write_json(writer, 400, {"error": str(exc)})
-            return
+        cache_key = request.cache_key()
         # A node can die between routing and proxying; walk the ring
         # (eviction re-routes) a few times before giving up.
         for _ in range(3):
@@ -459,7 +446,7 @@ class Coordinator(HttpBase):
             # differs, so rewrite before the doc leaves the fleet.
             doc["id"] = job.public_id
             doc["node"] = job.node_id
-            if doc.get("state") in ("done", "failed", "cancelled", "expired"):
+            if doc.get("state") in TERMINAL_STATES:
                 job.terminal = True
         self._write_json(writer, status, doc)
 

@@ -53,8 +53,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.metrics.stats import percentile
 from repro.obs.metrics import family_total, parse_samples
-from repro.serve.client import TERMINAL_EVENTS, ServeClient, ServeError
-from repro.serve.spec import SPEC_VERSION
+from repro.serve.client import ServeClient, ServeError
+from repro.serve.spec import SPEC_VERSION, TERMINAL_STATES
 
 SCHEMA_VERSION = 2
 
@@ -72,7 +72,6 @@ _SUBMIT_RETRIES = 6
 # of a uniform sample.
 _KEEP = 1000
 _PROBE_IDS = 5        # recent ids checked for 200/410 per soak sample
-_WARMUP_FRAC = 0.2    # leading soak samples kept out of the drift baseline
 _PROBE_SEED = 10**9   # fault probes' seeds, far above the mix's
 
 # (dotted /v1/stats path, /metrics family) pairs that must agree
@@ -236,7 +235,7 @@ def run_level(
             # Lost = admitted (we hold a job id) but never reached a
             # terminal snapshot; errors before admission are
             # client-visible rejections, not losses.
-            counts["lost"] += state not in TERMINAL_EVENTS
+            counts["lost"] += state not in TERMINAL_STATES
         counts["failed"] += state == "failed"
         if state == "done":
             counts["completed"] += 1
@@ -259,7 +258,7 @@ def run_level(
             try:
                 job = client.submit(payload, retries=_SUBMIT_RETRIES)
                 job_id = job["id"]
-                if job["state"] in ("queued", "running"):
+                if job["state"] not in TERMINAL_STATES:
                     job = client.wait(job_id, timeout_s=config.wait_timeout_s)
             except (ServeError, OSError):  # OSError covers timeouts
                 job = None
@@ -486,22 +485,29 @@ class _Soak:
             self.progress(doc)
 
     def doc(self) -> dict:
-        # Drift over the post-warmup window: the first retained sample
-        # is the baseline, so allocator ramp-up and cache fill don't
-        # count.
+        # The node's warm-up ends at the first sample whose tombstone
+        # table is full: until then every eviction adds a tombstone, so
+        # RSS grows with the fill, not with a leak.  Drift runs from
+        # there to the end; a soak that never fills the table has no
+        # drift to report, and its baseline is its last sample.
         samples = self.samples
-        warmup = max(1, int(len(samples) * _WARMUP_FRAC))
-        window = samples[warmup:] or samples[-1:]
-        baseline = window[0]["rss_bytes"] or 1
+        full = [
+            i for i, sample in enumerate(samples)
+            if sample["retention"]["tombstones"]
+            >= sample["retention"]["tombstone_limit"]
+        ]
+        warmup = full[0] if full else len(samples) - 1
+        baseline = samples[warmup]["rss_bytes"] or 1
         final = samples[-1]
+        drift = None
+        if full:
+            drift = round(100.0 * (final["rss_bytes"] - baseline) / baseline, 2)
         summary = {
             "warmup_samples": warmup,
             "baseline_rss_bytes": baseline,
             "final_rss_bytes": final["rss_bytes"],
             "max_rss_bytes": max(s["rss_bytes"] for s in samples),
-            "rss_drift_pct": round(
-                100.0 * (final["rss_bytes"] - baseline) / baseline, 2
-            ),
+            "rss_drift_pct": drift,
             "budget_over_bytes_max": self.budget_over_bytes_max,
             "jobs_retained_final": final["jobs_retained"],
             "evicted_total": final["retention"]["evicted_total"],
@@ -697,8 +703,14 @@ def gate_failures(report: dict) -> List[str]:
             "post-fault probes completed"
         )
     limit = report["config"]["max_rss_drift_pct"]
-    if limit is not None and abs(soak["rss_drift_pct"]) > limit:
-        found.append(f"rss drift {soak['rss_drift_pct']}% exceeds ±{limit}%")
+    drift = soak["rss_drift_pct"]
+    if limit is not None and drift is None:
+        found.append(
+            "rss drift unmeasured: the job table's tombstones never "
+            "reached their limit, so the node never left its warm-up"
+        )
+    elif limit is not None and abs(drift) > limit:
+        found.append(f"rss drift {drift}% exceeds ±{limit}%")
     return found
 
 
@@ -777,8 +789,10 @@ def main(args: argparse.Namespace) -> int:
         )
     if report["soak"] is not None:
         soak = report["soak"]["summary"]
+        drift = soak["rss_drift_pct"]
         print(
-            f"loadtest: soak rss drift {soak['rss_drift_pct']}% "
+            f"loadtest: soak rss drift "
+            f"{'unmeasured' if drift is None else f'{drift}%'} "
             f"(max {soak['max_rss_bytes'] / (1 << 20):.1f} MB), "
             f"{soak['evicted_total']} evictions, "
             f"{soak['faults_injected']} worker kills",

@@ -27,12 +27,9 @@ import time
 import urllib.parse
 from typing import Dict, Iterator, Optional, Tuple, Union
 
-from repro.serve.spec import RunRequest
+from repro.serve.spec import TERMINAL_STATES, RunRequest
 
 DEFAULT_BASE_URL = "http://127.0.0.1:8080"
-
-# Event kinds after which the server ends the SSE stream.
-TERMINAL_EVENTS = frozenset(("done", "failed", "cancelled", "expired"))
 
 # Backoff shape for retried submissions and SSE reconnects: full
 # jitter over an exponentially growing, capped window.
@@ -207,7 +204,7 @@ class ServeClient:
         deadline = time.monotonic() + timeout_s
         while True:
             job = self.get(job_id)
-            if job["state"] not in ("queued", "running"):
+            if job["state"] in TERMINAL_STATES:
                 return job
             if time.monotonic() > deadline:
                 raise TimeoutError(
@@ -223,7 +220,7 @@ class ServeClient:
     ) -> dict:
         """Submit and wait; returns the terminal job snapshot."""
         job = self.submit(request, **submit_kwargs)
-        if job["state"] not in ("queued", "running"):
+        if job["state"] in TERMINAL_STATES:
             return job  # cache hit (or immediate failure)
         return self.wait(job["id"], timeout_s=timeout_s)
 
@@ -294,7 +291,7 @@ class ServeClient:
                     if event is not None:
                         payload = "\n".join(data_lines) or "{}"
                         yield event_id, event, json.loads(payload)
-                        if event in TERMINAL_EVENTS:
+                        if event in TERMINAL_STATES:
                             # Don't wait for EOF: a worker process forked
                             # while this connection was open can hold a
                             # duplicate of its fd, delaying the FIN.
@@ -343,13 +340,13 @@ class ServeClient:
                     if event_id is not None:
                         cursor = event_id + 1
                     yield event, data
-                    if event in TERMINAL_EVENTS:
+                    if event in TERMINAL_STATES:
                         return
                 # Clean close without a terminal event (server drained
                 # mid-stream): if the job is already terminal we are
                 # done; otherwise reconnect and keep following.
                 job = self.get(job_id)
-                if job["state"] not in ("queued", "running"):
+                if job["state"] in TERMINAL_STATES:
                     return
             except TRANSIENT_ERRORS:
                 failures += 1

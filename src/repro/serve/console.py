@@ -23,10 +23,9 @@ import time
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-_ANSI_CLEAR = "\x1b[2J\x1b[H"
+from repro.serve.spec import TERMINAL_STATES
 
-# Job states whose SSE stream is still worth following.
-_ACTIVE_STATES = ("queued", "running")
+_ANSI_CLEAR = "\x1b[2J\x1b[H"
 
 # Cap on concurrent SSE follower threads; each holds one connection.
 _MAX_FOLLOWERS = 8
@@ -212,7 +211,7 @@ class FleetConsole:
             if (
                 not run_id
                 or run_id in self._followed
-                or doc.get("state") not in _ACTIVE_STATES
+                or doc.get("state") in TERMINAL_STATES
                 or len(self._threads) >= _MAX_FOLLOWERS
             ):
                 continue

@@ -47,9 +47,9 @@ from typing import Dict, Optional, Tuple
 from repro.fleet.ratelimit import RateLimited
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE
 from repro.serve.httpbase import ROUTE_NODE_HEADER, SERVER_NAME, HttpBase
-from repro.serve.queue import Job, QueueFull
+from repro.serve.queue import BadSubmission, Job, QueueFull
+from repro.serve.spec import TERMINAL_STATES
 from repro.serve.state import (  # re-exported; they predate the split
-    BadSubmission,
     ServeConfig,
     ServerState,
 )
@@ -58,11 +58,6 @@ __all__ = [
     "ServeConfig", "ServerState", "SimulationServer", "HttpBase",
     "BadSubmission", "RateLimited", "run_server", "SERVER_NAME",
 ]
-
-_TERMINAL_EVENTS = frozenset(
-    ("done", "failed", "cancelled", "expired")
-)
-
 
 class SimulationServer(HttpBase):
     """A :class:`ServerState` behind an asyncio HTTP listener."""
@@ -359,7 +354,7 @@ class SimulationServer(HttpBase):
                 writer.write(frame.encode("utf-8"))
                 await writer.drain()
                 last_write = loop.time()
-                if event["event"] in _TERMINAL_EVENTS:
+                if event["event"] in TERMINAL_STATES:
                     return
                 continue
             if job.terminal:

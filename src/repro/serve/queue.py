@@ -25,10 +25,13 @@ import asyncio
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.apps.catalog import APP_CATALOG
+from repro.devices.specs import DEVICES
 from repro.obs.metrics import MetricsRegistry, latency_summary
-from repro.serve.spec import RunRequest
+from repro.policies.registry import available_policies
+from repro.serve.spec import TERMINAL_STATES, RunRequest
 
 DEFAULT_PRIORITY = 10
 DEFAULT_TENANT = "default"
@@ -58,6 +61,77 @@ class QueueFull(Exception):
     """Raised by :meth:`JobQueue.push` when the depth bound is hit."""
 
 
+class BadSubmission(Exception):
+    """Malformed submission; the HTTP layers map it to a 400."""
+
+
+def parse_submission(payload: object) -> Tuple[dict, RunRequest]:
+    """Split a ``POST /v1/runs`` body into its options and its request.
+
+    The options (``priority``, ``timeout_s``, ``progress_interval_ms``,
+    ``tenant``) shape the job, not the simulation, so the request's
+    cache key never sees them.  Coordinator and node both call this
+    before admission, so a malformed submission gets the same 400 from
+    either tier and spends no rate-limit token.  Raises
+    :class:`BadSubmission`.
+    """
+    if not isinstance(payload, dict):
+        raise BadSubmission("request body must be a JSON object")
+    payload = dict(payload)
+    options = {
+        "priority": payload.pop("priority", None),
+        "timeout_s": payload.pop("timeout_s", None),
+        "progress_interval_ms": payload.pop("progress_interval_ms", None),
+        "tenant": payload.pop("tenant", None),
+    }
+    if options["priority"] is None:
+        options["priority"] = DEFAULT_PRIORITY
+    if options["tenant"] is None:
+        options["tenant"] = DEFAULT_TENANT
+    if (
+        not isinstance(options["tenant"], str)
+        or not options["tenant"]
+        or len(options["tenant"]) > 64
+    ):
+        raise BadSubmission("tenant must be a non-empty string (<= 64 chars)")
+    try:
+        options["priority"] = int(options["priority"])
+        if not MIN_PRIORITY <= options["priority"] <= MAX_PRIORITY:
+            raise ValueError(
+                f"priority must be between {MIN_PRIORITY} and "
+                f"{MAX_PRIORITY} (lower runs first; default 10)"
+            )
+        if options["timeout_s"] is not None:
+            options["timeout_s"] = float(options["timeout_s"])
+            if options["timeout_s"] <= 0:
+                raise ValueError("timeout_s must be positive")
+        if options["progress_interval_ms"] is not None:
+            options["progress_interval_ms"] = float(
+                options["progress_interval_ms"]
+            )
+            if options["progress_interval_ms"] <= 0:
+                raise ValueError("progress_interval_ms must be positive")
+        request = RunRequest.from_dict(payload)
+    except (TypeError, ValueError) as exc:
+        raise BadSubmission(str(exc)) from None
+    if request.policy not in available_policies():
+        raise BadSubmission(
+            f"unknown policy {request.policy!r}; "
+            f"valid: {', '.join(available_policies())}"
+        )
+    if request.scenario not in APP_CATALOG and not request.known_scenario():
+        raise BadSubmission(
+            f"unknown scenario {request.scenario!r}; "
+            f"valid scenario ids S-A..S-D or a catalog package name"
+        )
+    if request.device not in DEVICES:
+        raise BadSubmission(
+            f"unknown device {request.device!r}; "
+            f"valid: {', '.join(sorted(DEVICES))}"
+        )
+    return options, request
+
+
 class JobState:
     QUEUED = "queued"
     RUNNING = "running"
@@ -66,8 +140,7 @@ class JobState:
     CANCELLED = "cancelled"
     EXPIRED = "expired"
 
-    TERMINAL = (DONE, FAILED, CANCELLED, EXPIRED)
-    ALL = (QUEUED, RUNNING) + TERMINAL
+    ALL = (QUEUED, RUNNING, DONE, FAILED, CANCELLED, EXPIRED)
 
 
 @dataclass
@@ -137,7 +210,7 @@ class Job:
 
     @property
     def terminal(self) -> bool:
-        return self.state in JobState.TERMINAL
+        return self.state in TERMINAL_STATES
 
     @property
     def cache_key(self) -> str:

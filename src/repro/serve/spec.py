@@ -29,6 +29,10 @@ SPEC_VERSION = 1
 
 _KEY_PREFIX = f"repro-run-v{SPEC_VERSION}:"
 
+# A job in one of these states is finished, and its SSE stream ends
+# with the event of the same name; "queued" and "running" are live.
+TERMINAL_STATES = frozenset(("done", "failed", "cancelled", "expired"))
+
 
 def canonical_dumps(doc: object) -> str:
     """Stable JSON form: sorted keys, no whitespace.

@@ -26,25 +26,22 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.apps.catalog import APP_CATALOG
-from repro.devices.specs import DEVICES
 from repro.fleet.ratelimit import RateLimited, TenantRateLimiter
 from repro.obs.metrics import (
     MetricsRegistry,
     latency_summary,
     memory_snapshot,
 )
-from repro.policies.registry import available_policies
 from repro.serve.cache import DEFAULT_MEMORY_BUDGET_BYTES, ResultCache
 from repro.serve.httpbase import SERVER_NAME
 from repro.serve.queue import (
-    DEFAULT_TENANT,
-    MAX_PRIORITY,
-    MIN_PRIORITY,
+    BadSubmission,
     Job,
     JobQueue,
     JobState,
     QueueFull,
+    parse_submission,
+    priority_class,
 )
 from repro.serve.retention import (
     DEFAULT_JOB_BUDGET_BYTES,
@@ -53,7 +50,6 @@ from repro.serve.retention import (
     DEFAULT_TOMBSTONE_LIMIT,
     JobTable,
 )
-from repro.serve.spec import RunRequest
 from repro.serve.workers import WorkerFleet
 
 
@@ -103,10 +99,6 @@ class ServeConfig:
     # Rejections are 429 with a Retry-After derived from the bucket.
     ratelimit_rps: Optional[float] = None
     ratelimit_burst: Optional[float] = None
-
-
-class BadSubmission(Exception):
-    """Malformed submission; the HTTP layer maps it to a 400."""
 
 
 class ServerState:
@@ -453,10 +445,8 @@ class ServerState:
         """
         if self.draining:
             raise BadSubmission("server is draining")  # callers map to 503
-        options, request = self._parse_submission(payload)
+        options, request = parse_submission(payload)
         if self.limiter is not None:
-            from repro.serve.queue import priority_class
-
             decision = self.limiter.admit(
                 options["tenant"], priority_class(options["priority"])
             )
@@ -517,65 +507,6 @@ class ServerState:
         """Record a submission the coordinator aimed at another node."""
         if self._misrouted_counter is not None:
             self._misrouted_counter.inc()
-
-    def _parse_submission(self, payload: dict) -> Tuple[dict, RunRequest]:
-        if not isinstance(payload, dict):
-            raise BadSubmission("request body must be a JSON object")
-        payload = dict(payload)
-        options = {
-            "priority": payload.pop("priority", None),
-            "timeout_s": payload.pop("timeout_s", None),
-            "progress_interval_ms": payload.pop("progress_interval_ms", None),
-            "tenant": payload.pop("tenant", None),
-        }
-        if options["priority"] is None:
-            options["priority"] = 10
-        if options["tenant"] is None:
-            options["tenant"] = DEFAULT_TENANT
-        if (
-            not isinstance(options["tenant"], str)
-            or not options["tenant"]
-            or len(options["tenant"]) > 64
-        ):
-            raise BadSubmission(
-                "tenant must be a non-empty string (<= 64 chars)"
-            )
-        try:
-            options["priority"] = int(options["priority"])
-            if not MIN_PRIORITY <= options["priority"] <= MAX_PRIORITY:
-                raise ValueError(
-                    f"priority must be between {MIN_PRIORITY} and "
-                    f"{MAX_PRIORITY} (lower runs first; default 10)"
-                )
-            if options["timeout_s"] is not None:
-                options["timeout_s"] = float(options["timeout_s"])
-                if options["timeout_s"] <= 0:
-                    raise ValueError("timeout_s must be positive")
-            if options["progress_interval_ms"] is not None:
-                options["progress_interval_ms"] = float(
-                    options["progress_interval_ms"]
-                )
-                if options["progress_interval_ms"] <= 0:
-                    raise ValueError("progress_interval_ms must be positive")
-            request = RunRequest.from_dict(payload)
-        except (TypeError, ValueError) as exc:
-            raise BadSubmission(str(exc)) from None
-        if request.policy not in available_policies():
-            raise BadSubmission(
-                f"unknown policy {request.policy!r}; "
-                f"valid: {', '.join(available_policies())}"
-            )
-        if request.scenario not in APP_CATALOG and not request.known_scenario():
-            raise BadSubmission(
-                f"unknown scenario {request.scenario!r}; "
-                f"valid scenario ids S-A..S-D or a catalog package name"
-            )
-        if request.device not in DEVICES:
-            raise BadSubmission(
-                f"unknown device {request.device!r}; "
-                f"valid: {', '.join(sorted(DEVICES))}"
-            )
-        return options, request
 
     # ------------------------------------------------------------------
     # Introspection documents

@@ -1,14 +1,23 @@
-"""Tier-2 tests for the self-profiling benchmark harness (repro.bench)."""
+"""Tier-2 tests for the benchmark harness (repro.bench)."""
 
 import copy
 import json
 
 import pytest
 
-from repro.bench import compare
+from repro.__main__ import main as cli_main
+from repro.bench import compare, runner
+from repro.bench.ledger import (
+    TOP_FUNCTIONS,
+    count_calls,
+    function_label,
+    package_of,
+    top_functions,
+)
 from repro.bench.runner import (
     BENCH_SCHEMA_VERSION,
     BenchConfig,
+    LedgerDrift,
     run_bench,
     write_bench_file,
 )
@@ -46,40 +55,22 @@ def test_run_bench_produces_versioned_document(tmp_path):
     assert set(cell) == _CELL_KEYS
     assert cell["events_executed"] > 0
     assert cell["wall_s"] > 0
+    [calls] = doc["ledger"]["cells"]
+    assert compare.cell_key(calls) == compare.cell_key(cell)
+    assert set(calls) == set(compare.CELL_KEY_FIELDS) | {
+        "python_calls", "c_calls"
+    }
+    for package in ("sim", "sched", "kernel", "system"):
+        assert calls["python_calls"][package] > 0
+        assert calls["c_calls"][package] > 0
+    top = doc["ledger"]["top_functions"]
+    assert len(top) == TOP_FUNCTIONS
+    counts = [row["calls"] for row in top]
+    assert counts == sorted(counts, reverse=True)
+    assert top[0]["function"].startswith("repro/")
 
     path = write_bench_file(doc, str(tmp_path / "BENCH_test.json"))
     assert json.loads(open(path).read()) == doc
-
-
-def test_micro_benchmarks_report_rates():
-    from repro.bench.micro import fault_loop_micro, lru_micro
-
-    lru = lru_micro(pages=64, rounds=2)
-    assert lru["ops"] > 0
-    assert lru["ops_per_sec"] > 0
-
-    # Enough iterations to wrap the 2,560-page footprint a few times,
-    # so the loop actually reclaims and refaults.
-    fault = fault_loop_micro(iterations=8_000)
-    assert fault["iterations"] == 8_000
-    assert fault["page_faults"] > 0
-    assert fault["refaults"] > 0
-    assert fault["reclaimed"] > 0
-    assert fault["iters_per_sec"] > 0
-
-
-def test_micro_section_attached_when_enabled():
-    config = BenchConfig(
-        scenarios=("S-A",),
-        policies=("LRU+CFS",),
-        seconds=1.0,
-        seed=7,
-        micro=True,
-    )
-    doc = run_bench(config)
-    assert set(doc["micro"]) == {"lru", "fault_loop"}
-    assert doc["micro"]["lru"]["ops_per_sec"] > 0
-    assert doc["micro"]["fault_loop"]["iters_per_sec"] > 0
 
 
 def test_smoke_config_is_short():
@@ -127,26 +118,77 @@ def test_parallel_matches_serial_bit_for_bit():
         s_det = {k: v for k, v in s_cell.items() if k not in _PERF_KEYS}
         p_det = {k: v for k, v in p_cell.items() if k not in _PERF_KEYS}
         assert s_det == p_det
+    # The call ledger is exact: the same counts in a pool worker as here.
+    assert len(serial["ledger"]["cells"]) == 2
+    assert serial["ledger"]["top_functions"]
+    assert serial["ledger"] == parallel["ledger"]
 
 
-def test_profile_mode_embeds_top_table():
-    config = BenchConfig(
-        scenarios=("S-A",), policies=("LRU+CFS",), seconds=1.0, seed=7,
-        profile=True, profile_top=4,
+def test_ledger_pass_must_reproduce_the_timed_pass(monkeypatch, tmp_path,
+                                                   capsys):
+    real_run_cell = runner._run_cell
+    passes = []
+
+    def second_pass_drifts(config, scenario, policy):
+        cell, wall_s = real_run_cell(config, scenario, policy)
+        passes.append(scenario)
+        if len(passes) % 2 == 0:  # the ledger pass
+            cell = dict(cell, refault=cell["refault"] + 1)
+        return cell, wall_s
+
+    monkeypatch.setattr(runner, "_run_cell", second_pass_drifts)
+    with pytest.raises(LedgerDrift, match="S-A/LRU\\+CFS refault"):
+        run_bench(_tiny_config())
+    out = tmp_path / "BENCH_drift.json"
+    assert cli_main(["bench", "--scenarios", "S-A", "--policies", "LRU+CFS",
+                     "--seconds", "1", "--out", str(out)]) == 1
+    assert "ledger pass changed paper metrics" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ledger_counts_python_calls_by_callee_and_c_calls_by_caller():
+    from repro.metrics.stats import percentile
+
+    def work():
+        # Each call makes two C calls (sorted, len) in repro.metrics.
+        return [percentile([2.0], 50.0) for _ in range(3)]
+
+    result, calls = count_calls(work)
+    assert result == [2.0, 2.0, 2.0]
+    assert calls["python"]["metrics"] == 3
+    assert calls["c"]["metrics"] == 6
+    assert calls["python"]["other"] >= 1  # work() lives in the tests
+    code = percentile.__code__
+    label = function_label(code.co_filename, code.co_firstlineno,
+                           code.co_name, "repro.metrics.stats")
+    assert label == f"repro/metrics/stats.py:{code.co_firstlineno}(percentile)"
+    assert calls["functions"][label] == 3
+
+
+def test_ledger_package_and_label_rules():
+    assert package_of("repro.sched.cfs") == "sched"
+    assert package_of("repro.system") == "system"
+    assert package_of("repro") == "repro"
+    assert package_of("reprozip") == "other"
+    assert package_of("random") == "other"
+    assert package_of(None) == "other"
+    # Code read from no file (a dataclass's generated __init__) is
+    # named by its module; other files by their base name.
+    assert function_label("<string>", 2, "__init__", "repro.kernel.mm") == (
+        "<repro.kernel.mm>:2(__init__)"
     )
-    doc = run_bench(config)
-    assert len(doc["profiles"]) == 1
-    prof = doc["profiles"][0]
-    assert prof["scenario"] == "S-A"
-    assert prof["policy"] == "LRU+CFS"
-    assert prof["top_n"] == 4
-    rows = prof["by_cumulative"]
-    assert 0 < len(rows) <= 4
-    # Sorted by cumulative time, with the harness entry point on top.
-    cums = [row["cumtime_s"] for row in rows]
-    assert cums == sorted(cums, reverse=True)
-    for row in rows:
-        assert set(row) == {"function", "ncalls", "tottime_s", "cumtime_s"}
+    assert function_label("/usr/lib/python3/random.py", 10, "choice",
+                          "random") == "random.py:10(choice)"
+    # Tables merge; ties go by label; the table keeps the top 20.
+    assert top_functions([{"b": 2, "a": 1}, {"a": 1, "c": 5}]) == [
+        {"function": "c", "calls": 5},
+        {"function": "a", "calls": 2},
+        {"function": "b", "calls": 2},
+    ]
+    many = {f"f{i:02d}": i for i in range(TOP_FUNCTIONS + 5)}
+    assert [row["function"] for row in top_functions([many])] == [
+        f"f{i:02d}" for i in range(TOP_FUNCTIONS + 4, 4, -1)
+    ]
 
 
 def _fake_artifact(**overrides):
@@ -177,29 +219,22 @@ def test_compare_flags_paper_drift_exactly():
     new = _fake_artifact(refault=6)
     report = compare.compare_docs(old, new)
     assert [r["metric"] for r in report["regressions"]] == ["refault"]
-    # A tolerance wide enough swallows it.
-    report = compare.compare_docs(old, new, abs_tol=1.0)
-    assert report["regressions"] == []
 
 
 def test_compare_perf_drift_warns_unless_promoted():
+    """Perf drift is only ever a note; nothing promotes it to a failure."""
     old = _fake_artifact()
     new = _fake_artifact(wall_s=2.0, events_per_sec=500.0)
-    report = compare.compare_docs(old, new, perf_rel_tol=0.25)
+    report = compare.compare_docs(old, new)
     assert report["regressions"] == []
     assert {n["metric"] for n in report["perf_notes"]} == {
         "wall_s", "events_per_sec"
     }
-    report = compare.compare_docs(
-        old, new, perf_rel_tol=0.25, fail_on_perf=True
-    )
-    assert {r["metric"] for r in report["regressions"]} == {
-        "wall_s", "events_per_sec"
-    }
-    # Faster is never a regression, even with --fail-on-perf.
+    # Faster earns no note.
     faster = _fake_artifact(wall_s=0.1, events_per_sec=10000.0)
-    report = compare.compare_docs(old, faster, fail_on_perf=True)
+    report = compare.compare_docs(old, faster)
     assert report["regressions"] == []
+    assert report["perf_notes"] == []
 
 
 def test_compare_missing_cell_is_shape_regression():
@@ -216,16 +251,69 @@ def test_compare_cli_exit_codes(tmp_path, capsys):
     new_path = tmp_path / "new.json"
     old_path.write_text(json.dumps(_fake_artifact()))
 
+    def gate(new):
+        return cli_main(["bench", "compare", str(old_path), str(new)])
+
     new_path.write_text(json.dumps(_fake_artifact()))
-    assert compare.main([str(old_path), str(new_path)]) == 0
+    assert gate(new_path) == 0
 
     new_path.write_text(json.dumps(_fake_artifact(lmk_kills=3)))
-    assert compare.main([str(old_path), str(new_path)]) == 1
+    assert gate(new_path) == 1
 
-    assert compare.main([str(old_path), str(tmp_path / "absent.json")]) == 2
+    assert gate(tmp_path / "absent.json") == 2
     new_path.write_text("{}")
-    assert compare.main([str(old_path), str(new_path)]) == 2
+    assert gate(new_path) == 2
     capsys.readouterr()  # swallow gate chatter
+
+
+def _with_ledger(doc, python, c, version="3.11.7"):
+    cell = doc["runs"][0]
+    doc["host"] = {"python": version}
+    doc["ledger"] = {
+        "cells": [{
+            **{field: cell[field] for field in compare.CELL_KEY_FIELDS},
+            "python_calls": python,
+            "c_calls": c,
+        }],
+        "top_functions": [],
+    }
+    return doc
+
+
+def test_compare_prints_call_deltas_as_information(tmp_path, capsys):
+    old = _with_ledger(_fake_artifact(), {"sched": 100, "kernel": 50},
+                       {"sched": 400})
+    new = _with_ledger(_fake_artifact(), {"sched": 80, "kernel": 50,
+                                          "core": 7}, {"sched": 400})
+    assert compare.ledger_totals(old, new) == {
+        "cells": 1,
+        "packages": {
+            "core": {"python": [0, 7], "c": [0, 0]},
+            "kernel": {"python": [50, 50], "c": [0, 0]},
+            "sched": {"python": [100, 80], "c": [400, 400]},
+        },
+    }
+    assert compare.ledger_totals(_fake_artifact(), new) is None
+    # No cells in common: nothing to total.
+    other = copy.deepcopy(new)
+    other["ledger"]["cells"][0]["seed"] = 7
+    assert compare.ledger_totals(old, other) == {"cells": 0, "packages": {}}
+
+    paths = []
+    for name, doc in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    # Fewer calls is information, never a failure.
+    assert cli_main(["bench", "compare", *map(str, paths)]) == 0
+    out = capsys.readouterr().out
+    assert "call ledger over 1 shared cells" in out
+    assert "-20.0%" in out
+    assert "host.python differs" not in out
+
+    paths[1].write_text(json.dumps(_with_ledger(
+        _fake_artifact(), {"sched": 80}, {"sched": 400}, version="3.12.1")))
+    assert cli_main(["bench", "compare", *map(str, paths)]) == 0
+    assert "host.python differs (3.11.7 -> 3.12.1)" in capsys.readouterr().out
 
 
 def test_committed_artifact_matches_current_schema():
@@ -243,3 +331,12 @@ def test_committed_artifact_matches_current_schema():
     assert len(scenarios) >= 3  # paper-facing metrics across ≥3 scenarios
     for cell in doc["runs"]:
         assert set(cell) == _CELL_KEYS
+    # A call ledger for every cell, and only for those.
+    ledger = doc["ledger"]
+    assert [compare.cell_key(c) for c in ledger["cells"]] == [
+        compare.cell_key(c) for c in doc["runs"]
+    ]
+    for calls in ledger["cells"]:
+        assert sum(calls["python_calls"].values()) > 0
+        assert sum(calls["c_calls"].values()) > 0
+    assert len(ledger["top_functions"]) == TOP_FUNCTIONS

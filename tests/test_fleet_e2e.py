@@ -18,7 +18,7 @@ from repro.fleet.coordinator import CoordinatorConfig
 from repro.fleet.loadtest import LoadtestConfig, generate_mix, run_level
 from repro.fleet.testing import CoordinatorThread, FleetNodeThread
 from repro.obs.metrics import family_total, parse_samples
-from repro.serve.client import QueueFullError, ServeClient
+from repro.serve.client import QueueFullError, ServeClient, ServeError
 from repro.serve.http import ServeConfig
 from repro.serve.queue import DEFAULT_TENANT
 from repro.serve.testing import ServerThread
@@ -245,6 +245,41 @@ def test_coordinator_ratelimits_with_retry_after(tmp_path):
             assert family_total(
                 parse_samples(text), "repro_fleet_ratelimited_total"
             ) == 2
+        finally:
+            node.stop(timeout_s=15.0)
+
+
+def test_malformed_submission_spends_no_token_at_the_coordinator(tmp_path):
+    # The coordinator parses a submission as a node does, before it
+    # admits it: a 400 costs the tenant nothing and reads the same from
+    # either tier, so the third bad request cannot find the bucket empty.
+    store = tmp_path / "store"
+    store.mkdir()
+    with CoordinatorThread(CoordinatorConfig(
+        port=0, heartbeat_timeout_s=5.0, sweep_interval_s=1.0,
+        ratelimit_rps=1.0, ratelimit_burst=2.0,
+    )) as coord:
+        node = FleetNodeThread(
+            _node_config(store, "n1"), coord.base_url,
+            heartbeat_interval_s=0.2,
+        ).start()
+        try:
+            client = ServeClient(coord.base_url)
+            _wait_for_nodes(client, 1)
+            payload = {"scenario": "S-A", "bg_case": "bg-null",
+                       "seconds": 1.0, "seed": 43}
+            for bad in (dict(payload, secnds=5.0),
+                        dict(payload, seconds=-1),
+                        dict(payload, priority=500)):
+                answers = []
+                for base_url in (coord.base_url, node.base_url):
+                    with pytest.raises(ServeError) as exc_info:
+                        ServeClient(base_url).submit(bad)
+                    answers.append((exc_info.value.status,
+                                    exc_info.value.body))
+                assert answers[0][0] == 400, answers
+                assert answers[0] == answers[1]
+            assert client.stats()["ratelimit"]["admitted_total"] == 0
         finally:
             node.stop(timeout_s=15.0)
 

@@ -15,7 +15,9 @@ import pytest
 from repro.fleet.loadtest import (
     SCHEMA_VERSION,
     LoadtestConfig,
+    _Soak,
     check_consistency,
+    gate_failures,
     run_loadtest,
     write_report,
 )
@@ -145,3 +147,57 @@ def test_check_consistency_flags_divergence():
         "repro_serve_queue_expired_total 1",
     )
     assert check_consistency(stats, metrics) == []
+
+
+def _soak_report(rss_mb, tombstones, limit=4096, max_drift_pct=10.0):
+    """``_Soak.doc`` over synthetic samples, wrapped as a loadtest report."""
+    soak = _Soak(LoadtestConfig(duration_s=1.0, concurrency=1), node=None)
+    soak.samples = [
+        {
+            "submissions": 250 * i,
+            "rss_bytes": int(mb * (1 << 20)),
+            "jobs_retained": 500,
+            "retention": {"tombstones": count, "tombstone_limit": limit,
+                          "evicted_total": count},
+        }
+        for i, (mb, count) in enumerate(zip(rss_mb, tombstones))
+    ]
+    doc = soak.doc()
+    report = {
+        "results": {"lost": 0, "duplicated": 0, "errors": 0},
+        "config": {"max_rss_drift_pct": max_drift_pct},
+        "soak": doc,
+    }
+    return doc["summary"], gate_failures(report)
+
+
+def test_drift_baseline_is_the_first_sample_with_a_full_tombstone_table():
+    # RSS climbs while the table fills, then holds: the fill is the
+    # node's warm-up, not a leak.
+    fill = [0, 800, 1600, 2400, 3200, 4000, 4096]
+    rss = [30.0, 31.0, 32.0, 33.0, 34.0, 35.0, 36.0]
+    summary, failures = _soak_report(rss + [36.0] * 8 + [36.1],
+                                     fill + [4096] * 9)
+    assert summary["warmup_samples"] == 6
+    assert summary["baseline_rss_bytes"] == 36 * (1 << 20)
+    assert abs(summary["rss_drift_pct"]) < 0.5
+    assert failures == []
+
+
+def test_growth_after_the_table_is_full_fails_the_gate():
+    summary, failures = _soak_report(
+        [30.0, 33.0, 36.0, 37.0, 38.0, 39.0, 40.0],
+        [0, 2048, 4096, 4096, 4096, 4096, 4096],
+    )
+    assert summary["warmup_samples"] == 2
+    assert summary["rss_drift_pct"] == pytest.approx(11.11, abs=0.01)
+    assert failures == ["rss drift 11.11% exceeds ±10.0%"]
+
+
+def test_a_table_that_never_fills_leaves_drift_unmeasured():
+    rss, fill = [30.0, 31.0, 32.0], [0, 1000, 2000]
+    summary, failures = _soak_report(rss, fill)
+    assert summary["rss_drift_pct"] is None
+    assert len(failures) == 1 and "drift unmeasured" in failures[0]
+    # Without a drift limit there is nothing to fail.
+    assert _soak_report(rss, fill, max_drift_pct=None)[1] == []
