@@ -3,16 +3,16 @@
 Examples::
 
     python -m repro scenario --scenario S-A --policy Ice --bg 8
-    python -m repro scenario --scenario S-A --policy Ice --trace-out ice.trace.json
-    python -m repro compare --scenario S-D --seconds 45 --json
-    python -m repro trace --scenario S-B --policy Ice --out ice.trace.json
-    python -m repro dump --scenario S-B --seconds 15 --format json
-    python -m repro watch --scenario S-C --policy Ice --every 1.0
+    python -m repro scenario --scenario S-D --policy LRU+CFS,Ice --seconds 45 --json
+    python -m repro scenario --scenario S-B --policy Ice --trace-out ice.trace.json
+    python -m repro scenario --scenario S-B --seconds 15 --json --proc
+    python -m repro scenario --scenario S-C --policy Ice --watch --sample-ms 1000
     python -m repro bench --smoke
     python -m repro table1
     python -m repro overhead
     python -m repro serve --port 8080 --workers 4
     python -m repro submit --scenario S-B --policy Ice --seconds 20
+    python -m repro watch --serve http://127.0.0.1:8080
     python -m repro coordinator --port 8090 --ratelimit-rps 50
     python -m repro serve --port 8081 --node-id n1 --coordinator http://127.0.0.1:8090
     python -m repro loadtest --url http://127.0.0.1:8090 --requests 200
@@ -28,7 +28,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from repro.bench.options import add_bench_args
-from repro.devices.specs import DEVICES, get_device
+from repro.devices.specs import DEVICES
 from repro.experiments.cases import BgCase, SCENARIOS
 from repro.policies.registry import available_policies
 
@@ -40,13 +40,16 @@ if TYPE_CHECKING:
 # it runs, so `repro submit` or `repro coordinator` never loads the
 # simulator.
 
-DEFAULT_SAMPLE_MS = 100.0
 
-
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    """The flags of a ``RunRequest``, plus ``--json``."""
     parser.add_argument("--scenario", default="S-A",
                         choices=sorted(SCENARIOS),
                         help="paper scenario (S-A video call ... S-D game)")
+    parser.add_argument("--policy", default="LRU+CFS",
+                        help="policy name, or several comma-separated to "
+                             "run in order (an unknown name lists the "
+                             "registered ones)")
     parser.add_argument("--device", default="P20", choices=list(DEVICES))
     parser.add_argument("--bg", type=int, default=None,
                         help="number of cached BG apps (default: paper's)")
@@ -59,79 +62,112 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                              "instead of the formatted line")
 
 
-def _add_trace_args(parser: argparse.ArgumentParser) -> None:
+def _add_output_args(parser: argparse.ArgumentParser) -> None:
+    """What a local run prints or writes besides its result."""
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="enable tracing and write a Chrome/Perfetto "
-                             "trace_event JSON file (open in ui.perfetto.dev)")
+                             "trace_event JSON file (open in ui.perfetto.dev); "
+                             "histogram summaries go to stderr")
     parser.add_argument("--timeseries-out", default=None, metavar="PATH",
                         help="write the sampler's aligned time series "
                              "(.csv → CSV, otherwise JSON)")
-    parser.add_argument("--sample-ms", type=float, default=DEFAULT_SAMPLE_MS,
-                        help="sampler interval in simulated ms")
+    parser.add_argument("--sample-ms", type=float, default=100.0,
+                        help="sampler interval in simulated ms (time "
+                             "series and --watch rows)")
     parser.add_argument("--trace-buffer", type=int, default=None,
                         help="trace ring-buffer capacity in events")
     parser.add_argument("--trace-buffer-kb", type=int, default=None,
                         help="trace ring-buffer byte budget in KiB "
                              "(composes with --trace-buffer; whichever "
                              "bound bites first drops the oldest events)")
+    parser.add_argument("--engine-events", action="store_true",
+                        help="trace per-callback engine instants "
+                             "(high volume)")
+    parser.add_argument("--proc", nargs="*", default=None, metavar="PATH",
+                        help="after the result, print the virtual /proc: "
+                             "every file, or these paths (e.g. "
+                             "pressure/memory memcg/TikTok/memory.stat); "
+                             "under --json, add it to each run's object")
+    parser.add_argument("--watch", action="store_true",
+                        help="print a live table row per sample (free "
+                             "memory, FPS, PSI avg10s, refaults)")
 
 
-def _print_result(result) -> None:
-    print(
-        f"{result.policy:>12} | {result.fps:5.1f} fps | RIA {result.ria:5.1%} | "
-        f"refaults {result.refault:6d} (BG {result.bg_refault_share:4.0%}) | "
-        f"reclaims {result.reclaim:6d} | LMK kills {result.lmk_kills} | "
-        f"frozen {result.frozen_apps}"
-    )
+def _fail(message, code: int = 2) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
-def _emit_result(result, as_json: bool) -> None:
+def _run_requests(args: argparse.Namespace) -> list:
+    """One ``RunRequest`` per ``--policy`` name, validated up front.
+
+    Raises ``ValueError`` with the message for the user.  Policies can be
+    registered at runtime (``register_policy``), so names are checked
+    against the live registry instead of argparse choices.
+    """
+    from repro.serve.spec import RunRequest
+
+    names = [name.strip() for name in args.policy.split(",") if name.strip()]
+    valid = available_policies()
+    unknown = [name for name in names if name not in valid]
+    if unknown or not names:
+        bad = ", ".join(repr(name) for name in unknown) or "(none given)"
+        raise ValueError(
+            f"unknown policy {bad}; valid choices: " + ", ".join(valid)
+        )
+    return [
+        RunRequest(
+            scenario=args.scenario, policy=name, device=args.device,
+            bg_case=args.bg_case, bg_count=args.bg, seconds=args.seconds,
+            seed=args.seed,
+        )
+        for name in names
+    ]
+
+
+def _emit_result(result: dict, as_json: bool, via: str = "") -> None:
+    """Print one run's result: its JSON object, or the summary line
+    (``via`` names where a served result came from)."""
     if as_json:
-        print(json.dumps(result.to_dict()))
-    else:
-        _print_result(result)
+        print(json.dumps(result))
+        return
+    print(
+        f"{result['policy']:>12} | {result['fps']:5.1f} fps | "
+        f"RIA {result['ria']:5.1%} | refaults {result['refault']:6d} "
+        f"(BG {result['bg_refault_share']:4.0%}) | "
+        f"reclaims {result['reclaim']:6d} | LMK kills {result['lmk_kills']} | "
+        f"frozen {result['frozen_apps']}" + (f" | via {via}" if via else "")
+    )
 
 
 def _make_tracer(args: argparse.Namespace) -> Tracer:
     from repro.trace.tracer import Tracer
 
     kwargs = {}
-    if getattr(args, "trace_buffer", None):
+    if args.trace_buffer:
         kwargs["capacity"] = args.trace_buffer
-    if getattr(args, "trace_buffer_kb", None):
+    if args.trace_buffer_kb:
         kwargs["capacity_bytes"] = args.trace_buffer_kb * 1024
-    if getattr(args, "engine_events", False):
-        kwargs["engine_events"] = True
-    return Tracer(**kwargs)
+    return Tracer(engine_events=args.engine_events, **kwargs)
 
 
-def _tracing_requested(args: argparse.Namespace) -> bool:
-    return bool(args.trace_out or args.timeseries_out)
+def _policy_suffixed(path: str, policy: str) -> str:
+    """Insert a filesystem-safe policy tag before the extension."""
+    safe = policy.replace("+", "_").replace("/", "_")
+    root, ext = os.path.splitext(path)
+    return f"{root}.{safe}{ext}" if ext else f"{path}.{safe}"
 
 
-def _run_one(args: argparse.Namespace, policy: str, tracer) -> object:
-    from repro.experiments.scenarios import run_scenario
-
-    return run_scenario(
-        args.scenario,
-        policy=policy,
-        spec=get_device(args.device),
-        bg_case=args.bg_case,
-        bg_count=args.bg,
-        seconds=args.seconds,
-        seed=args.seed,
-        tracer=tracer,
-        sample_interval_ms=args.sample_ms if tracer is not None else None,
-    )
-
-
-def _write_trace_outputs(
-    args: argparse.Namespace, tracer, result, trace_path=None, ts_path=None
-) -> None:
+def _write_trace_outputs(args: argparse.Namespace, tracer, result,
+                         suffix: bool) -> None:
+    """Write the trace and time series (one file per policy when
+    ``suffix``), then summarize the tracer's histograms on stderr."""
     from repro.trace.export import write_chrome_trace, write_timeseries
 
-    trace_path = trace_path or args.trace_out
-    ts_path = ts_path or args.timeseries_out
+    trace_path, ts_path = args.trace_out, args.timeseries_out
+    if suffix:
+        trace_path = trace_path and _policy_suffixed(trace_path, result.policy)
+        ts_path = ts_path and _policy_suffixed(ts_path, result.policy)
     if trace_path:
         count = write_chrome_trace(
             trace_path, tracer,
@@ -144,122 +180,17 @@ def _write_trace_outputs(
         )
         print(f"trace: {count} events -> {trace_path} "
               f"(dropped {tracer.dropped_events})", file=sys.stderr)
-    if ts_path and result.sampler is not None:
+    if ts_path:
         rows = write_timeseries(ts_path, result.sampler)
         print(f"timeseries: {rows} samples -> {ts_path}", file=sys.stderr)
-
-
-def _unknown_policy(name: str) -> int:
-    """Exit-2 diagnostic for a policy name the registry doesn't know.
-
-    Policies can be registered at runtime (``register_policy``), so the
-    CLI validates against the live registry instead of baking the
-    choices into argparse — and an unknown name gets the full list
-    rather than a raw ``KeyError`` traceback out of ``make_policy``.
-    """
-    print(
-        f"error: unknown policy {name!r}; valid choices: "
-        + ", ".join(available_policies()),
-        file=sys.stderr,
-    )
-    return 2
-
-
-def cmd_scenario(args: argparse.Namespace) -> int:
-    if args.policy not in available_policies():
-        return _unknown_policy(args.policy)
-    tracer = _make_tracer(args) if _tracing_requested(args) else None
-    result = _run_one(args, args.policy, tracer)
-    _emit_result(result, args.json)
-    if tracer is not None:
-        _write_trace_outputs(args, tracer, result)
-    return 0
-
-
-def _policy_suffixed(path: str, policy: str) -> str:
-    """Insert a filesystem-safe policy tag before the extension."""
-    safe = policy.replace("+", "_").replace("/", "_")
-    root, ext = os.path.splitext(path)
-    return f"{root}.{safe}{ext}" if ext else f"{path}.{safe}"
-
-
-def _parse_policies(spec: str) -> tuple:
-    names = [name.strip() for name in spec.split(",") if name.strip()]
-    valid = available_policies()
-    unknown = [name for name in names if name not in valid]
-    return names, unknown
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    names, unknown = _parse_policies(args.policies)
-    if not names or unknown:
-        bad = ", ".join(repr(name) for name in unknown) or "(none given)"
-        print(
-            f"error: unknown policy {bad}; valid choices: "
-            + ", ".join(available_policies()),
-            file=sys.stderr,
-        )
-        return 2
-    for policy in names:
-        tracer = _make_tracer(args) if _tracing_requested(args) else None
-        result = _run_one(args, policy, tracer)
-        _emit_result(result, args.json)
-        if tracer is not None:
-            # One trace file per policy so runs stay individually loadable.
-            _write_trace_outputs(
-                args, tracer, result,
-                trace_path=(_policy_suffixed(args.trace_out, policy)
-                            if args.trace_out else None),
-                ts_path=(_policy_suffixed(args.timeseries_out, policy)
-                         if args.timeseries_out else None),
-            )
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Run one traced scenario and export trace + time series."""
-    if args.policy not in available_policies():
-        return _unknown_policy(args.policy)
-    tracer = _make_tracer(args)
-    result = _run_one(args, args.policy, tracer)
-    _emit_result(result, args.json)
-    _write_trace_outputs(args, tracer, result, trace_path=args.out)
     for name, hist in sorted(tracer.histograms.items()):
         summary = hist.summary()
-        # Diagnostics go to stderr so --json keeps stdout machine-readable.
         print(
             f"{name:>28}: n={hist.count:6d} mean={summary['mean']:8.3f} "
             f"p50={summary['p50']:8.3f} p99={summary['p99']:8.3f} "
             f"max={summary['max']:8.3f}",
             file=sys.stderr,
         )
-    return 0
-
-
-def cmd_dump(args: argparse.Namespace) -> int:
-    """Run a scenario, then render its virtual /proc (text or JSON)."""
-    if args.policy not in available_policies():
-        return _unknown_policy(args.policy)
-    result = _run_one(args, args.policy, None)
-    procfs = result.system.procfs
-    if args.format == "json":
-        doc = {
-            "meta": {
-                "scenario": result.scenario,
-                "policy": result.policy,
-                "device": result.device,
-                "bg_case": result.bg_case,
-                "seed": result.seed,
-                "sim_ms": result.system.sim.now,
-            },
-            "proc": procfs.snapshot(),
-        }
-        print(json.dumps(doc, indent=2 if args.pretty else None))
-    elif args.paths:
-        print(procfs.dump_text(args.paths))
-    else:
-        print(procfs.dump_text())
-    return 0
 
 
 _WATCH_COLUMNS = (
@@ -279,36 +210,18 @@ _WATCH_COLUMNS = (
 )
 
 
-def cmd_watch(args: argparse.Namespace) -> int:
-    """Run a scenario printing an interval-sampled live table.
+class _WatchTable:
+    """``--watch``: one row per sample, the header every 20 rows."""
 
-    With ``--serve URL`` it instead becomes the live fleet pressure
-    console for a running ``repro serve`` instance: periodic
-    ``/v1/stats`` polls plus an SSE event tail, rendering queue depth,
-    worker utilization, cache hit/eviction rates, latency percentiles,
-    and per-tenant rogue scores.
-    """
-    if args.serve:
-        from repro.serve.client import ServeClient
-        from repro.serve.console import FleetConsole
-
-        console = FleetConsole(
-            ServeClient(args.serve),
-            every_s=args.every,
-            plain=args.plain,
+    def __init__(self):
+        self.rows = 0
+        self.header = " ".join(
+            title.rjust(len(fmt.format(0)))
+            for title, _key, fmt in _WATCH_COLUMNS
         )
-        return console.run(iterations=args.iterations)
-    if args.policy not in available_policies():
-        return _unknown_policy(args.policy)
-    from repro.experiments.scenarios import run_scenario
+        print(self.header)
 
-    header = " ".join(
-        title.rjust(len(fmt.format(0))) for title, _key, fmt in _WATCH_COLUMNS
-    )
-    print(header)
-    state = {"rows": 0}
-
-    def emit(now_ms: float, row: dict) -> None:
+    def on_sample(self, now_ms: float, row: dict) -> None:
         cells = []
         for _title, key, fmt in _WATCH_COLUMNS:
             if key is None:
@@ -319,24 +232,55 @@ def cmd_watch(args: argparse.Namespace) -> int:
                 value = row[key]
             cells.append(fmt.format(value))
         print(" ".join(cells))
-        state["rows"] += 1
-        if state["rows"] % 20 == 0:
-            print(header)
+        self.rows += 1
+        if self.rows % 20 == 0:
+            print(self.header)
 
-    result = run_scenario(
-        args.scenario,
-        policy=args.policy,
-        spec=get_device(args.device),
-        bg_case=args.bg_case,
-        bg_count=args.bg,
-        seconds=args.seconds,
-        seed=args.seed,
-        sample_interval_ms=args.every * 1000.0,
-        on_sample=emit,
-    )
-    print(f"# {state['rows']} samples over {args.seconds:.0f}s measured window")
-    _emit_result(result, args.json)
+
+def cmd_scenario(args: argparse.Namespace) -> int:
+    """Run each ``--policy`` in order and print what the flags ask for."""
+    try:
+        requests = _run_requests(args)
+    except ValueError as exc:
+        return _fail(exc)
+    from repro.experiments.scenarios import run_request
+
+    tracing = bool(args.trace_out or args.timeseries_out)
+    for request in requests:
+        tracer = _make_tracer(args) if tracing else None
+        watch = _WatchTable() if args.watch else None
+        result = run_request(
+            request,
+            tracer=tracer,
+            sample_interval_ms=args.sample_ms if tracing or watch else None,
+            on_sample=watch.on_sample if watch else None,
+        )
+        if watch:
+            print(f"# {watch.rows} samples over {args.seconds:.0f}s "
+                  "measured window")
+        doc = result.to_dict()
+        procfs = result.system.procfs
+        if args.proc is not None and args.json:
+            doc["proc"] = procfs.snapshot()
+        _emit_result(doc, args.json)
+        if args.proc is not None and not args.json:
+            print(procfs.dump_text(args.proc or None))
+        if tracer is not None:
+            _write_trace_outputs(args, tracer, result, len(requests) > 1)
     return 0
+
+
+def cmd_watch(args: argparse.Namespace) -> int:
+    """The live fleet pressure console for a running ``repro serve``:
+    periodic ``/v1/stats`` polls plus an SSE event tail, rendering queue
+    depth, worker utilization, cache hit/eviction rates, latency
+    percentiles and per-tenant rogue scores."""
+    from repro.serve.client import ServeClient
+    from repro.serve.console import FleetConsole
+
+    refresh = {} if args.every is None else {"every_s": args.every}
+    console = FleetConsole(ServeClient(args.serve), plain=args.plain, **refresh)
+    return console.run(iterations=args.iterations)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -399,11 +343,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             from repro.fleet.node import run_node
 
             if not config.node_id:
-                print(
-                    "error: --coordinator requires --node-id",
-                    file=sys.stderr,
-                )
-                return 2
+                return _fail("--coordinator requires --node-id")
             asyncio.run(run_node(
                 config, args.coordinator,
                 advertise_url=args.advertise_url,
@@ -460,34 +400,27 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     return loadtest_main(args)
 
 
-def _print_served_result(job: dict) -> None:
-    result = job["result"]
-    origin = "cache" if job.get("cache_hit") else "worker"
-    print(
-        f"{result['policy']:>12} | {result['fps']:5.1f} fps | "
-        f"RIA {result['ria']:5.1%} | refaults {result['refault']:6d} | "
-        f"launch {result['launch_ms']:6.0f} ms | LMK {result['lmk_kills']} | "
-        f"frozen {result['frozen_apps']} | via {origin}"
-    )
-
-
 def cmd_submit(args: argparse.Namespace) -> int:
-    """Submit one run to a `repro serve` instance and await the result."""
-    from repro.serve.client import QueueFullError, ServeClient, ServeError
-    from repro.serve.spec import TERMINAL_STATES, RunRequest
+    """Submit each ``--policy``'s run to a `repro serve` instance in
+    order and await its result."""
+    from repro.serve.client import ServeClient
 
-    if args.policy not in available_policies():
-        return _unknown_policy(args.policy)
-    request = RunRequest(
-        scenario=args.scenario,
-        policy=args.policy,
-        device=args.device,
-        bg_case=args.bg_case,
-        bg_count=args.bg,
-        seconds=args.seconds,
-        seed=args.seed,
-    )
+    try:
+        requests = _run_requests(args)
+    except ValueError as exc:
+        return _fail(exc)
     client = ServeClient(args.url)
+    for request in requests:
+        code = _submit_one(client, request, args)
+        if code:
+            return code
+    return 0
+
+
+def _submit_one(client, request, args: argparse.Namespace) -> int:
+    from repro.serve.client import QueueFullError, ServeError
+    from repro.serve.spec import TERMINAL_STATES
+
     progress_ms = args.progress_every * 1000.0 if args.progress_every else None
     try:
         job = client.submit(
@@ -499,11 +432,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
             retries=args.retries,
         )
     except QueueFullError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, code=3)
     except (ServeError, ConnectionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     job_id = job["id"]
     print(f"run {job_id}: {job['state']}"
           + (" (cache hit)" if job.get("cache_hit") else ""),
@@ -523,18 +454,15 @@ def cmd_submit(args: argparse.Namespace) -> int:
         elif job["state"] not in TERMINAL_STATES:
             job = client.wait(job_id, timeout_s=args.wait_timeout)
     except (ServeError, ConnectionError, OSError, TimeoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     if job["state"] != "done":
         print(
             f"run {job_id} {job['state']}: {job.get('error')}",
             file=sys.stderr,
         )
         return 1
-    if args.json:
-        print(json.dumps(job["result"]))
-    else:
-        _print_served_result(job)
+    _emit_result(job["result"], args.json,
+                 via="cache" if job.get("cache_hit") else "worker")
     return 0
 
 
@@ -560,76 +488,32 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_scenario = sub.add_parser("scenario", help="run one scenario/policy")
-    _add_scenario_args(p_scenario)
-    _add_trace_args(p_scenario)
-    p_scenario.add_argument("--policy", default="LRU+CFS",
-                            help="policy name (see `repro compare` error "
-                                 "output for the registered list)")
+    p_scenario = sub.add_parser(
+        "scenario",
+        help="run a scenario under one or more policies; optionally "
+             "trace it, watch it live or dump its virtual /proc",
+    )
+    _add_run_args(p_scenario)
+    _add_output_args(p_scenario)
     p_scenario.set_defaults(func=cmd_scenario)
-
-    p_compare = sub.add_parser("compare", help="run several policies")
-    _add_scenario_args(p_compare)
-    _add_trace_args(p_compare)
-    p_compare.add_argument("--policies", default="LRU+CFS,UCSG,Acclaim,Ice")
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_trace = sub.add_parser(
-        "trace", help="run one traced scenario and export a Perfetto trace"
-    )
-    _add_scenario_args(p_trace)
-    p_trace.add_argument("--policy", default="Ice")
-    p_trace.add_argument("--out", default="repro.trace.json", metavar="PATH",
-                         help="Chrome/Perfetto trace_event JSON output path")
-    p_trace.add_argument("--timeseries-out", default=None, metavar="PATH",
-                         help="also dump the sampler series (.csv or .json)")
-    p_trace.add_argument("--sample-ms", type=float, default=DEFAULT_SAMPLE_MS)
-    p_trace.add_argument("--trace-buffer", type=int, default=None)
-    p_trace.add_argument("--trace-buffer-kb", type=int, default=None)
-    p_trace.add_argument("--engine-events", action="store_true",
-                         help="include per-callback engine instants "
-                              "(high volume)")
-    p_trace.set_defaults(func=cmd_trace)
-
-    p_dump = sub.add_parser(
-        "dump",
-        help="run a scenario, then print its virtual /proc "
-             "(meminfo, vmstat, pressure/*, per-app memcg files)",
-    )
-    _add_scenario_args(p_dump)
-    p_dump.add_argument("--policy", default="LRU+CFS")
-    p_dump.add_argument("--format", default="text", choices=["text", "json"],
-                        help="text: Linux-flavoured proc files; "
-                             "json: one structured document")
-    p_dump.add_argument("--pretty", action="store_true",
-                        help="indent the JSON output")
-    p_dump.add_argument("--paths", nargs="*", default=None, metavar="PATH",
-                        help="only these proc paths (text mode), e.g. "
-                             "pressure/memory memcg/TikTok/memory.stat")
-    p_dump.set_defaults(func=cmd_dump, seconds=15.0)
 
     p_watch = sub.add_parser(
         "watch",
-        help="run a scenario printing a live interval-sampled table "
-             "(free memory, FPS, PSI avg10s, refaults), or — with "
-             "--serve URL — a live fleet pressure console for a "
-             "running `repro serve` instance",
+        help="live fleet pressure console for a running `repro serve` "
+             "instance",
     )
-    _add_scenario_args(p_watch)
-    p_watch.add_argument("--policy", default="LRU+CFS")
-    p_watch.add_argument("--every", type=float, default=1.0, metavar="SECONDS",
-                         help="sampling interval in simulated seconds "
-                              "(with --serve: stats poll interval in "
-                              "wall seconds)")
-    p_watch.add_argument("--serve", default=None, metavar="URL",
-                         help="watch a serve control plane instead of "
-                              "running a local scenario")
+    p_watch.add_argument("--serve", required=True, metavar="URL",
+                         help="control-plane base URL")
+    p_watch.add_argument("--every", type=float, default=None,
+                         metavar="SECONDS",
+                         help="stats poll interval in wall seconds "
+                              "(default: the console's)")
     p_watch.add_argument("--iterations", type=int, default=None, metavar="N",
-                         help="with --serve: render N frames then exit "
+                         help="render N frames then exit "
                               "(default: until interrupted)")
     p_watch.add_argument("--plain", action="store_true",
-                         help="with --serve: append frames instead of "
-                              "clearing the screen (log-friendly)")
+                         help="append frames instead of clearing the "
+                              "screen (log-friendly)")
     p_watch.set_defaults(func=cmd_watch)
 
     p_bench = sub.add_parser(
@@ -820,8 +704,7 @@ def main(argv=None) -> int:
     p_submit = sub.add_parser(
         "submit", help="submit one run to a `repro serve` instance"
     )
-    _add_scenario_args(p_submit)
-    p_submit.add_argument("--policy", default="LRU+CFS")
+    _add_run_args(p_submit)
     p_submit.add_argument("--url", default="http://127.0.0.1:8080",
                           help="control-plane base URL")
     p_submit.add_argument("--priority", type=int, default=None,

@@ -74,11 +74,6 @@ def figure10(**kwargs) -> List[ReclaimCell]:
     )
 
 
-def table5(**kwargs) -> List[ReclaimCell]:
-    """Table 5: power manager vs Ice."""
-    return reclaim_refault_matrix(schemes=("PowerManager", "Ice"), **kwargs)
-
-
 def format_matrix(cells: Sequence[ReclaimCell], title: str) -> str:
     schemes: List[str] = []
     for cell in cells:

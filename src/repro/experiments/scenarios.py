@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.apps.catalog import APP_CATALOG, catalog_apps
 from repro.apps.synthetic import cputester_profile, memtester_profile
-from repro.devices.specs import MIB, DeviceSpec, huawei_p20
+from repro.devices.specs import MIB, DeviceSpec, get_device, huawei_p20
 from repro.experiments.cases import BgCase, SCENARIOS
 from repro.policies.registry import make_policy
 from repro.sim.rng import RngStream
@@ -186,7 +186,8 @@ def run_scenario(
     through the whole stack for this run; ``sample_interval_ms``
     additionally attaches an aligned time-series :class:`Sampler`
     (returned on ``result.sampler``), and ``on_sample(now_ms, row)`` is
-    invoked for every sample as it lands (live `repro watch` output).
+    invoked for every sample as it lands (`repro scenario --watch` rows
+    and a served run's progress events).
     """
     spec = spec or huawei_p20()
     fg_package = SCENARIOS.get(scenario, scenario)
@@ -273,6 +274,34 @@ def run_scenario(
         psi=system.psi.as_dict(),
         sampler=sampler,
         system=system,
+    )
+
+
+def run_request(
+    request,
+    tracer: Optional[Tracer] = None,
+    sample_interval_ms: Optional[float] = None,
+    on_sample=None,
+) -> ScenarioResult:
+    """Run one ``repro.serve.spec.RunRequest``, or anything with its fields.
+
+    The CLI and a serve worker both map a request to
+    :func:`run_scenario` here, so a local run and a served run of the
+    same request are the same call.  ``run_scenario`` is looked up when
+    this runs, so a wrapper installed on this module sees every run.
+    """
+    return run_scenario(
+        request.scenario,
+        policy=request.policy,
+        spec=get_device(request.device),
+        bg_case=request.bg_case,
+        bg_count=request.bg_count,
+        seconds=request.seconds,
+        settle_s=request.settle_s,
+        seed=request.seed,
+        tracer=tracer,
+        sample_interval_ms=sample_interval_ms,
+        on_sample=on_sample,
     )
 
 

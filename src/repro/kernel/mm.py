@@ -201,14 +201,6 @@ class MemoryManager:
         return self._free_pages
 
     @property
-    def below_low(self) -> bool:
-        return self._free_pages < self._wm_low
-
-    @property
-    def below_min(self) -> bool:
-        return self._free_pages < self._wm_min
-
-    @property
     def below_high(self) -> bool:
         return self._free_pages < self._wm_high
 

@@ -82,11 +82,6 @@ class WorkingSet:
         # Optional VmStat to mirror shed counts into (wired by the MM).
         self.vmstat = vmstat
 
-    @property
-    def shadow_bytes(self) -> int:
-        """Current byte charge of live shadow entries."""
-        return self.shadow_entries * SHADOW_ENTRY_BYTES
-
     # ------------------------------------------------------------------
     # Observer registration (RPF subscribes here)
     # ------------------------------------------------------------------

@@ -202,9 +202,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
     def set_function(self, fn: Callable[[], float]) -> None:
         """Evaluate ``fn`` at every scrape instead of storing a value."""
         self._fn = fn
@@ -395,16 +392,6 @@ class MetricsRegistry:
         for family in self.families():
             lines.extend(family.render())
         return "\n".join(lines) + "\n" if lines else ""
-
-
-# The process-wide default for callers outside the serve plane (each
-# SimulationServer builds its own registry so two servers in one test
-# process never collide on family names).
-REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return REGISTRY
 
 
 # ----------------------------------------------------------------------

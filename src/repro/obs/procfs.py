@@ -16,8 +16,9 @@ the current simulated state):
 * ``cgroup/freezer`` — which processes the freezer currently holds.
 
 Each file renders both as Linux-flavoured text (:meth:`ProcFs.read`)
-and as a JSON-friendly value (:meth:`ProcFs.snapshot`), which is what
-the ``python -m repro dump`` subcommand emits.
+and as a JSON-friendly value (:meth:`ProcFs.snapshot`);
+``python -m repro scenario --proc`` prints the text, or under
+``--json`` the snapshot.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class ProcFs:
         return "\n".join(sections)
 
     # ------------------------------------------------------------------
-    # Structured snapshot (what ``dump --format json`` emits)
+    # Structured snapshot (what ``scenario --json --proc`` emits)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         system = self.system

@@ -185,9 +185,6 @@ class CfsScheduler:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def runnable_tasks(self) -> List[Task]:
-        return sorted(self._runnable.values(), key=_ORDER_KEY)
-
     def tick(self, now: float) -> float:
         """Run one scheduling quantum; returns busy core-ms consumed.
 

@@ -183,10 +183,6 @@ class Task:
         body = self.body
         return bool(self.queue) if body is None else body.has_work(self)
 
-    def set_nice(self, nice: int) -> None:
-        self.nice = nice
-        self.weight = nice_to_weight(nice)
-
     # ------------------------------------------------------------------
     # Work submission
     # ------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Live fleet pressure console: ``repro watch --serve URL``.
+"""Live fleet pressure console: ``repro watch --serve URL``, the
+``watch`` subcommand's only mode (a local run's live table is
+``repro scenario --watch``).
 
 Renders a terminal dashboard over a running control plane from two
 sources, the same way a human operator would watch it:

@@ -86,8 +86,7 @@ def execute_request(payload) -> dict:
     job_id, request_dict, progress_interval_ms = payload
     # Imported here so that importing this module loads no simulator;
     # a forked worker inherited it from the node (see ``_build_pool``).
-    from repro.devices.specs import get_device
-    from repro.experiments.scenarios import run_scenario
+    from repro.experiments.scenarios import run_request
 
     request = RunRequest.from_dict(request_dict)
     # The previous job's system, its page slab included, is cyclic
@@ -111,18 +110,9 @@ def execute_request(payload) -> dict:
             })
             progress.append(data)
 
-    result = run_scenario(
-        request.scenario,
-        policy=request.policy,
-        spec=get_device(request.device),
-        bg_case=request.bg_case,
-        bg_count=request.bg_count,
-        seconds=request.seconds,
-        settle_s=request.settle_s,
-        seed=request.seed,
-        sample_interval_ms=(
-            progress_interval_ms if progress_interval_ms else None
-        ),
+    result = run_request(
+        request,
+        sample_interval_ms=progress_interval_ms or None,
         on_sample=on_sample,
     )
     # The rows come back with the result too: the server sends any that
@@ -252,15 +242,19 @@ class WorkerFleet:
                 self._build_pool()
 
     def _drain_progress(self) -> None:
+        # Read until the sentinel even once rows can no longer be
+        # forwarded: a pool process exits only after its queue feeder
+        # has written every row, so an unread pipe would hang shutdown.
+        forward = self.on_progress is not None and self._loop is not None
         while True:
             message = self._progress_queue.get()
             if message is None:
                 return
-            if self.on_progress is not None and self._loop is not None:
+            if forward:
                 try:
                     self._loop.call_soon_threadsafe(self.on_progress, message)
                 except RuntimeError:
-                    return  # loop already closed during shutdown
+                    forward = False  # loop closed during shutdown
 
     # ------------------------------------------------------------------
     async def run(self, job) -> dict:
@@ -386,6 +380,12 @@ class WorkerFleet:
         }
 
     def shutdown(self, wait: bool = True) -> None:
+        # The pool goes first, while the drain thread still reads its
+        # rows (see ``_drain_progress``); the sentinel then lands after
+        # the last row a finished worker wrote.
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait, cancel_futures=True)
+            self._pool = None
         if self._progress_queue is not None:
             try:
                 self._progress_queue.put(None)  # stop the drain thread
@@ -394,9 +394,6 @@ class WorkerFleet:
         if self._drain_thread is not None:
             self._drain_thread.join(timeout=2.0)
             self._drain_thread = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait, cancel_futures=True)
-            self._pool = None
         if self._progress_queue is not None:
             self._progress_queue.close()
             self._progress_queue = None

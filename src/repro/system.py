@@ -167,7 +167,7 @@ class MobileSystem:
         )
         self.framework.start()
         # Virtual /proc over the live kernel objects (meminfo, vmstat,
-        # pressure/*, per-app memcg files) — the `repro dump` surface.
+        # pressure/*, per-app memcg files) — `repro scenario --proc`.
         self.procfs = ProcFs(self)
         # §3.2 switch: the "idle runtime GC" feature can be disabled to
         # show GC is not the only refault source.
@@ -391,15 +391,3 @@ class MobileSystem:
         stats = self.sched.stats
         stats.busy_ms_total = 0.0
         stats.samples.clear()
-
-    def memory_summary(self) -> Dict[str, float]:
-        return {
-            "managed_pages": self.mm.managed_pages,
-            "resident_pages": self.mm.resident_pages,
-            "free_pages": self.mm.free_pages,
-            "zram_stored": self.zram.stored_pages,
-            "zram_pool_pages": self.zram.pool_pages(),
-            "high_wm": self.spec.high_watermark_pages,
-            "low_wm": self.spec.low_watermark_pages,
-            "min_wm": self.spec.min_watermark_pages,
-        }

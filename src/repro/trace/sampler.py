@@ -84,7 +84,7 @@ class Sampler:
         self._last_busy_ms = 0.0
         self._last_sample_at = 0.0
         # Optional observer called with (now_ms, row_dict) after every
-        # sample lands — the `repro watch` subcommand prints from here.
+        # sample lands — `repro scenario --watch` prints from here.
         self.on_sample = None
 
     # ------------------------------------------------------------------

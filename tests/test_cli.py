@@ -10,8 +10,8 @@ from repro.devices.specs import DEVICES
 from repro.policies.registry import available_policies
 
 COMMANDS = (
-    "scenario", "compare", "trace", "dump", "watch", "bench", "serve",
-    "coordinator", "loadtest", "submit", "table1", "overhead",
+    "scenario", "watch", "bench", "serve", "coordinator", "loadtest",
+    "submit", "table1", "overhead",
 )
 
 
@@ -66,11 +66,13 @@ def test_scenario_command_runs(capsys):
 
 def test_compare_command_runs(capsys):
     code = main([
-        "compare", "--scenario", "S-A", "--policies", "LRU+CFS",
+        "scenario", "--scenario", "S-A", "--policy", "LRU+CFS,Ice",
         "--bg-case", "bg-null", "--seconds", "5",
     ])
     assert code == 0
-    assert "fps" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("|")[0].strip() for line in lines] == ["LRU+CFS", "Ice"]
+    assert all("fps" in line for line in lines)
 
 
 def test_unknown_policy_rejected(capsys):
@@ -80,6 +82,27 @@ def test_unknown_policy_rejected(capsys):
     assert "SmartSwap" in err
     for name in available_policies():
         assert name in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "--bg", "-3", "--seconds", "1"],
+    ["scenario", "--seconds", "0"],
+    ["scenario", "--seconds", "-5"],
+    ["submit", "--seconds", "0"],
+    ["submit", "--bg", "-2"],
+], ids=" ".join)
+def test_run_flags_are_validated_before_anything_runs(argv, capsys):
+    # The same checks as a served submission: no run, no connection.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_watch_needs_a_serve_url():
+    with pytest.raises(SystemExit) as exc_info:
+        main(["watch", "--iterations", "1"])
+    assert exc_info.value.code == 2
 
 
 def test_command_required():
@@ -102,7 +125,7 @@ def test_scenario_json_output(capsys):
 
 def test_compare_json_emits_one_object_per_run(capsys):
     code = main([
-        "compare", "--scenario", "S-A", "--policies", "LRU+CFS,Ice",
+        "scenario", "--scenario", "S-A", "--policy", "LRU+CFS,Ice",
         "--bg-case", "bg-null", "--seconds", "5", "--json",
     ])
     assert code == 0
@@ -113,7 +136,7 @@ def test_compare_json_emits_one_object_per_run(capsys):
 
 def test_compare_rejects_unknown_policy(capsys):
     code = main([
-        "compare", "--scenario", "S-A", "--policies", "LRU+CFS,NoSuchPolicy",
+        "scenario", "--scenario", "S-A", "--policy", "LRU+CFS,NoSuchPolicy",
         "--seconds", "5",
     ])
     assert code == 2
@@ -124,7 +147,7 @@ def test_compare_rejects_unknown_policy(capsys):
 
 
 def test_compare_rejects_empty_policy_list(capsys):
-    code = main(["compare", "--policies", ",", "--seconds", "5"])
+    code = main(["scenario", "--policy", ",", "--seconds", "5"])
     assert code == 2
     assert "valid choices" in capsys.readouterr().err
 
@@ -153,7 +176,7 @@ def test_scenario_trace_out_writes_chrome_trace(tmp_path, capsys):
 def test_compare_trace_out_is_per_policy(tmp_path, capsys):
     trace_path = tmp_path / "cmp.trace.json"
     code = main([
-        "compare", "--scenario", "S-A", "--policies", "LRU+CFS,Ice",
+        "scenario", "--scenario", "S-A", "--policy", "LRU+CFS,Ice",
         "--bg-case", "bg-null", "--seconds", "5",
         "--trace-out", str(trace_path),
     ])
@@ -165,23 +188,24 @@ def test_compare_trace_out_is_per_policy(tmp_path, capsys):
 def test_trace_command_runs(tmp_path, capsys):
     out_path = tmp_path / "ice.trace.json"
     code = main([
-        "trace", "--scenario", "S-A", "--policy", "Ice",
-        "--seconds", "5", "--out", str(out_path),
+        "scenario", "--scenario", "S-A", "--policy", "Ice",
+        "--seconds", "5", "--trace-out", str(out_path),
     ])
     assert code == 0
     captured = capsys.readouterr()
     assert "fps" in captured.out
     assert "trace:" in captured.err
+    assert "frame_ms: n=" in captured.err  # histogram summary
     document = json.loads(out_path.read_text())
     assert document["traceEvents"]
 
 
 def test_dump_json_emits_proc_snapshot(capsys):
-    assert main(["dump", "--scenario", "S-A", "--seconds", "2",
-                 "--format", "json", "--seed", "5"]) == 0
+    assert main(["scenario", "--scenario", "S-A", "--seconds", "2",
+                 "--json", "--proc", "--seed", "5"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["meta"]["scenario"] == "S-A"
-    assert doc["meta"]["seed"] == 5
+    assert doc["scenario"] == "S-A"
+    assert doc["seed"] == 5
     proc = doc["proc"]
     assert "meminfo" in proc and "vmstat" in proc
     for resource in ("memory", "io", "cpu"):
@@ -191,21 +215,46 @@ def test_dump_json_emits_proc_snapshot(capsys):
 
 
 def test_dump_text_selected_paths(capsys):
-    assert main(["dump", "--scenario", "S-A", "--seconds", "2",
-                 "--paths", "pressure/memory", "meminfo"]) == 0
+    assert main(["scenario", "--scenario", "S-A", "--seconds", "2",
+                 "--proc", "pressure/memory", "meminfo"]) == 0
     out = capsys.readouterr().out
+    assert "fps" in out.splitlines()[0]  # the result line comes first
     assert "==> pressure/memory <==" in out
     assert "some avg10=" in out
     assert "MemTotal:" in out
+    assert "==> vmstat <==" not in out
 
 
 def test_watch_prints_sampled_rows(capsys):
-    assert main(["watch", "--scenario", "S-A", "--seconds", "2",
-                 "--every", "1"]) == 0
+    assert main(["scenario", "--scenario", "S-A", "--seconds", "2",
+                 "--watch", "--sample-ms", "1000"]) == 0
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line.strip()]
     assert "mem.some" in lines[0]  # header
     assert "samples over" in out
+    assert "fps" in lines[-1]  # the result line
+
+
+def test_scenario_and_submit_print_the_same_result(capsys):
+    from repro.serve.http import ServeConfig
+    from repro.serve.testing import ServerThread
+
+    flags = ["--scenario", "S-A", "--bg-case", "bg-null", "--seconds", "2",
+             "--seed", "11", "--policy", "LRU+CFS,Ice"]
+    assert main(["scenario", *flags, "--json"]) == 0
+    local = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert main(["scenario", *flags]) == 0
+    local_lines = capsys.readouterr().out.splitlines()
+    with ServerThread(ServeConfig(port=0, workers=1)) as thread:
+        assert main(["submit", "--url", thread.base_url, *flags,
+                     "--json"]) == 0
+        served = [json.loads(line)
+                  for line in capsys.readouterr().out.splitlines()]
+        assert main(["submit", "--url", thread.base_url, *flags]) == 0
+        served_lines = capsys.readouterr().out.splitlines()
+    assert [doc["policy"] for doc in local] == ["LRU+CFS", "Ice"]
+    assert served == local
+    assert served_lines == [line + " | via cache" for line in local_lines]
 
 
 def test_bench_smoke_writes_artifact(tmp_path, capsys):

@@ -351,6 +351,62 @@ def test_progress_rows_all_arrive_before_done(monkeypatch):
     assert samples == rows and rows
 
 
+# A one-worker fleet streams a row per simulated millisecond, far more
+# than the progress pipe holds, and is shut down mid-run.
+FLEET_SHUTDOWN_MID_STREAM = """
+import asyncio
+from repro.serve.queue import Job
+from repro.serve.spec import RunRequest
+from repro.serve.workers import WorkerFleet
+
+async def shut_down_mid_stream():
+    fleet = WorkerFleet(size=1, on_progress=lambda message: None)
+    fleet.start(asyncio.get_running_loop())
+    job = Job(
+        id="stream", progress_interval_ms=1.0,
+        request=RunRequest(scenario="S-A", bg_case="bg-null", seconds=5.0),
+    )
+    run = asyncio.ensure_future(fleet.run(job))
+    await asyncio.sleep(0.5)
+    fleet.shutdown(wait=True)
+    outcome = await run
+    assert outcome["progress"], outcome
+
+asyncio.run(shut_down_mid_stream())
+print("shutdown returned")
+"""
+
+
+def test_fleet_shutdown_returns_while_a_worker_streams_rows():
+    """A worker exits only once its queued progress rows are written, so
+    shutdown must keep reading them until the pool is gone."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    # A session of its own, so a hung pool worker dies with the probe.
+    probe = subprocess.Popen(
+        [sys.executable, "-c", FLEET_SHUTDOWN_MID_STREAM], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = probe.communicate(timeout=90)
+    except subprocess.TimeoutExpired:
+        os.killpg(probe.pid, signal.SIGKILL)
+        probe.communicate()
+        pytest.fail("WorkerFleet.shutdown did not return within 90 s")
+    assert probe.returncode == 0, err
+    assert out.strip() == "shutdown returned"
+
+
 def test_late_progress_row_of_a_dead_attempt_is_dropped():
     """A row that the first attempt's worker sent before it died, and
     that arrives after the retry began, does not count as a row of the
