@@ -237,10 +237,29 @@ class _WatchTable:
             print(self.header)
 
 
+def _check_proc_paths(paths: list) -> None:
+    """Raise ``ValueError`` for a ``--proc`` path that no run has (every
+    run installs the whole catalog)."""
+    from repro.apps.catalog import APP_CATALOG
+    from repro.obs.procfs import FIXED_PATHS, MEMCG_FILES
+
+    valid = list(FIXED_PATHS) + [
+        f"memcg/{package}/{leaf}"
+        for package in sorted(APP_CATALOG) for leaf in MEMCG_FILES
+    ]
+    unknown = [path for path in paths if path not in valid]
+    if unknown:
+        raise ValueError(
+            f"unknown /proc path {', '.join(map(repr, unknown))}; "
+            "valid: " + ", ".join(valid)
+        )
+
+
 def cmd_scenario(args: argparse.Namespace) -> int:
     """Run each ``--policy`` in order and print what the flags ask for."""
     try:
         requests = _run_requests(args)
+        _check_proc_paths(args.proc or [])
     except ValueError as exc:
         return _fail(exc)
     from repro.experiments.scenarios import run_request
@@ -329,9 +348,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     def ready(server) -> None:
-        port = server.port if hasattr(server, "port") else server.server.port
         print(
-            f"repro-serve listening on http://{config.host}:{port} "
+            f"repro-serve listening on http://{config.host}:{server.port} "
             f"(workers={config.workers}, queue depth={config.queue_depth}, "
             f"cache={'disk:' + config.cache_dir if config.cache_dir else 'memory'})"
             + (f" [fleet node {config.node_id}]" if args.coordinator else ""),

@@ -17,7 +17,9 @@ node can count misroutes, and proxies asynchronously over
 :mod:`repro.fleet.transport`.  Job ids returned to clients are the
 node-issued ids, which are uuid-unique fleet-wide; the coordinator
 keeps the id → node mapping so polls and cancels follow the job even
-after a failover resubmission.
+after a failover resubmission.  The mapping lives in a node's
+:class:`~repro.serve.retention.JobTable`, under the node's rules (an
+evicted id answers 410), and heartbeats report the runs nodes finish.
 
 SSE streams are the one endpoint not proxied: followers are
 long-lived and per-job, so ``GET /v1/runs/<id>/events`` answers 307
@@ -29,13 +31,16 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE, MetricsRegistry
 from repro.serve.httpbase import HttpBase
 from repro.serve.queue import BadSubmission, parse_submission, priority_class
-from repro.serve.spec import SPEC_VERSION, TERMINAL_STATES
+from repro.serve.retention import JobTable
+from repro.serve.spec import (
+    SPEC_VERSION, TERMINAL_STATES, canonical_size_bytes,
+)
 from repro.fleet.ratelimit import TenantRateLimiter
 from repro.fleet.routing import DEFAULT_VNODES, HashRing
 from repro.fleet.transport import TransportError, async_request
@@ -72,16 +77,31 @@ class NodeInfo:
 
 @dataclass
 class CoordJob:
-    """The coordinator's view of one admitted run."""
+    """The coordinator's view of one admitted run (a job-table entry).
 
-    public_id: str      # the id clients hold (node-issued, uuid-unique)
+    Failover replays only runs in flight, so a terminal run drops its
+    payload and is charged its tombstone's size.
+    """
+
+    id: str             # the id clients hold (node-issued, uuid-unique)
     node_id: str        # current owner
-    node_job_id: str    # id on the current owner (== public_id unless failed over)
-    payload: dict       # original submission, replayed on failover
+    node_job_id: str    # id on the current owner (== id unless failed over)
+    payload: Optional[dict]  # original submission, replayed on failover
     cache_key: str
     tenant: str
-    terminal: bool = False
-    resubmits: int = 0
+    state: Optional[str] = None  # the terminal state, once a node says so
+
+    @property
+    def terminal(self) -> bool:
+        return self.state is not None
+
+    def tombstone(self, now: float) -> dict:
+        return {"id": self.id, "state": self.state, "evicted": True,
+                "evicted_at": now, "node": self.node_id,
+                "tenant": self.tenant, "cache_key": self.cache_key}
+
+    def retention_cost(self) -> int:
+        return canonical_size_bytes(self.tombstone(0.0))
 
 
 class Coordinator(HttpBase):
@@ -102,11 +122,10 @@ class Coordinator(HttpBase):
                 registry=self.registry,
             )
         self.nodes: Dict[str, NodeInfo] = {}
-        self.jobs: Dict[str, CoordJob] = {}
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.AbstractServer] = None
+        self.table = JobTable(registry=self.registry)
+        # Failed-over runs in flight: the new owner's run id -> public id.
+        self._failover_ids: Dict[str, str] = {}
         self._sweep_task: Optional[asyncio.Task] = None
-        self._stopped = asyncio.Event()
         self._started_at: Optional[float] = None
         self._submissions_counter = self.registry.counter(
             "repro_fleet_submissions_total",
@@ -141,13 +160,7 @@ class Coordinator(HttpBase):
         loop = asyncio.get_event_loop()
         self._started_at = loop.time()
         self._sweep_task = asyncio.ensure_future(self._sweep_loop())
-        self._server = await asyncio.start_server(
-            self._handle_client, host=self.config.host, port=self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        await self._stopped.wait()
+        await self._listen(self.config.host, self.config.port)
 
     def request_shutdown(self) -> None:
         if not self._stopped.is_set():
@@ -166,7 +179,7 @@ class Coordinator(HttpBase):
             await self.sweep()
 
     async def sweep(self) -> None:
-        """Evict every node whose heartbeat lapsed; failover its jobs."""
+        """Evict every node whose heartbeat lapsed, failover its jobs, GC."""
         loop = asyncio.get_event_loop()
         now = loop.time()
         lapsed = [
@@ -176,6 +189,7 @@ class Coordinator(HttpBase):
         ]
         for node in lapsed:
             await self._evict(node)
+        self.table.gc()
 
     async def _evict(self, node: NodeInfo) -> None:
         node.alive = False
@@ -183,11 +197,12 @@ class Coordinator(HttpBase):
         self._node_up_gauge.remove(node.node_id)
         self._evicted_counter.inc()
         orphans = [
-            job for job in self.jobs.values()
+            job for job in self.table.jobs.values()
             if job.node_id == node.node_id and not job.terminal
         ]
         for job in orphans:
-            await self._resubmit(job)
+            if not job.terminal:  # a proxied GET may have ended it
+                await self._resubmit(job)
 
     async def _resubmit(self, job: CoordJob) -> None:
         """Replay an orphaned submission onto the ring's current owner.
@@ -199,7 +214,7 @@ class Coordinator(HttpBase):
         """
         target = self._route(job.cache_key)
         if target is None:
-            return  # no nodes left; the job id will 404 until one joins
+            return  # no nodes left; polls answer 503 (owner gone)
         try:
             status, _, doc = await async_request(
                 "POST", f"{target.url}/v1/runs", job.payload,
@@ -209,13 +224,23 @@ class Coordinator(HttpBase):
         except TransportError:
             self._proxy_errors_counter.inc()
             return  # next sweep retries (the target may be dying too)
-        if status in (200, 202) and doc:
+        if status in (200, 202) and doc and not job.terminal:
+            self._failover_ids.pop(job.node_job_id, None)
             job.node_id = target.node_id
             job.node_job_id = doc["id"]
-            job.resubmits += 1
+            self._failover_ids[job.node_job_id] = job.id
             self._resubmitted_counter.inc()
-            if status == 200:
-                job.terminal = True  # answered from the shared store
+            if status == 200:  # answered from the shared store
+                self._finish(job, doc.get("state"))
+
+    def _finish(self, job: CoordJob, state) -> None:
+        """Record a run's terminal state, once; other states are ignored."""
+        if job.terminal or state not in TERMINAL_STATES:
+            return
+        job.state = state
+        job.payload = None
+        self._failover_ids.pop(job.node_job_id, None)
+        self.table.note_terminal(job)
 
     def _route(self, cache_key: str) -> Optional[NodeInfo]:
         owner = self.ring.route(cache_key)
@@ -249,7 +274,8 @@ class Coordinator(HttpBase):
         if path.startswith("/v1/nodes/"):
             rest = path[len("/v1/nodes/"):]
             if rest.endswith("/heartbeat") and method == "POST":
-                self._handle_heartbeat(writer, rest[: -len("/heartbeat")])
+                node_id = rest[: -len("/heartbeat")]
+                self._handle_heartbeat(writer, node_id, body)
                 return
             if "/" not in rest and method == "DELETE":
                 self._handle_deregister(writer, rest)
@@ -311,7 +337,24 @@ class Coordinator(HttpBase):
             "nodes": len(self.ring),
         })
 
-    def _handle_heartbeat(self, writer, node_id: str) -> None:
+    def _handle_heartbeat(self, writer, node_id: str, body: bytes) -> None:
+        """Liveness, plus the runs the node finished since its last 200.
+
+        ``finished`` maps the node's run ids to terminal states; a 200
+        acknowledges them all, and the node resends on any other answer.
+        """
+        try:
+            finished = json.loads(body.decode("utf-8") or "{}").get(
+                "finished", {}
+            )
+            if not all(s in TERMINAL_STATES for s in finished.values()):
+                raise ValueError
+        except (ValueError, AttributeError, TypeError):  # JSON errors too
+            self._write_json(writer, 400, {
+                "error": "heartbeat body must be an object whose "
+                         "'finished' maps run ids to terminal states",
+            })
+            return
         node = self.nodes.get(node_id)
         if node is None or not node.alive:
             # 404 tells the node to re-register (it was evicted, or the
@@ -322,6 +365,14 @@ class Coordinator(HttpBase):
             )
             return
         node.last_heartbeat = asyncio.get_event_loop().time()
+        for node_job_id, state in finished.items():
+            job = self.table.get(
+                self._failover_ids.get(node_job_id, node_job_id)
+            )
+            # Only a run's current owner, under its own id, speaks for it.
+            owner = (node_id, node_job_id)
+            if job is not None and (job.node_id, job.node_job_id) == owner:
+                self._finish(job, state)
         self._write_json(writer, 200, {"node_id": node_id, "ok": True})
 
     def _handle_deregister(self, writer, node_id: str) -> None:
@@ -396,15 +447,16 @@ class Coordinator(HttpBase):
                 continue
             if status in (200, 202) and doc:
                 job = CoordJob(
-                    public_id=doc["id"],
+                    id=doc["id"],
                     node_id=target.node_id,
                     node_job_id=doc["id"],
                     payload=payload,
                     cache_key=cache_key,
                     tenant=tenant,
-                    terminal=(status == 200),  # cache hits are born done
                 )
-                self.jobs[job.public_id] = job
+                self.table.add(job)
+                if status == 200:  # cache hits are born done
+                    self._finish(job, doc.get("state"))
                 self._submissions_counter.inc()
                 doc["node"] = target.node_id
             extra = ()
@@ -417,9 +469,8 @@ class Coordinator(HttpBase):
         )
 
     async def _handle_proxy_job(self, writer, method: str, job_id: str) -> None:
-        job = self.jobs.get(job_id)
+        job = self._lookup_or_respond(writer, self.table, job_id)
         if job is None:
-            self._write_json(writer, 404, {"error": f"unknown run {job_id!r}"})
             return
         node = self.nodes.get(job.node_id)
         if node is None:
@@ -441,21 +492,20 @@ class Coordinator(HttpBase):
             )
             return
         doc = doc or {}
-        if status == 200 and doc:
+        if status in (200, 410) and doc:
             # Clients hold the public id; after a failover the node's id
-            # differs, so rewrite before the doc leaves the fleet.
-            doc["id"] = job.public_id
+            # differs, so rewrite before the doc leaves the fleet.  A 410
+            # is a run the node finished and has since evicted.
+            doc["id"] = job.id
             doc["node"] = job.node_id
-            if doc.get("state") in TERMINAL_STATES:
-                job.terminal = True
+            self._finish(job, doc.get("state"))
         self._write_json(writer, status, doc)
 
     def _handle_events_redirect(
         self, writer, job_id: str, query: Dict[str, str]
     ) -> None:
-        job = self.jobs.get(job_id)
+        job = self._lookup_or_respond(writer, self.table, job_id)
         if job is None:
-            self._write_json(writer, 404, {"error": f"unknown run {job_id!r}"})
             return
         node = self.nodes.get(job.node_id)
         if node is None:
@@ -490,8 +540,9 @@ class Coordinator(HttpBase):
         }
 
     def stats(self) -> dict:
-        tracked = len(self.jobs)
-        terminal = sum(1 for job in self.jobs.values() if job.terminal)
+        retention = self.table.stats()
+        tracked = retention["retained"]
+        terminal = retention["terminal_retained"]
         doc = self.healthz()
         doc.update({
             "ring": self.ring.stats(),
@@ -503,6 +554,7 @@ class Coordinator(HttpBase):
                 "in_flight": tracked - terminal,
                 "resubmitted_total": int(self._resubmitted_counter.value),
             },
+            "retention": retention,
             "evictions": {
                 "nodes_evicted_total": int(self._evicted_counter.value),
                 "heartbeat_timeout_s": self.config.heartbeat_timeout_s,
@@ -515,16 +567,9 @@ class Coordinator(HttpBase):
 
 async def run_coordinator(config: CoordinatorConfig, ready=None) -> None:
     """Start a coordinator, announce readiness, serve until stopped."""
-    import signal
-
     coordinator = Coordinator(config)
     await coordinator.start()
-    loop = asyncio.get_event_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, coordinator.request_shutdown)
-        except (NotImplementedError, ValueError, RuntimeError):
-            break
+    coordinator.install_signal_handlers()
     if ready is not None:
         ready(coordinator)
     await coordinator.serve_forever()

@@ -54,6 +54,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 from repro.metrics.stats import percentile
 from repro.obs.metrics import family_total, parse_samples
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.queue import DEFAULT_PRIORITY, priority_class
 from repro.serve.spec import SPEC_VERSION, TERMINAL_STATES
 
 SCHEMA_VERSION = 2
@@ -241,7 +242,7 @@ def run_level(
             counts["completed"] += 1
             hit = bool(job.get("cache_hit") or job.get("cached"))
             counts["cache_hits"] += hit
-            cls = _priority_class(payload.get("priority", 10))
+            cls = priority_class(payload.get("priority", DEFAULT_PRIORITY))
             by_class.setdefault(cls, _Samples(rng)).add(e2e_s)
             if not hit:
                 misses.add(e2e_s)
@@ -292,18 +293,6 @@ def run_level(
         "miss_mean_e2e_s": misses.mean(),
         "service_estimate_s": _service_time_estimate(misses.values),
     }
-
-
-def _priority_class(priority: int) -> str:
-    try:
-        priority = int(priority)
-    except (TypeError, ValueError):
-        priority = 10
-    if priority < 10:
-        return "high"
-    if priority == 10:
-        return "normal"
-    return "low"
 
 
 def _service_time_estimate(miss_e2e_s: List[float]) -> Optional[float]:

@@ -4,11 +4,12 @@
 :class:`~repro.serve.http.SimulationServer` with the two behaviors
 membership requires: it registers with the coordinator at startup
 (retrying until the coordinator exists — fleet bring-up order must not
-matter) and heartbeats on a fixed interval forever after.  A heartbeat
-answered with 404 means the coordinator evicted us (or restarted and
-lost its table); the node simply re-registers and carries on — the
-shared result store means nothing of value lived only in the
-membership table.
+matter) and heartbeats on a fixed interval forever after, each beat
+carrying the runs it finished since its last acknowledged one.  A
+heartbeat answered with 404 means the coordinator evicted us (or
+restarted and lost its table); the node simply re-registers and
+carries on — the shared result store means nothing of value lived
+only in the membership table.
 
 The node's serve config should point ``cache_dir`` at the fleet's
 shared store directory; that single shared disk tier is what lets any
@@ -47,7 +48,7 @@ class FleetNode:
 
     @property
     def node_id(self) -> str:
-        return self.server.config.node_id
+        return self.server.state.config.node_id
 
     @property
     def port(self) -> Optional[int]:
@@ -58,7 +59,7 @@ class FleetNode:
         await self.server.start()
         if self.advertise_url is None:
             self.advertise_url = (
-                f"http://{self.server.config.host}:{self.server.port}"
+                f"http://{self.server.state.config.host}:{self.server.port}"
             )
         self._member_task = asyncio.ensure_future(self._membership_loop())
 
@@ -69,7 +70,7 @@ class FleetNode:
                 {
                     "node_id": self.node_id,
                     "url": self.advertise_url,
-                    "workers": self.server.config.workers,
+                    "workers": self.server.state.config.workers,
                 },
                 timeout_s=5.0,
             )
@@ -88,15 +89,20 @@ class FleetNode:
                     await asyncio.sleep(min(1.0, self.heartbeat_interval_s))
                     continue
             await asyncio.sleep(self.heartbeat_interval_s)
+            finished = self.server.state.finished
+            sent = dict(finished)
             try:
                 status, _, _ = await async_request(
                     "POST",
                     f"{self.coordinator_url}/v1/nodes/"
                     f"{self.node_id}/heartbeat",
-                    {"node_id": self.node_id},
+                    {"node_id": self.node_id, "finished": sent},
                     timeout_s=5.0,
                 )
-                if status == 404:
+                if status == 200:
+                    for job_id in sent:
+                        finished.pop(job_id, None)
+                elif status == 404:
                     registered = False
             except TransportError:
                 pass  # coordinator briefly away; keep beating

@@ -9,7 +9,7 @@ direct-reclaim stall time.  Snapshots support windowed measurements
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict
 
 
@@ -78,10 +78,6 @@ class VmStat:
         """Copy all counters into a plain dict (cheap, for windowing)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def delta_since(self, snap: Dict[str, float]) -> Dict[str, float]:
-        """Counter increments since a snapshot taken earlier."""
-        return {name: getattr(self, name) - snap[name] for name in snap}
-
     def copy(self) -> "VmStat":
         """An independent typed snapshot (for later :meth:`delta`)."""
         return replace(self)
@@ -89,9 +85,9 @@ class VmStat:
     def delta(self, prev: "VmStat") -> "VmStat":
         """Typed counter increments since ``prev`` (a :meth:`copy`).
 
-        Unlike :meth:`delta_since` the result is itself a ``VmStat``, so
-        windowed measurements keep the derived properties
-        (``pgsteal``, ``refault_ratio``, ``bg_refault_share``).
+        The result is itself a ``VmStat``, so windowed measurements keep
+        the derived properties (``pgsteal``, ``refault_ratio``,
+        ``bg_refault_share``).
         """
         out = VmStat()
         for f in fields(self):

@@ -30,6 +30,12 @@ from repro.obs import psi as psi_mod
 
 KIB_PER_SIM_PAGE_FACTOR = 4  # one real 4 KiB page = 4 KiB
 
+# Every readable path is one of these, or memcg/<package>/<leaf> for an
+# installed package and a leaf of MEMCG_FILES.
+FIXED_PATHS = ("meminfo", "vmstat", "pressure/memory", "pressure/io",
+               "pressure/cpu", "cgroup/freezer")
+MEMCG_FILES = ("memory.stat", "pressure")
+
 
 class ProcFs:
     """Read-only virtual filesystem over one :class:`MobileSystem`."""
@@ -42,19 +48,11 @@ class ProcFs:
     # ------------------------------------------------------------------
     def paths(self) -> List[str]:
         """All readable paths (per-app entries follow live apps)."""
-        fixed = [
-            "meminfo",
-            "vmstat",
-            "pressure/memory",
-            "pressure/io",
-            "pressure/cpu",
-            "cgroup/freezer",
-        ]
+        paths = list(FIXED_PATHS)
         for package in sorted(self.system.apps):
             if self.system.apps[package].alive:
-                fixed.append(f"memcg/{package}/memory.stat")
-                fixed.append(f"memcg/{package}/pressure")
-        return fixed
+                paths.extend(f"memcg/{package}/{leaf}" for leaf in MEMCG_FILES)
+        return paths
 
     def read(self, path: str) -> str:
         """Render one file as text; raises ``KeyError`` for unknown paths."""

@@ -8,8 +8,8 @@ Turns one-shot CLI runs into addressable, deduplicated requests:
 * :mod:`repro.serve.workers` — supervised process-pool fleet with crash
   retry and sampler-fed progress streaming
 * :mod:`repro.serve.cache`   — content-addressed result store
-* :mod:`repro.serve.retention` — byte-budgeted terminal-job table with
-  eviction tombstones (410 Gone)
+* :mod:`repro.serve.retention` — byte-budgeted run table with eviction
+  tombstones (410 Gone), kept by nodes and the fleet coordinator alike
 * :mod:`repro.serve.httpbase` — request parsing and response encoding
   shared with the fleet coordinator
 * :mod:`repro.serve.http`    — asyncio HTTP/JSON + SSE API

@@ -41,23 +41,19 @@ from __future__ import annotations
 
 import asyncio
 import json
-import signal
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.fleet.ratelimit import RateLimited
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE
-from repro.serve.httpbase import ROUTE_NODE_HEADER, SERVER_NAME, HttpBase
-from repro.serve.queue import BadSubmission, Job, QueueFull
+from repro.serve.httpbase import ROUTE_NODE_HEADER, HttpBase
+from repro.serve.queue import BadSubmission, QueueFull
 from repro.serve.spec import TERMINAL_STATES
 from repro.serve.state import (  # re-exported; they predate the split
     ServeConfig,
     ServerState,
 )
 
-__all__ = [
-    "ServeConfig", "ServerState", "SimulationServer", "HttpBase",
-    "BadSubmission", "RateLimited", "run_server", "SERVER_NAME",
-]
+__all__ = ["ServeConfig", "ServerState", "SimulationServer", "run_server"]
 
 class SimulationServer(HttpBase):
     """A :class:`ServerState` behind an asyncio HTTP listener."""
@@ -65,83 +61,18 @@ class SimulationServer(HttpBase):
     def __init__(self, config: Optional[ServeConfig] = None):
         self.state = ServerState(config)
         super().__init__(self.state.registry)
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopped = asyncio.Event()
         self._drain_task: Optional[asyncio.Task] = None
-        self._keepalive_counter = self.registry.counter(
+        self._keepalive_counter = self.state.registry.counter(
             "repro_serve_sse_keepalives_total",
             "SSE `: ping` comment frames written to idle followers",
         )
-
-    # The state's collaborators were public attributes before the
-    # state/transport split; keep them reachable (tests, bench, CLI).
-    @property
-    def config(self) -> ServeConfig:
-        return self.state.config
-
-    @property
-    def registry(self):
-        return self.state.registry
-
-    @property
-    def cache(self):
-        return self.state.cache
-
-    @property
-    def queue(self):
-        return self.state.queue
-
-    @property
-    def fleet(self):
-        return self.state.fleet
-
-    @property
-    def table(self):
-        return self.state.table
-
-    @property
-    def jobs(self) -> Dict[str, Job]:
-        return self.state.jobs
-
-    @property
-    def tenants(self) -> Dict[str, dict]:
-        return self.state.tenants
-
-    @property
-    def draining(self) -> bool:
-        return self.state.draining
-
-    def submit(self, payload: dict) -> Tuple[int, Job]:
-        return self.state.submit(payload)
-
-    def healthz(self) -> dict:
-        return self.state.healthz()
-
-    def stats(self) -> dict:
-        return self.state.stats()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
         self.state.start()
-        self._server = await asyncio.start_server(
-            self._handle_client, host=self.config.host, port=self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT → graceful drain (main-thread loops only)."""
-        loop = asyncio.get_event_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.request_shutdown)
-            except (NotImplementedError, ValueError, RuntimeError):
-                return  # not the main thread / unsupported platform
-
-    async def serve_forever(self) -> None:
-        await self._stopped.wait()
+        await self._listen(self.state.config.host, self.state.config.port)
 
     def request_shutdown(self) -> None:
         """Begin the graceful drain (idempotent, signal-handler safe)."""
@@ -163,17 +94,17 @@ class SimulationServer(HttpBase):
         query: Dict[str, str], headers: Dict[str, str], body: bytes,
     ) -> None:
         if path == "/v1/healthz" and method == "GET":
-            self._write_json(writer, 200, self.healthz())
+            self._write_json(writer, 200, self.state.healthz())
             return
         if path == "/v1/stats" and method == "GET":
-            self._write_json(writer, 200, self.stats())
+            self._write_json(writer, 200, self.state.stats())
             return
         if path == "/metrics" and method == "GET":
             # Refresh the sampled gauges so a scrape is never staler
             # than the exposition it reads.
             self.state.sample_memory()
             self._write_text(
-                writer, 200, self.registry.render(),
+                writer, 200, self.state.registry.render(),
                 content_type=EXPOSITION_CONTENT_TYPE,
             )
             return
@@ -207,29 +138,20 @@ class SimulationServer(HttpBase):
     def _handle_submit(
         self, writer, headers: Dict[str, str], body: bytes
     ) -> None:
-        if self.draining:
+        if self.state.draining:
             self._write_json(
                 writer, 503,
                 {"error": "server is draining; not accepting new runs"},
             )
             return
-        routed_to = headers.get(ROUTE_NODE_HEADER)
-        if (
-            routed_to is not None
-            and self.config.node_id is not None
-            and routed_to != self.config.node_id
-        ):
-            # Count the coordinator's mistake but serve anyway: the
-            # shared store means a misrouted request is a cold cache,
-            # not a wrong answer.
-            self.state.note_misrouted()
+        self.state.note_misrouted(headers.get(ROUTE_NODE_HEADER))
         try:
             payload = json.loads(body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._write_json(writer, 400, {"error": f"invalid JSON: {exc}"})
             return
         try:
-            status, job = self.submit(payload)
+            status, job = self.state.submit(payload)
         except BadSubmission as exc:
             self._write_json(writer, 400, {"error": str(exc)})
             return
@@ -239,45 +161,21 @@ class SimulationServer(HttpBase):
         except QueueFull as exc:
             self._write_json(writer, 429, {
                 "error": str(exc),
-                "queue": self.queue.stats(),
+                "queue": self.state.queue.stats(),
             })
             return
         doc = job.snapshot()
         doc["cached"] = job.cache_hit
         self._write_json(writer, status, doc)
 
-    def _lookup_or_respond(self, writer, job_id: str) -> Optional[Job]:
-        """Resolve a job id, answering 410/404 for evicted/unknown runs.
-
-        An evicted run is *gone*, not unknown: the 410 body carries the
-        tombstone summary (final state, tenant, cache key, timestamps)
-        so a late poller still learns how its run ended.
-        """
-        job, tombstone = self.table.lookup(job_id)
-        if job is not None:
-            return job
-        if tombstone is not None:
-            doc = dict(tombstone)
-            # The job's own failure reason moves aside so "error" can
-            # carry the HTTP-level explanation, like every error body.
-            doc["job_error"] = doc.pop("error", None)
-            doc["error"] = (
-                f"run {job_id!r} finished and was evicted from the "
-                "retention window"
-            )
-            self._write_json(writer, 410, doc)
-            return None
-        self._write_json(writer, 404, {"error": f"unknown run {job_id!r}"})
-        return None
-
     def _handle_get_job(self, writer, job_id: str) -> None:
-        job = self._lookup_or_respond(writer, job_id)
+        job = self._lookup_or_respond(writer, self.state.table, job_id)
         if job is None:
             return
         self._write_json(writer, 200, job.snapshot())
 
     def _handle_cancel(self, writer, job_id: str) -> None:
-        job = self._lookup_or_respond(writer, job_id)
+        job = self._lookup_or_respond(writer, self.state.table, job_id)
         if job is None:
             return
         if self.state.cancel(job_id):
@@ -291,7 +189,7 @@ class SimulationServer(HttpBase):
     async def _handle_events(
         self, writer, job_id: str, query: Dict[str, str]
     ) -> None:
-        job = self._lookup_or_respond(writer, job_id)
+        job = self._lookup_or_respond(writer, self.state.table, job_id)
         if job is None:
             return
         # Absolute position in the job's event history.  ?cursor=N is a
@@ -362,7 +260,7 @@ class SimulationServer(HttpBase):
             # Park until the job records its next event or the stream
             # has been idle for a keepalive interval (a nonpositive
             # interval disables keepalives).
-            keepalive = self.config.sse_keepalive_s
+            keepalive = self.state.config.sse_keepalive_s
             idle_left = None
             if keepalive > 0:
                 idle_left = keepalive - (loop.time() - last_write)

@@ -4,8 +4,8 @@
 serve node (:class:`repro.serve.http.SimulationServer`) and the fleet
 coordinator (:class:`repro.fleet.coordinator.Coordinator`).  It lives
 apart from :mod:`repro.serve.http` so the coordinator can reuse it
-without importing what only a node runs: the queue, the worker pool,
-the result cache and the job table.
+without importing what only a node runs: the worker pool, the result
+cache and the node's state.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import signal
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl
 
@@ -47,7 +48,8 @@ class _PayloadTooLarge(Exception):
 class HttpBase:
     """Reusable asyncio HTTP plumbing: parse, dispatch, encode.
 
-    Subclasses implement :meth:`_dispatch` and may override
+    Subclasses implement :meth:`_dispatch` and ``request_shutdown``
+    (which sets ``_stopped`` once the listener is done) and may override
     ``server_name``.  One request per connection, JSON everywhere,
     bounded bodies — the same dialect
     :mod:`repro.fleet.transport` speaks from the client side.
@@ -60,6 +62,27 @@ class HttpBase:
             "repro_serve_http_responses_total",
             "HTTP responses by status code", labelnames=("status",),
         )
+        self.port: Optional[int] = None
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._stopped = asyncio.Event()
+
+    async def _listen(self, host: str, port: int) -> None:
+        self._server = await asyncio.start_server(
+            self._handle_client, host=host, port=port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def serve_forever(self) -> None:
+        await self._stopped.wait()
+
+    def install_signal_handlers(self) -> None:
+        """SIGTERM/SIGINT → ``request_shutdown`` (main-thread loops only)."""
+        loop = asyncio.get_event_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, self.request_shutdown)
+            except (NotImplementedError, ValueError, RuntimeError):
+                return  # not the main thread / unsupported platform
 
     # ------------------------------------------------------------------
     async def _handle_client(
@@ -182,6 +205,30 @@ class HttpBase:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
+    def _lookup_or_respond(self, writer, table, job_id: str):
+        """Resolve a run id in a job table, answering 410/404 otherwise.
+
+        An evicted run is *gone*, not unknown: the 410 body carries the
+        tombstone summary (final state, tenant, timestamps) so a late
+        poller still learns how its run ended.
+        """
+        job, tombstone = table.lookup(job_id)
+        if job is not None:
+            return job
+        if tombstone is not None:
+            doc = dict(tombstone)
+            # The run's own failure reason moves aside so "error" can
+            # carry the HTTP-level explanation, like every error body.
+            doc["job_error"] = doc.pop("error", None)
+            doc["error"] = (
+                f"run {job_id!r} finished and was evicted from the "
+                "retention window"
+            )
+            self._write_json(writer, 410, doc)
+            return None
+        self._write_json(writer, 404, {"error": f"unknown run {job_id!r}"})
+        return None
+
     def _write_json(
         self, writer, status: int, doc: dict,
         extra_headers: Tuple[Tuple[str, str], ...] = (),

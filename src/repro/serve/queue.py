@@ -31,7 +31,7 @@ from repro.apps.catalog import APP_CATALOG
 from repro.devices.specs import DEVICES
 from repro.obs.metrics import MetricsRegistry, latency_summary
 from repro.policies.registry import available_policies
-from repro.serve.spec import TERMINAL_STATES, RunRequest
+from repro.serve.spec import TERMINAL_STATES, RunRequest, canonical_size_bytes
 
 DEFAULT_PRIORITY = 10
 DEFAULT_TENANT = "default"
@@ -289,6 +289,34 @@ class Job:
             "spans": self.spans(),
             "events_dropped": self.events_dropped,
         }
+
+    def summary(self) -> dict:
+        """The fields a ``/v1/stats`` recent-runs row shows."""
+        return {
+            "id": self.id,
+            "tenant": self.tenant,
+            "state": self.state,
+            "priority": self.priority,
+            "cache_hit": self.cache_hit,
+            "scenario": self.request.scenario,
+            "policy": self.request.policy,
+        }
+
+    def tombstone(self, now: float) -> dict:
+        """The small fixed-shape summary a 410 response serves."""
+        return dict(
+            self.summary(), evicted=True, evicted_at=now,
+            priority_class=self.priority_class, cache_key=self.cache_key,
+            error=self.error, submitted_at=self.submitted_at,
+            finished_at=self.finished_at,
+        )
+
+    def retention_cost(self) -> int:
+        # Events are charged too: a progress-sampled run's event list
+        # can dwarf its snapshot.
+        return canonical_size_bytes(self.snapshot()) + canonical_size_bytes(
+            self.events
+        )
 
 
 async def _notify(cond: asyncio.Condition) -> None:

@@ -1,44 +1,42 @@
-"""Terminal-job retention: a byte-budgeted table with tombstones.
+"""Terminal-entry retention: a byte-budgeted table with tombstones.
 
-The job table is the serve plane's last unbounded structure: every
-submission creates a :class:`~repro.serve.queue.Job` that used to live
-in ``SimulationServer.jobs`` forever so pollers and SSE followers could
-read terminal states.  On a long-lived server that is a slow leak —
-each terminal job retains its full result document, request, and event
-list, so ten thousand submissions quietly cost tens of MB of RSS that
-never come back.
+Both tiers of the serve plane keep one entry per admitted run so that
+pollers and SSE followers can read its final state: a node keeps its
+:class:`~repro.serve.queue.Job`, the fleet coordinator its
+``CoordJob``.  Kept forever, either is a slow leak: ten thousand
+submissions quietly cost tens of MB of RSS that never come back.
 
 :class:`JobTable` applies the same canonical-size budgeting the
 :class:`~repro.serve.cache.ResultCache` memory tier uses:
 
-* **Byte-costed GC** — when a job reaches a terminal state it is
-  charged the canonical-JSON size of its snapshot plus its event list
-  (computed once; terminal jobs never grow), and the table evicts the
-  oldest terminal jobs while the total exceeds ``budget_bytes``.
-* **Min-retention window** — a job is never evicted within
+* **Byte-costed GC** — when an entry reaches a terminal state it is
+  charged its ``retention_cost()`` (computed once; terminal entries
+  never grow), and the table evicts the oldest terminal entries while
+  the total exceeds ``budget_bytes``.
+* **Min-retention window** — an entry is never evicted within
   ``min_retention_s`` of finishing, so a client that just submitted
   can always poll its result; the budget is therefore enforced once
   the window has passed (and re-checked by the periodic GC tick).
-* **Tombstones, not 404s** — eviction leaves behind a small summary
-  document, so ``GET /v1/runs/<id>`` answers 410 Gone with the job's
-  final state instead of pretending the run never existed.  Tombstones
-  are themselves bounded (``tombstone_limit``, oldest dropped first).
+* **Tombstones, not 404s** — eviction keeps the entry's
+  ``tombstone(now)``, a small summary document, so
+  ``GET /v1/runs/<id>`` answers 410 Gone with the run's final state
+  instead of pretending the run never existed.  Tombstones are
+  themselves bounded (``tombstone_limit``, oldest dropped first).
 
-Running jobs and queued jobs are never evicted — only terminal ones —
-so the GC can never orphan the supervisor's in-flight work.
+The table knows an entry only through ``id``, ``terminal``,
+``retention_cost()`` and ``tombstone(now)``.  Entries that are not
+terminal are never evicted, so the GC can never orphan in-flight work.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.queue import Job, JobState
-from repro.serve.spec import canonical_size_bytes
 
-# Terminal jobs retained under ~16 MB by default: enough for thousands
+# Terminal entries retained under ~16 MB by default: enough for thousands
 # of small-result runs, bounded for a server that lives for days.
 DEFAULT_JOB_BUDGET_BYTES = 16 * 1024 * 1024
 DEFAULT_MIN_RETENTION_S = 30.0
@@ -48,7 +46,7 @@ DEFAULT_MAX_EVENTS_PER_JOB = 512
 
 
 class JobTable:
-    """Job registry with byte-budgeted terminal-job garbage collection."""
+    """Run registry with byte-budgeted terminal-entry garbage collection."""
 
     def __init__(
         self,
@@ -68,12 +66,11 @@ class JobTable:
         self.min_retention_s = min_retention_s
         self.tombstone_limit = tombstone_limit
         self._clock = clock
-        # All live + retained-terminal jobs, by id.
-        self.jobs: Dict[str, Job] = {}
-        # Terminal jobs in completion order (the GC's eviction order)
-        # mapped to the loop time they were folded in.
-        self._terminal: "OrderedDict[str, float]" = OrderedDict()
-        self._costs: Dict[str, int] = {}
+        # All live + retained-terminal entries, by id.
+        self.jobs: Dict[str, Any] = {}
+        # Terminal entries in completion order (the GC's eviction order)
+        # mapped to the loop time they were folded in and their cost.
+        self._terminal: "OrderedDict[str, Tuple[float, int]]" = OrderedDict()
         self.terminal_bytes = 0
         self._tombstones: "OrderedDict[str, dict]" = OrderedDict()
         # No family counts dropped tombstones, so this stays a plain count.
@@ -117,15 +114,15 @@ class JobTable:
     def __contains__(self, job_id: str) -> bool:
         return job_id in self.jobs
 
-    def get(self, job_id: str) -> Optional[Job]:
+    def get(self, job_id: str) -> Optional[Any]:
         return self.jobs.get(job_id)
 
-    def add(self, job: Job) -> None:
-        """Register a freshly admitted job (live, uncharged)."""
+    def add(self, job) -> None:
+        """Register a freshly admitted entry (live, uncharged)."""
         self.jobs[job.id] = job
 
-    def lookup(self, job_id: str) -> Tuple[Optional[Job], Optional[dict]]:
-        """``(job, None)``, ``(None, tombstone)``, or ``(None, None)``."""
+    def lookup(self, job_id: str) -> Tuple[Optional[Any], Optional[dict]]:
+        """``(entry, None)``, ``(None, tombstone)``, or ``(None, None)``."""
         job = self.jobs.get(job_id)
         if job is not None:
             return job, None
@@ -134,20 +131,15 @@ class JobTable:
     # ------------------------------------------------------------------
     # Terminal accounting + GC
     # ------------------------------------------------------------------
-    def note_terminal(self, job: Job) -> None:
-        """Charge a newly terminal job its retention cost (idempotent)."""
-        if job.id in self._costs or job.id not in self.jobs:
+    def note_terminal(self, job) -> None:
+        """Charge a newly terminal entry its retention cost (idempotent)."""
+        if job.id in self._terminal or job.id not in self.jobs:
             return
         if not job.terminal:
             return
-        # Terminal jobs never mutate, so the cost is computed exactly
-        # once.  Events are charged too: a progress-sampled run's event
-        # list can dwarf its snapshot.
-        cost = canonical_size_bytes(job.snapshot()) + canonical_size_bytes(
-            job.events
-        )
-        self._costs[job.id] = cost
-        self._terminal[job.id] = self._now()
+        # Terminal entries never mutate, so the cost is computed once.
+        cost = job.retention_cost()
+        self._terminal[job.id] = (self._now(), cost)
         self.terminal_bytes += cost
         self.gc()
 
@@ -164,7 +156,7 @@ class JobTable:
         now = self._now() if now is None else now
         evicted = 0
         while self.terminal_bytes > self.budget_bytes and self._terminal:
-            job_id, finished = next(iter(self._terminal.items()))
+            job_id, (finished, _) = next(iter(self._terminal.items()))
             if now - finished < self.min_retention_s:
                 break  # everything older was already evicted
             self._evict(job_id, now)
@@ -172,44 +164,17 @@ class JobTable:
         return evicted
 
     def _evict(self, job_id: str, now: float) -> None:
-        del self._terminal[job_id]
-        self.terminal_bytes -= self._costs.pop(job_id)
+        self.terminal_bytes -= self._terminal.pop(job_id)[1]
         job = self.jobs.pop(job_id)
         self._evicted_counter.inc()
         if self.tombstone_limit <= 0:
             return
-        self._tombstones[job_id] = self._tombstone_doc(job, now)
+        self._tombstones[job_id] = job.tombstone(now)
         while len(self._tombstones) > self.tombstone_limit:
             self._tombstones.popitem(last=False)
             self.tombstones_dropped_total += 1
 
-    @staticmethod
-    def _tombstone_doc(job: Job, now: float) -> dict:
-        """The small fixed-shape summary a 410 response serves."""
-        return {
-            "id": job.id,
-            "state": job.state,
-            "evicted": True,
-            "evicted_at": now,
-            "tenant": job.tenant,
-            "priority": job.priority,
-            "priority_class": job.priority_class,
-            "cache_hit": job.cache_hit,
-            "cache_key": job.cache_key,
-            "scenario": job.request.scenario,
-            "policy": job.request.policy,
-            "error": job.error,
-            "submitted_at": job.submitted_at,
-            "finished_at": job.finished_at,
-        }
-
     # ------------------------------------------------------------------
-    def state_counts(self) -> Dict[str, int]:
-        counts = {state: 0 for state in JobState.ALL}
-        for job in self.jobs.values():
-            counts[job.state] += 1
-        return counts
-
     def stats(self) -> dict:
         return {
             "retained": len(self.jobs),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import tracemalloc
 import uuid
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -149,6 +149,10 @@ class ServerState:
         # Per-tenant accumulators for the fleet console's rogue scores.
         self.tenants: Dict[str, dict] = {}
         self._recent: deque = deque(maxlen=max(1, self.config.recent_jobs))
+        # A fleet node's finished runs, id -> terminal state, until its
+        # coordinator acknowledges them on a heartbeat; bounded like the
+        # tombstones, oldest dropped first.
+        self.finished: "OrderedDict[str, str]" = OrderedDict()
         self._submitted_counter = self.registry.counter(
             "repro_serve_jobs_submitted_total",
             "Submissions admitted (including cache hits)",
@@ -194,11 +198,6 @@ class ServerState:
                 "Submissions the coordinator routed to a different node "
                 "than the one that served them",
             )
-
-    @property
-    def jobs(self) -> Dict[str, Job]:
-        """Live + retained-terminal jobs (the job table's registry)."""
-        return self.table.jobs
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -391,9 +390,10 @@ class ServerState:
 
         Jobs reach terminal states down several paths (worker return,
         cache hit, DELETE cancel, queue expiry, forced drain); this is
-        the single place tenant accounting, latency histograms, and
-        job-table retention happen, and the ``finalized`` flag makes a
-        second arrival a no-op.
+        the single place tenant accounting, latency histograms,
+        job-table retention and a fleet node's finished-run report
+        happen, and the ``finalized`` flag makes a second arrival a
+        no-op.
         """
         if job.finalized or not job.terminal:
             return
@@ -419,9 +419,13 @@ class ServerState:
         elif job.state == JobState.CANCELLED:
             acc["cancelled"] += 1
         self.table.note_terminal(job)
+        if self.config.node_id is not None:
+            self.finished[job.id] = job.state
+            if len(self.finished) > DEFAULT_TOMBSTONE_LIMIT:
+                self.finished.popitem(last=False)
 
     def _on_progress(self, message: dict) -> None:
-        job = self.jobs.get(message.get("job_id", ""))
+        job = self.table.get(message.get("job_id", ""))
         # An attempt's rows arrive in order.  A row with another index is
         # a late row of an attempt whose worker died; the retry, being
         # deterministic, sends the same row again.
@@ -500,12 +504,15 @@ class ServerState:
         """Cancel a queued job and finalize it; False if it is not waiting."""
         if not self.queue.cancel(job_id):
             return False
-        self._finalize_job(self.jobs[job_id])
+        self._finalize_job(self.table.get(job_id))
         return True
 
-    def note_misrouted(self) -> None:
-        """Record a submission the coordinator aimed at another node."""
-        if self._misrouted_counter is not None:
+    def note_misrouted(self, routed_to: Optional[str]) -> None:
+        """Count a submission the coordinator aimed at another node (it
+        is served anyway: to the shared store that is only a cold cache)."""
+        if self._misrouted_counter is not None and routed_to not in (
+            None, self.config.node_id,
+        ):
             self._misrouted_counter.inc()
 
     # ------------------------------------------------------------------
@@ -527,7 +534,9 @@ class ServerState:
         return doc
 
     def stats(self) -> dict:
-        states = self.table.state_counts()
+        states = {state: 0 for state in JobState.ALL}
+        for job in self.table.jobs.values():
+            states[job.state] += 1
         queue_stats = self.queue.stats()
         fleet_stats = self.fleet.stats()
         cache_stats = self.cache.stats()
@@ -571,29 +580,12 @@ class ServerState:
 
     def _recent_doc(self, job_id: str) -> dict:
         # A tight retention budget can evict a run while it is still in
-        # the recent ring; the console row survives via its tombstone.
+        # the recent ring; the console row survives via its tombstone,
+        # which starts with the same summary.
         job, tombstone = self.table.lookup(job_id)
-        if job is None:
-            doc = tombstone or {"id": job_id, "state": "evicted"}
-            return {
-                "id": doc.get("id", job_id),
-                "tenant": doc.get("tenant"),
-                "state": doc.get("state"),
-                "priority": doc.get("priority"),
-                "cache_hit": doc.get("cache_hit"),
-                "scenario": doc.get("scenario"),
-                "policy": doc.get("policy"),
-                "evicted": True,
-            }
-        return {
-            "id": job.id,
-            "tenant": job.tenant,
-            "state": job.state,
-            "priority": job.priority,
-            "cache_hit": job.cache_hit,
-            "scenario": job.request.scenario,
-            "policy": job.request.policy,
-        }
+        if job is not None:
+            return job.summary()
+        return tombstone or {"id": job_id, "state": "evicted", "evicted": True}
 
     def _tenant_docs(self) -> Dict[str, dict]:
         """Per-tenant shares and a blended rogue score.
@@ -606,7 +598,7 @@ class ServerState:
         one tenant owns the whole fleet's pain.
         """
         queued_by_tenant: Dict[str, int] = {}
-        for job in self.jobs.values():
+        for job in self.table.jobs.values():
             if job.state == JobState.QUEUED:
                 queued_by_tenant[job.tenant] = (
                     queued_by_tenant.get(job.tenant, 0) + 1

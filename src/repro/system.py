@@ -169,6 +169,8 @@ class MobileSystem:
         # Virtual /proc over the live kernel objects (meminfo, vmstat,
         # pressure/*, per-app memcg files) — `repro scenario --proc`.
         self.procfs = ProcFs(self)
+        # A started trace Sampler rebases here before counters reset.
+        self.sampler = None
         # §3.2 switch: the "idle runtime GC" feature can be disabled to
         # show GC is not the only refault source.
         self.idle_gc_disabled = False
@@ -385,6 +387,8 @@ class MobileSystem:
 
     def reset_measurements(self) -> None:
         """Zero all counters (start of a measurement window)."""
+        if self.sampler is not None:
+            self.sampler.rebase()
         self.mm.vmstat.reset()
         self.flash.reset_stats()
         self.zram.reset_stats()

@@ -100,6 +100,7 @@ class Sampler:
         self._last_busy_ms = self.system.sched.stats.busy_ms_total
         self._last_sample_at = sim.now
         self._handle = sim.every(self.interval_ms, self._tick, first_delay=first_delay)
+        self.system.sampler = self
         return self
 
     def stop(self) -> None:
@@ -112,9 +113,20 @@ class Sampler:
         if self._handle is not None:
             self._handle.stop()
             self._handle = None
+            if self.system.sampler is self:
+                self.system.sampler = None
             now = self.system.sim.now
             if now > self._last_sample_at:
                 self._sample(now)
+
+    def rebase(self) -> None:
+        """Called just before the system zeroes vmstat and the busy total.
+
+        Each baseline becomes ``last - now``, so the next row's delta
+        adds the interval's increments from before and after the reset.
+        """
+        self._last_vm = self._last_vm.delta(self.system.vmstat)
+        self._last_busy_ms -= self.system.sched.stats.busy_ms_total
 
     def _frames_completed(self) -> int:
         stats = self.system.frame_engine.stats

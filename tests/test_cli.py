@@ -88,6 +88,7 @@ def test_unknown_policy_rejected(capsys):
     ["scenario", "--bg", "-3", "--seconds", "1"],
     ["scenario", "--seconds", "0"],
     ["scenario", "--seconds", "-5"],
+    ["scenario", "--seconds", "1", "--bg-case", "bg-null", "--proc", "nope"],
     ["submit", "--seconds", "0"],
     ["submit", "--bg", "-2"],
 ], ids=" ".join)

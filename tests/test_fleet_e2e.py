@@ -20,7 +20,7 @@ from repro.fleet.testing import CoordinatorThread, FleetNodeThread
 from repro.obs.metrics import family_total, parse_samples
 from repro.serve.client import QueueFullError, ServeClient, ServeError
 from repro.serve.http import ServeConfig
-from repro.serve.queue import DEFAULT_TENANT
+from repro.serve.queue import DEFAULT_TENANT, parse_submission
 from repro.serve.testing import ServerThread
 
 
@@ -40,6 +40,36 @@ def _wait_for_nodes(client, count, timeout_s=15.0):
             return
         time.sleep(0.05)
     raise TimeoutError(f"fleet never reached {count} live nodes")
+
+
+def _wait_for(predicate, timeout_s):
+    """Poll ``predicate`` until it holds; False if it never did."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.05)
+    return predicate()
+
+
+def _in_flight(client):
+    return client.stats()["jobs"]["in_flight"]
+
+
+def _last_event(client, job_id):
+    """Follow a run over SSE only (no GET) and return its last event."""
+    return [kind for kind, _ in client.events(job_id, timeout_s=120.0)][-1]
+
+
+def _raw_post(client, path, body: bytes):
+    conn = http.client.HTTPConnection(client.host, client.port, timeout=10.0)
+    try:
+        conn.request("POST", path, body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read() or b"{}")
+    finally:
+        conn.close()
 
 
 @pytest.fixture
@@ -187,6 +217,200 @@ def test_killed_node_is_evicted_and_inflight_jobs_resubmitted(fleet):
     ]
     assert f'repro_fleet_node_up{{node="{victim_id}"}}' not in samples
     assert len(ups) == 1
+
+
+def test_reported_runs_are_not_replayed_when_their_node_dies(fleet):
+    # A run its client followed over SSE on the node reaches the
+    # coordinator's table on a heartbeat, so the failover after its
+    # node dies replays only the run still in flight, and that run's
+    # new owner reports it under its own id.
+    coord, nodes, client, store = fleet
+    victim, survivor = nodes
+    victim_id = victim.config.node_id
+    ring = coord.coordinator.ring
+
+    def routed_to_victim(seconds, seed):
+        while True:
+            payload = {
+                "scenario": "S-A", "bg_case": "bg-null",
+                "seconds": seconds, "seed": seed, "tenant": "failover",
+            }
+            _, request = parse_submission(payload)
+            if ring.route(request.cache_key()) == victim_id:
+                return payload
+            seed += 1
+
+    finished = client.submit(routed_to_victim(5.0, 6000))
+    assert finished["node"] == victim_id
+    assert _last_event(client, finished["id"]) == "done"
+    assert _wait_for(lambda: _in_flight(client) == 0, timeout_s=2.0)
+
+    orphan = client.submit(routed_to_victim(600.0, 7000))
+    assert orphan["node"] == victim_id
+    victim.kill()
+    assert _wait_for(
+        lambda: client.stats()["jobs"]["resubmitted_total"] >= 1,
+        timeout_s=15.0,
+    )
+    time.sleep(0.5)  # a second, wrong replay would land by now
+    stats = client.stats()
+    assert stats["evictions"]["nodes_evicted_total"] == 1
+    assert stats["jobs"]["resubmitted_total"] == 1
+
+    assert _last_event(client, orphan["id"]) == "done"
+    assert _wait_for(lambda: _in_flight(client) == 0, timeout_s=2.0)
+    final = client.get(orphan["id"])
+    assert final["state"] == "done"
+    assert final["id"] == orphan["id"]
+    assert final["node"] == survivor.config.node_id
+
+
+# ----------------------------------------------------------------------
+# One job table for both tiers
+# ----------------------------------------------------------------------
+@pytest.fixture
+def tight_fleet(tmp_path):
+    """Coordinator + one node with a 4 KB job budget and 0 s retention."""
+    store = tmp_path / "store"
+    store.mkdir()
+    coord = CoordinatorThread(CoordinatorConfig(
+        port=0, heartbeat_timeout_s=5.0, sweep_interval_s=0.2,
+    ))
+    coord.start()
+    node = FleetNodeThread(
+        _node_config(
+            store, "n1", job_budget_bytes=4096, job_min_retention_s=0.0,
+            mem_sample_interval_s=0.2,
+        ),
+        coord.base_url, heartbeat_interval_s=0.2,
+    ).start()
+    client = ServeClient(coord.base_url)
+    _wait_for_nodes(client, 1)
+    try:
+        yield coord, node, client
+    finally:
+        node.stop(timeout_s=15.0)
+        coord.stop(timeout_s=15.0)
+
+
+def _followed_runs_then_duplicates(client, duplicates=60):
+    """Three runs followed to ``done`` over SSE only, then cache hits."""
+    ids = []
+    for seed in (1, 2, 3):
+        payload = {"scenario": "S-A", "bg_case": "bg-null",
+                   "seconds": 5.0, "seed": seed}
+        job = client.submit(payload)
+        ids.append(job["id"])
+        assert _last_event(client, job["id"]) == "done"
+    for i in range(duplicates):
+        job = client.submit({"scenario": "S-A", "bg_case": "bg-null",
+                             "seconds": 5.0, "seed": 1 + i % 3})
+        assert job["cache_hit"] is True
+    return ids
+
+
+def test_runs_followed_over_sse_leave_nothing_in_flight(tight_fleet):
+    # The coordinator answers /events with a 307, so it never sees the
+    # stream end; the node's heartbeat tells it instead, with no GET.
+    coord, node, client = tight_fleet
+    _followed_runs_then_duplicates(client)
+    assert _wait_for(lambda: _in_flight(client) == 0, timeout_s=2 * 0.2 + 1.0)
+    jobs = client.stats()["jobs"]
+    assert jobs["submitted_total"] == 63
+    assert jobs["tracked"] == jobs["terminal"] == 63
+
+
+def test_coordinator_table_is_bounded_and_answers_410(tight_fleet):
+    coord, node, client = tight_fleet
+    table = coord.coordinator.table
+    table.budget_bytes = 2048
+    table.min_retention_s = 0.0
+    first, *_ = _followed_runs_then_duplicates(client, duplicates=0)
+    # The followed runs finish before any cache hit, so they go first.
+    assert _wait_for(lambda: _in_flight(client) == 0, timeout_s=2.0)
+    _followed_runs_then_duplicates(client)
+    stats = client.stats()
+    assert stats["jobs"]["submitted_total"] == 66
+    assert stats["jobs"]["tracked"] <= 20
+    assert stats["retention"]["evicted_total"] >= 66 - 20
+    assert stats["jobs"]["in_flight"] == 0
+
+    # The coordinator evicted the first run itself and answers from its
+    # own tombstone, for a poll and for a follower alike.
+    assert table.get(first) is None
+    for read in (client.get, lambda job_id: list(client.events(job_id))):
+        with pytest.raises(ServeError) as exc_info:
+            read(first)
+        assert exc_info.value.status == 410
+        body = exc_info.value.body
+        assert body["id"] == first
+        assert body["evicted"] is True
+        assert body["state"] == "done"
+        assert body["node"] == "n1"
+
+
+def test_node_410_through_the_coordinator_marks_the_run_terminal(tmp_path):
+    # Heartbeats are slow here, so the coordinator can only learn that
+    # the run ended from the node's 410 to a proxied GET.
+    store = tmp_path / "store"
+    store.mkdir()
+    with CoordinatorThread(CoordinatorConfig(
+        port=0, heartbeat_timeout_s=120.0, sweep_interval_s=1.0,
+    )) as coord:
+        node = FleetNodeThread(
+            _node_config(
+                store, "n1", job_budget_bytes=1, job_min_retention_s=0.0,
+            ),
+            coord.base_url, heartbeat_interval_s=60.0,
+        ).start()
+        try:
+            client = ServeClient(coord.base_url)
+            _wait_for_nodes(client, 1)
+            job = client.submit({"scenario": "S-A", "bg_case": "bg-null",
+                                 "seconds": 5.0, "seed": 61})
+            direct = ServeClient(node.base_url)
+
+            def evicted_on_node():
+                try:
+                    direct.get(job["id"])
+                except ServeError as exc:
+                    return exc.status == 410
+                return False
+
+            assert _wait_for(evicted_on_node, timeout_s=60.0)
+            assert _in_flight(client) == 1
+            with pytest.raises(ServeError) as exc_info:
+                client.get(job["id"])
+            assert exc_info.value.status == 410
+            assert exc_info.value.body["id"] == job["id"]
+            assert exc_info.value.body["node"] == "n1"
+            jobs = client.stats()["jobs"]
+            assert jobs["in_flight"] == 0
+            assert jobs["terminal"] == 1
+        finally:
+            node.stop(timeout_s=15.0)
+
+
+def test_heartbeat_body_is_validated():
+    with CoordinatorThread(CoordinatorConfig(
+        port=0, heartbeat_timeout_s=120.0, sweep_interval_s=1.0,
+    )) as coord:
+        client = ServeClient(coord.base_url)
+        node = {"node_id": "n1", "url": "http://127.0.0.1:9"}
+        registered = _raw_post(client, "/v1/nodes", json.dumps(node).encode())
+        assert registered[0] == 200
+        path = "/v1/nodes/n1/heartbeat"
+        for bad in (b"not json", b"[1]", b'{"finished": []}',
+                    b'{"finished": {"run-1": "running"}}',
+                    b'{"finished": {"run-1": ["done"]}}'):
+            status, body = _raw_post(client, path, bad)
+            assert status == 400, bad
+            assert body["error"], bad
+        good = json.dumps({"node_id": "n1", "finished": {"run-1": "done"}})
+        assert _raw_post(client, path, good.encode())[0] == 200
+        assert _raw_post(client, path, b"")[0] == 200
+        unknown = "/v1/nodes/nobody/heartbeat"
+        assert _raw_post(client, unknown, good.encode())[0] == 404
 
 
 # ----------------------------------------------------------------------

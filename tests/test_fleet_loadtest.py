@@ -8,7 +8,6 @@ import pytest
 from repro.fleet.loadtest import (
     _KEEP,
     LoadtestConfig,
-    _priority_class,
     _Samples,
     find_knee,
     generate_mix,
@@ -90,13 +89,6 @@ def test_level_samples_stay_bounded():
     assert level.count == 10 * _KEEP
     # A uniform sample of 0..9999 has its median near the middle.
     assert 3000 < level.doc()["p50_s"] < 7000
-
-
-def test_priority_class_mapping():
-    assert _priority_class(5) == "high"
-    assert _priority_class(10) == "normal"
-    assert _priority_class(20) == "low"
-    assert _priority_class("nonsense") == "normal"
 
 
 # ----------------------------------------------------------------------

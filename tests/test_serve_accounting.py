@@ -54,6 +54,7 @@ COORDINATOR_FAMILIES = (
     ("repro_fleet_resubmitted_jobs_total", (), ("jobs.resubmitted_total",)),
     ("repro_fleet_nodes_evicted_total", (),
      ("evictions.nodes_evicted_total",)),
+    ("repro_serve_jobs_evicted_total", (), ("retention.evicted_total",)),
     ("repro_fleet_ratelimited_total", (TENANT,),
      ("ratelimit.rejected_total", f"ratelimit.tenants.{TENANT}.rejected")),
 )
@@ -171,3 +172,34 @@ def test_coordinator_without_limiter_has_no_ratelimit_family():
         return coordinator.registry.render()
 
     assert "repro_fleet_ratelimited_total" not in asyncio.run(scenario())
+
+
+def test_fleet_node_buffers_finished_runs_for_its_heartbeat(monkeypatch):
+    # The one finalize path also queues the run's terminal state for the
+    # coordinator, on a fleet node only, and the queue is bounded.
+    from repro.serve import state as state_module
+    from repro.serve.queue import Job, JobState
+    from repro.serve.spec import RunRequest
+
+    monkeypatch.setattr(state_module, "DEFAULT_TOMBSTONE_LIMIT", 3)
+
+    async def scenario():
+        node = ServerState(ServeConfig(port=0, workers=1, node_id="n1"))
+        solo = ServerState(ServeConfig(port=0, workers=1))
+        for i in range(5):
+            for owner in (node, solo):
+                job = Job(
+                    id=f"run-{i}",
+                    request=RunRequest(scenario="S-A", seconds=2.0),
+                    state=JobState.FAILED if i % 2 else JobState.DONE,
+                )
+                owner.table.add(job)
+                owner._finalize_job(job)
+                owner._finalize_job(job)  # a second arrival is a no-op
+        return node.finished, solo.finished
+
+    finished, solo = asyncio.run(scenario())
+    assert list(finished.items()) == [
+        ("run-2", "done"), ("run-3", "failed"), ("run-4", "done"),
+    ]
+    assert not solo

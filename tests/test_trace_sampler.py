@@ -133,3 +133,46 @@ def test_sampler_exports_psi_series():
         assert all(0.0 <= v <= 100.0 for v in sampler.series[name]), name
     counters = {e.name for e in tracer.events if e.ph == "C"}
     assert {"psi_memory", "psi_io", "psi_cpu"} <= counters
+
+
+def test_window_open_keeps_every_delta_row_whole(monkeypatch):
+    # The measurement window zeroes vmstat and the CPU busy total in the
+    # middle of a sample interval.  The row that spans the reset must
+    # hold both parts of its interval: no delta goes negative, and each
+    # series sums to the counter's pre-reset value plus its final value.
+    from repro.experiments.scenarios import BgCase, run_scenario
+    from repro.trace.sampler import DELTA_SERIES
+
+    before_reset = {}
+    reset = MobileSystem.reset_measurements
+
+    def window_start(self):
+        before_reset["vm"] = self.vmstat.copy()
+        before_reset["busy_ms"] = self.sched.stats.busy_ms_total
+        reset(self)
+
+    monkeypatch.setattr(MobileSystem, "reset_measurements", window_start)
+    result = run_scenario(
+        "S-A", bg_case=BgCase.APPS, seconds=5.0, sample_interval_ms=1000.0
+    )
+    sampler, system = result.sampler, result.system
+    assert sampler.times[0] == 1000.0  # sampling started at t = 0
+    for name in DELTA_SERIES + ("pgsteal",):
+        series = sampler.series[name]
+        assert min(series) >= 0, name
+        expected = getattr(before_reset["vm"], name) + getattr(
+            system.vmstat, name
+        )
+        assert sum(series) == pytest.approx(expected), name
+    assert before_reset["vm"].pgsteal > 0  # the reset dropped real work
+    starts = [0.0] + sampler.times[:-1]
+    busy_ms = sum(
+        share * system.sched.cores * (end - start)
+        for share, start, end in zip(
+            sampler.series["cpu_utilization"], starts, sampler.times
+        )
+    )
+    assert busy_ms == pytest.approx(
+        before_reset["busy_ms"] + system.sched.stats.busy_ms_total
+    )
+    assert system.sampler is None  # stop() detached it

@@ -35,13 +35,13 @@ def test_bg_refault_share_zero_when_no_refaults():
 def test_snapshot_and_delta():
     vm = VmStat()
     vm.pgfault = 5
-    snap = vm.snapshot()
+    snap = vm.copy()
     vm.pgfault = 12
     vm.pswpin = 3
-    delta = vm.delta_since(snap)
-    assert delta["pgfault"] == 7
-    assert delta["pswpin"] == 3
-    assert delta["pgsteal_kswapd"] == 0
+    delta = vm.delta(snap)
+    assert delta.pgfault == 7
+    assert delta.pswpin == 3
+    assert delta.pgsteal_kswapd == 0
 
 
 def test_snapshot_is_detached_copy():
