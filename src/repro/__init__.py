@@ -12,7 +12,8 @@ The package provides:
   refault-driven process freezing + memory-aware dynamic thawing) and
   all evaluated baselines (:mod:`repro.policies`);
 * experiment harnesses reproducing every table and figure
-  (:mod:`repro.experiments`, driven by ``benchmarks/``).
+  (:mod:`repro.experiments`; ``python -m repro figures`` regenerates
+  them all into the committed ``FIGURES.json``).
 
 Quickstart::
 

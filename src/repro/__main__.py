@@ -8,8 +8,8 @@ Examples::
     python -m repro scenario --scenario S-B --seconds 15 --json --proc
     python -m repro scenario --scenario S-C --policy Ice --watch --sample-ms 1000
     python -m repro bench --smoke
-    python -m repro table1
-    python -m repro overhead
+    python -m repro figures table1 sec641
+    python -m repro figures --out FIGURES.json
     python -m repro serve --port 8080 --workers 4
     python -m repro submit --scenario S-B --policy Ice --seconds 20
     python -m repro watch --serve http://127.0.0.1:8080
@@ -484,19 +484,10 @@ def _submit_one(client, request, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    from repro.experiments.cpu_utilization import format_table1, table1
+def cmd_figures(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import main as figures_main
 
-    rows = table1(seconds=args.seconds, rounds=args.rounds)
-    print(format_table1(rows))
-    return 0
-
-
-def cmd_overhead(_args: argparse.Namespace) -> int:
-    from repro.experiments.overhead import format_overhead
-
-    print(format_overhead())
-    return 0
+    return figures_main(args)
 
 
 def main(argv=None) -> int:
@@ -753,13 +744,20 @@ def main(argv=None) -> int:
                                "jittered exponential backoff")
     p_submit.set_defaults(func=cmd_submit)
 
-    p_table1 = sub.add_parser("table1", help="regenerate Table 1")
-    p_table1.add_argument("--seconds", type=float, default=20.0)
-    p_table1.add_argument("--rounds", type=int, default=2)
-    p_table1.set_defaults(func=cmd_table1)
-
-    p_overhead = sub.add_parser("overhead", help="§6.4 overhead numbers")
-    p_overhead.set_defaults(func=cmd_overhead)
+    p_figures = sub.add_parser(
+        "figures",
+        help="regenerate the paper's tables and figures; each distinct "
+             "seeded run once, over every CPU this process may use",
+    )
+    # Ids are checked when the command runs: the catalogue imports the
+    # simulator, and the parser must not.
+    p_figures.add_argument("ids", nargs="*", metavar="ID",
+                           help="table1, fig1 ... sec642, ablation-... "
+                                "(default: all; an unknown id lists them)")
+    p_figures.add_argument("--out", default=None, metavar="PATH",
+                           help="write every selected id's rows as JSON "
+                                "(the committed file is FIGURES.json)")
+    p_figures.set_defaults(func=cmd_figures)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -23,7 +23,6 @@ months of commits without guessing at their layout.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime as _dt
 import gc
 import json
@@ -38,6 +37,7 @@ from repro.bench.compare import CELL_KEY_FIELDS, PAPER_METRICS
 from repro.bench.ledger import count_calls, top_functions
 from repro.bench.options import DEFAULT_POLICIES, DEFAULT_SCENARIOS
 from repro.devices.specs import get_device
+from repro.experiments.pool import ordered_map
 from repro.experiments.scenarios import BgCase, SCENARIOS, run_scenario
 from repro.metrics.stats import percentile
 
@@ -233,18 +233,11 @@ def _merge(outcomes, progress, pooled: bool) -> Dict[str, object]:
 
 
 def _run_matrix(config: BenchConfig, progress) -> Dict[str, object]:
-    """Every cell, serially or over a process pool.
-
-    ``executor.map`` preserves submission order, so the merged lists
-    are in the same canonical matrix order as a serial run no matter
-    which worker finishes first.
-    """
+    """Every cell, serially or over a process pool, merged in the same
+    canonical matrix order either way."""
     payloads = [(config, scenario, policy) for scenario, policy in config.cells()]
-    if config.jobs <= 1:
-        return _merge(map(_measure_cell, payloads), progress, pooled=False)
-    max_workers = min(config.jobs, len(payloads))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return _merge(pool.map(_measure_cell, payloads), progress, pooled=True)
+    outcomes = ordered_map(_measure_cell, payloads, config.jobs)
+    return _merge(outcomes, progress, pooled=config.jobs > 1)
 
 
 def run_bench(config: BenchConfig, progress=None) -> Dict[str, object]:

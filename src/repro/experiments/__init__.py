@@ -1,7 +1,9 @@
 """Experiment harnesses reproducing the paper's tables and figures.
 
-Each module maps to one or more artifacts of the evaluation (see
-DESIGN.md §3 for the full index):
+:mod:`repro.experiments.figures` names every artifact of the evaluation
+as seeded cells and runs them for ``repro figures``, over the process
+pool of :mod:`repro.experiments.pool`.  Each other module maps to one or
+more artifacts (see DESIGN.md §3 for the full index):
 
 * :mod:`repro.experiments.cases` — the scenario ids and BG-case names,
   importable without the simulator (request validation, the CLI).
@@ -17,4 +19,6 @@ DESIGN.md §3 for the full index):
 * :mod:`repro.experiments.io_cpu` — §6.2.2.
 * :mod:`repro.experiments.launch_study` — Figure 11.
 * :mod:`repro.experiments.overhead` — §6.4.
+* :mod:`repro.experiments.ablations` — the strawmen and the whitelist
+  study behind the three ablations.
 """

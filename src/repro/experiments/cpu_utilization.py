@@ -9,7 +9,7 @@ re-randomised BG sets; the paper reports the average over ten rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.android.app import AppState
 from repro.apps.catalog import catalog_apps
@@ -32,57 +32,38 @@ def measure_cpu_utilization(
     bg_apps: int,
     spec: Optional[DeviceSpec] = None,
     seconds: float = 30.0,
-    rounds: int = 3,
-    base_seed: int = 42,
+    seed: int = 42,
     policy: str = "LRU+CFS",
 ) -> CpuUtilizationRow:
-    """Measure utilization with ``bg_apps`` cached apps and no FG app."""
-    averages: List[float] = []
-    peaks: List[float] = []
-    for round_index in range(rounds):
-        seed = base_seed + 1000 * round_index
-        system = MobileSystem(spec=spec or huawei_p20(),
-                              policy=make_policy(policy), seed=seed)
-        system.install_apps(catalog_apps())
-        rng = system.rng.stream("table1-bg-selection")
-        packages = background_packages("", bg_apps, rng)
-        for package in packages:
-            record = system.launch(package, drive_frames=False)
-            system.run_until_complete(record, timeout_s=240.0)
-        if packages:
-            # Demote the last-launched app out of the foreground so the
-            # population is purely background, as in the paper's setup.
-            last = system.get_app(packages[-1])
-            system.frame_engine.stop()
-            last.state = AppState.CACHED
-            system.activity_manager.foreground = None
-            system.mm.foreground_uid = None
-        system.run(seconds=3.0)
-        system.reset_measurements()
-        system.run(seconds=seconds)
-        averages.append(system.sched.stats.average_utilization)
-        peaks.append(system.sched.stats.peak_utilization)
+    """One round: utilization with ``bg_apps`` cached apps and no FG app.
+
+    Each round reboots the device and re-selects the BG apps from its
+    seed; Table 1 averages rounds at seeds 42, 1042, ...
+    """
+    system = MobileSystem(spec=spec or huawei_p20(),
+                          policy=make_policy(policy), seed=seed)
+    system.install_apps(catalog_apps())
+    rng = system.rng.stream("table1-bg-selection")
+    packages = background_packages("", bg_apps, rng)
+    for package in packages:
+        record = system.launch(package, drive_frames=False)
+        system.run_until_complete(record, timeout_s=240.0)
+    if packages:
+        # Demote the last-launched app out of the foreground so the
+        # population is purely background, as in the paper's setup.
+        last = system.get_app(packages[-1])
+        system.frame_engine.stop()
+        last.state = AppState.CACHED
+        system.activity_manager.foreground = None
+        system.mm.foreground_uid = None
+    system.run(seconds=3.0)
+    system.reset_measurements()
+    system.run(seconds=seconds)
     return CpuUtilizationRow(
         bg_apps=bg_apps,
-        average=sum(averages) / len(averages),
-        peak=sum(peaks) / len(peaks),
+        average=system.sched.stats.average_utilization,
+        peak=system.sched.stats.peak_utilization,
     )
-
-
-def table1(
-    counts: Sequence[int] = (0, 2, 4, 6, 8),
-    spec: Optional[DeviceSpec] = None,
-    seconds: float = 30.0,
-    rounds: int = 3,
-    base_seed: int = 42,
-) -> List[CpuUtilizationRow]:
-    """Regenerate Table 1 (one row per BG-app count)."""
-    return [
-        measure_cpu_utilization(
-            count, spec=spec, seconds=seconds, rounds=rounds, base_seed=base_seed
-        )
-        for count in counts
-    ]
 
 
 def format_table1(rows: Sequence[CpuUtilizationRow]) -> str:

@@ -12,18 +12,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.devices.specs import DeviceSpec, huawei_p20, pixel3
-from repro.experiments.scenarios import (
-    BgCase,
-    SCENARIOS,
-    ScenarioResult,
-    average_results,
-    run_scenario,
-    run_scenario_rounds,
-)
+from repro.devices.specs import DeviceSpec, huawei_p20
+from repro.experiments.scenarios import BgCase, ScenarioResult, run_scenario
 
 
 # ----------------------------------------------------------------------
@@ -80,43 +73,6 @@ class Figure8Cell:
     rounds: int
 
 
-def figure8(
-    specs: Optional[Sequence[DeviceSpec]] = None,
-    scenarios: Sequence[str] = tuple(SCENARIOS),
-    schemes: Sequence[str] = SCHEMES,
-    seconds: float = 60.0,
-    rounds: int = 2,
-    base_seed: int = 42,
-) -> List[Figure8Cell]:
-    """FPS + RIA for every (device, scenario, scheme) combination."""
-    specs = list(specs) if specs is not None else [pixel3(), huawei_p20()]
-    cells: List[Figure8Cell] = []
-    for spec in specs:
-        for scenario in scenarios:
-            for scheme in schemes:
-                results = run_scenario_rounds(
-                    scenario,
-                    policy=scheme,
-                    spec=spec,
-                    bg_case=BgCase.APPS,
-                    seconds=seconds,
-                    rounds=rounds,
-                    base_seed=base_seed,
-                )
-                avg = average_results(results)
-                cells.append(
-                    Figure8Cell(
-                        scenario=scenario,
-                        device=spec.name,
-                        policy=scheme,
-                        fps=avg["fps"],
-                        ria=avg["ria"],
-                        rounds=rounds,
-                    )
-                )
-    return cells
-
-
 def format_figure8(cells: Sequence[Figure8Cell]) -> str:
     lines = [
         "Figure 8: frame rate comparison (FPS / RIA)",
@@ -147,49 +103,6 @@ class Figure9Point:
     policy: str
     fps: float
     ria: float
-
-
-def figure9(
-    spec: Optional[DeviceSpec] = None,
-    counts: Optional[Sequence[int]] = None,
-    schemes: Sequence[str] = ("LRU+CFS", "Ice"),
-    scenarios: Sequence[str] = tuple(SCENARIOS),
-    seconds: float = 45.0,
-    base_seed: int = 42,
-) -> List[Figure9Point]:
-    """FPS/RIA (averaged over the four scenarios) vs BG population."""
-    spec = spec or huawei_p20()
-    if counts is None:
-        max_count = 6 if spec.name == "Pixel3" else 8
-        counts = list(range(0, max_count + 1, 2))
-    points: List[Figure9Point] = []
-    for count in counts:
-        for scheme in schemes:
-            fps_values: List[float] = []
-            ria_values: List[float] = []
-            for scenario in scenarios:
-                result = run_scenario(
-                    scenario,
-                    policy=scheme,
-                    spec=spec,
-                    bg_case=BgCase.APPS if count > 0 else BgCase.NULL,
-                    bg_count=count,
-                    seconds=seconds,
-                    seed=base_seed,
-                )
-                fps_values.append(result.fps)
-                ria_values.append(result.ria)
-            config = "F" if count == 0 else f"{count}B+F"
-            points.append(
-                Figure9Point(
-                    config=config,
-                    bg_count=count,
-                    policy=scheme,
-                    fps=sum(fps_values) / len(fps_values),
-                    ria=sum(ria_values) / len(ria_values),
-                )
-            )
-    return points
 
 
 def format_figure9(points: Sequence[Figure9Point]) -> str:

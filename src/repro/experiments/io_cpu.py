@@ -10,14 +10,6 @@ compression/decompression cycles).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-from repro.devices.specs import DeviceSpec, huawei_p20
-from repro.experiments.scenarios import (
-    BgCase,
-    SCENARIOS,
-    run_scenario,
-)
 
 
 @dataclass
@@ -28,68 +20,6 @@ class PressureResult:
     io_write_pages: int
     zram_ops: int
     cpu_avg: float
-
-
-def measure_pressure(
-    policy: str,
-    spec: Optional[DeviceSpec] = None,
-    scenarios: Sequence[str] = tuple(SCENARIOS),
-    seconds_per_scenario: float = 45.0,
-    rounds: int = 2,
-    base_seed: int = 42,
-) -> PressureResult:
-    """Accumulate I/O and CPU over repeated runs of all four scenarios."""
-    io_read = io_write = zram_ops = 0
-    cpu_values = []
-    for round_index in range(rounds):
-        for scenario in scenarios:
-            result = run_scenario(
-                scenario,
-                policy=policy,
-                spec=spec or huawei_p20(),
-                bg_case=BgCase.APPS,
-                seconds=seconds_per_scenario,
-                seed=base_seed + 1000 * round_index,
-            )
-            io_read += result.io_read_pages
-            io_write += result.io_write_pages
-            zram_ops += result.pswpin + result.pswpout
-            cpu_values.append(result.cpu_avg)
-    return PressureResult(
-        policy=policy,
-        io_pages=io_read + io_write,
-        io_read_pages=io_read,
-        io_write_pages=io_write,
-        zram_ops=zram_ops,
-        cpu_avg=sum(cpu_values) / len(cpu_values),
-    )
-
-
-def compare_pressure(
-    spec: Optional[DeviceSpec] = None,
-    seconds_per_scenario: float = 45.0,
-    rounds: int = 2,
-    base_seed: int = 42,
-) -> dict:
-    """Baseline vs Ice I/O and CPU pressure (§6.2.2)."""
-    baseline = measure_pressure(
-        "LRU+CFS", spec=spec, seconds_per_scenario=seconds_per_scenario,
-        rounds=rounds, base_seed=base_seed,
-    )
-    ice = measure_pressure(
-        "Ice", spec=spec, seconds_per_scenario=seconds_per_scenario,
-        rounds=rounds, base_seed=base_seed,
-    )
-    io_reduction = (
-        1.0 - ice.io_pages / baseline.io_pages if baseline.io_pages else 0.0
-    )
-    return {
-        "baseline": baseline,
-        "ice": ice,
-        "io_reduction": io_reduction,
-        "cpu_baseline": baseline.cpu_avg,
-        "cpu_ice": ice.cpu_avg,
-    }
 
 
 def format_pressure(outcome: dict) -> str:

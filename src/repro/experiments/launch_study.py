@@ -66,6 +66,11 @@ class LaunchStudyResult:
             if s.style == "hot" and s.round_index >= from_round
         )
 
+    @property
+    def hot_launches(self) -> int:
+        """Figure 11(b)'s count: hot launches from the second round on."""
+        return self.hot_launch_count(1)
+
 
 def launch_study(
     policy: str,
@@ -172,7 +177,7 @@ def format_launch_study(results: Dict[str, LaunchStudyResult]) -> str:
     for policy, result in results.items():
         lines.append(
             f"{policy:>10} | {result.average_ms:>8.0f} | {result.cold_ms:>8.0f} | "
-            f"{result.hot_ms:>8.0f} | {result.hot_launch_count(1):>18} | "
+            f"{result.hot_ms:>8.0f} | {result.hot_launches:>18} | "
             f"{result.lmk_kills:>9}"
         )
     return "\n".join(lines)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps.catalog import extended_catalog
-from repro.apps.profiles import AppProfile
 from repro.devices.specs import DeviceSpec, huawei_p20
 from repro.kernel.slab import HEAP_JAVA, KIND_FILE
 from repro.policies.registry import make_policy
@@ -125,20 +124,24 @@ def trace_app_refaults(
 
 def figure4(
     spec: Optional[DeviceSpec] = None,
-    profiles: Optional[Sequence[AppProfile]] = None,
+    packages: Optional[Sequence[str]] = None,
     window_s: float = 30.0,
     disable_idle_gc: bool = False,
     seed: int = 42,
     apps_per_system: int = 4,
 ) -> CategorizationSummary:
-    """Run the §3.2 study over the (extended, 40-app) catalog.
+    """Run the §3.2 study over the (extended, 40-app) catalog, or over
+    the apps of it named ``packages``.
 
     Apps are studied in small batches on fresh systems so that each has
     a quiet, reproducible environment (the paper reclaims one app at a
     time on an otherwise idle phone).
     """
     spec = spec or huawei_p20()
-    profiles = list(profiles) if profiles is not None else extended_catalog()
+    profiles = extended_catalog()
+    if packages is not None:
+        by_name = {profile.package: profile for profile in profiles}
+        profiles = [by_name[name] for name in packages]
     summary = CategorizationSummary()
     for start in range(0, len(profiles), apps_per_system):
         batch = profiles[start : start + apps_per_system]

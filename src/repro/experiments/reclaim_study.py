@@ -14,15 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-from repro.devices.specs import DeviceSpec, huawei_p20
-from repro.experiments.scenarios import (
-    BgCase,
-    SCENARIOS,
-    average_results,
-    run_scenario_rounds,
-)
+from typing import Dict, List, Sequence
 
 
 @dataclass
@@ -31,47 +23,6 @@ class ReclaimCell:
     policy: str
     refault: float
     reclaim: float
-
-
-def reclaim_refault_matrix(
-    schemes: Sequence[str],
-    spec: Optional[DeviceSpec] = None,
-    scenarios: Sequence[str] = tuple(SCENARIOS),
-    seconds: float = 60.0,
-    rounds: int = 2,
-    base_seed: int = 42,
-) -> List[ReclaimCell]:
-    """Refault/reclaim counts for each (scenario, scheme) pair."""
-    spec = spec or huawei_p20()
-    cells: List[ReclaimCell] = []
-    for scenario in scenarios:
-        for scheme in schemes:
-            results = run_scenario_rounds(
-                scenario,
-                policy=scheme,
-                spec=spec,
-                bg_case=BgCase.APPS,
-                seconds=seconds,
-                rounds=rounds,
-                base_seed=base_seed,
-            )
-            avg = average_results(results)
-            cells.append(
-                ReclaimCell(
-                    scenario=scenario,
-                    policy=scheme,
-                    refault=avg["refault"],
-                    reclaim=avg["reclaim"],
-                )
-            )
-    return cells
-
-
-def figure10(**kwargs) -> List[ReclaimCell]:
-    """Figure 10: L / U / A / I across the four scenarios."""
-    return reclaim_refault_matrix(
-        schemes=("LRU+CFS", "UCSG", "Acclaim", "Ice"), **kwargs
-    )
 
 
 def format_matrix(cells: Sequence[ReclaimCell], title: str) -> str:

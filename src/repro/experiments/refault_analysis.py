@@ -12,17 +12,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.apps.catalog import APP_CATALOG, catalog_apps
 from repro.devices.specs import DeviceSpec, huawei_p20
-from repro.experiments.scenarios import (
-    BgCase,
-    SCENARIOS,
-    run_scenario,
-    stage_background,
-)
+from repro.experiments.scenarios import BgCase, SCENARIOS, stage_background
 from repro.policies.registry import make_policy
 from repro.system import MobileSystem
 
@@ -35,29 +30,6 @@ class Figure2aRow:
     case: str
     reclaim: int
     refault: int
-
-
-def figure2a(
-    scenario: str = "S-A",
-    spec: Optional[DeviceSpec] = None,
-    seconds: float = 90.0,
-    seed: int = 42,
-) -> List[Figure2aRow]:
-    """Reclaim/refault totals per BG case (Figure 2(a))."""
-    rows = []
-    for case in (BgCase.NULL, BgCase.MEMTESTER, BgCase.APPS):
-        result = run_scenario(
-            scenario,
-            spec=spec or huawei_p20(),
-            bg_case=case,
-            seconds=seconds,
-            settle_s=0.0,
-            seed=seed,
-        )
-        rows.append(
-            Figure2aRow(case=case, reclaim=result.reclaim, refault=result.refault)
-        )
-    return rows
 
 
 def format_figure2a(rows: Sequence[Figure2aRow]) -> str:
@@ -144,12 +116,8 @@ def collect_slices(
     return samples
 
 
-def figure2b(
-    samples: Optional[List[SliceSample]] = None, **collect_kwargs
-) -> List[DecileRow]:
+def figure2b(samples: List[SliceSample]) -> List[DecileRow]:
     """Sort slices by BG-refault count and bucket into deciles."""
-    if samples is None:
-        samples = collect_slices(**collect_kwargs)
     ordered = sorted(samples, key=lambda s: s.bg_refaults)
     n = len(ordered)
     if n == 0:

@@ -21,7 +21,7 @@ deltas, CPU utilization and I/O counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.apps.catalog import APP_CATALOG, catalog_apps
 from repro.apps.synthetic import cputester_profile, memtester_profile
@@ -303,52 +303,3 @@ def run_request(
         sample_interval_ms=sample_interval_ms,
         on_sample=on_sample,
     )
-
-
-def run_scenario_rounds(
-    scenario: str,
-    policy: str = "LRU+CFS",
-    spec: Optional[DeviceSpec] = None,
-    bg_case: str = BgCase.APPS,
-    bg_count: Optional[int] = None,
-    seconds: float = 60.0,
-    rounds: int = 3,
-    base_seed: int = 42,
-) -> List[ScenarioResult]:
-    """The paper's methodology: repeat with re-randomised BG sets.
-
-    Each round reboots the device (fresh system) and re-selects the
-    BG applications (§6.1).
-    """
-    return [
-        run_scenario(
-            scenario,
-            policy=policy,
-            spec=spec,
-            bg_case=bg_case,
-            bg_count=bg_count,
-            seconds=seconds,
-            seed=base_seed + 1000 * round_index,
-        )
-        for round_index in range(rounds)
-    ]
-
-
-def average_results(results: Sequence[ScenarioResult]) -> Dict[str, float]:
-    """Average the scalar measurements of several rounds."""
-    if not results:
-        raise ValueError("no results to average")
-    n = len(results)
-    return {
-        "fps": sum(r.fps for r in results) / n,
-        "ria": sum(r.ria for r in results) / n,
-        "reclaim": sum(r.reclaim for r in results) / n,
-        "refault": sum(r.refault for r in results) / n,
-        "refault_fg": sum(r.refault_fg for r in results) / n,
-        "refault_bg": sum(r.refault_bg for r in results) / n,
-        "cpu_avg": sum(r.cpu_avg for r in results) / n,
-        "io_read_pages": sum(r.io_read_pages for r in results) / n,
-        "io_write_pages": sum(r.io_write_pages for r in results) / n,
-        "lmk_kills": sum(r.lmk_kills for r in results) / n,
-        "frozen_apps": sum(r.frozen_apps for r in results) / n,
-    }

@@ -32,7 +32,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE, MetricsRegistry
 from repro.serve.httpbase import HttpBase
@@ -104,6 +104,21 @@ class CoordJob:
         return canonical_size_bytes(self.tombstone(0.0))
 
 
+def _registration_error(doc) -> Optional[str]:
+    """Why a registration body is malformed, or None if it is not."""
+    if not isinstance(doc, dict):
+        return "registration must be a JSON object"
+    node_id, url = doc.get("node_id"), doc.get("url")
+    workers = doc.get("workers", 1)
+    if not node_id or not isinstance(node_id, str):
+        return "node_id must be a non-empty string"
+    if not url or not isinstance(url, str) or not url.startswith("http://"):
+        return "url must be an http:// address"
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        return "workers must be a positive integer"
+    return None
+
+
 class Coordinator(HttpBase):
     """Fleet membership + routing behind the serve-plane HTTP dialect."""
 
@@ -125,6 +140,8 @@ class Coordinator(HttpBase):
         self.table = JobTable(registry=self.registry)
         # Failed-over runs in flight: the new owner's run id -> public id.
         self._failover_ids: Dict[str, str] = {}
+        # Public ids of orphans no node took yet; every sweep retries them.
+        self._orphans: Set[str] = set()
         self._sweep_task: Optional[asyncio.Task] = None
         self._started_at: Optional[float] = None
         self._submissions_counter = self.registry.counter(
@@ -179,7 +196,12 @@ class Coordinator(HttpBase):
             await self.sweep()
 
     async def sweep(self) -> None:
-        """Evict every node whose heartbeat lapsed, failover its jobs, GC."""
+        """Retry waiting orphans, evict every node whose heartbeat lapsed
+        and failover its jobs, GC."""
+        for job_id in list(self._orphans):
+            job = self.table.get(job_id)
+            if job is None or job.terminal or await self._resubmit(job):
+                self._orphans.discard(job_id)
         loop = asyncio.get_event_loop()
         now = loop.time()
         lapsed = [
@@ -201,11 +223,13 @@ class Coordinator(HttpBase):
             if job.node_id == node.node_id and not job.terminal
         ]
         for job in orphans:
-            if not job.terminal:  # a proxied GET may have ended it
-                await self._resubmit(job)
+            # A proxied GET may have ended it meanwhile.
+            if not job.terminal and not await self._resubmit(job):
+                self._orphans.add(job.id)
 
-    async def _resubmit(self, job: CoordJob) -> None:
-        """Replay an orphaned submission onto the ring's current owner.
+    async def _resubmit(self, job: CoordJob) -> bool:
+        """Replay an orphaned submission onto the ring's current owner;
+        False if no node took it (none alive, or the target failed too).
 
         The payload hashes to the same content address, so if the dead
         node already finished the run (shared store) the new node
@@ -214,7 +238,7 @@ class Coordinator(HttpBase):
         """
         target = self._route(job.cache_key)
         if target is None:
-            return  # no nodes left; polls answer 503 (owner gone)
+            return False
         try:
             status, _, doc = await async_request(
                 "POST", f"{target.url}/v1/runs", job.payload,
@@ -223,8 +247,10 @@ class Coordinator(HttpBase):
             )
         except TransportError:
             self._proxy_errors_counter.inc()
-            return  # next sweep retries (the target may be dying too)
-        if status in (200, 202) and doc and not job.terminal:
+            return False
+        if job.terminal:
+            return True
+        if status in (200, 202) and doc:
             self._failover_ids.pop(job.node_job_id, None)
             job.node_id = target.node_id
             job.node_job_id = doc["id"]
@@ -232,6 +258,8 @@ class Coordinator(HttpBase):
             self._resubmitted_counter.inc()
             if status == 200:  # answered from the shared store
                 self._finish(job, doc.get("state"))
+            return True
+        return False
 
     def _finish(self, job: CoordJob, state) -> None:
         """Record a run's terminal state, once; other states are ignored."""
@@ -306,18 +334,11 @@ class Coordinator(HttpBase):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._write_json(writer, 400, {"error": f"invalid JSON: {exc}"})
             return
-        node_id = doc.get("node_id")
-        url = doc.get("url")
-        if not node_id or not isinstance(node_id, str):
-            self._write_json(
-                writer, 400, {"error": "node_id must be a non-empty string"}
-            )
+        error = _registration_error(doc)
+        if error:
+            self._write_json(writer, 400, {"error": error})
             return
-        if not url or not isinstance(url, str) or not url.startswith("http://"):
-            self._write_json(
-                writer, 400, {"error": "url must be an http:// address"}
-            )
-            return
+        node_id, url = doc["node_id"], doc["url"]
         loop = asyncio.get_event_loop()
         now = loop.time()
         # Re-registration (a restarted node, or one that outlived its
@@ -325,7 +346,7 @@ class Coordinator(HttpBase):
         self.nodes[node_id] = NodeInfo(
             node_id=node_id,
             url=url.rstrip("/"),
-            workers=int(doc.get("workers", 1)),
+            workers=doc.get("workers", 1),
             registered_at=now,
             last_heartbeat=now,
         )

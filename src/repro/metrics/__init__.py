@@ -1,8 +1,8 @@
-"""Measurement utilities shared by experiments and benchmarks.
+"""Summary statistics for the harnesses.
 
-Small, typed helpers for summary statistics (:mod:`repro.metrics.stats`)
-and plain-text table rendering (:mod:`repro.metrics.tables`); the
-benchmarks print paper-style tables through these.  The per-subsystem
+Small, typed helpers (:mod:`repro.metrics.stats`): ``repro bench`` takes
+its FPS percentiles and ``repro loadtest`` its latency percentiles
+through them.  The per-subsystem
 stat carriers live with their subsystems (``FrameStats`` in
 :mod:`repro.android.render`, ``VmStat`` in :mod:`repro.kernel.vmstat`,
 ``CpuStats`` in :mod:`repro.sched.cfs`, ``IoStats`` in

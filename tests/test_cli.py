@@ -11,7 +11,7 @@ from repro.policies.registry import available_policies
 
 COMMANDS = (
     "scenario", "watch", "bench", "serve", "coordinator", "loadtest",
-    "submit", "table1", "overhead",
+    "submit", "figures",
 )
 
 
@@ -48,10 +48,23 @@ def test_device_choices_come_from_the_device_table(command, capsys):
 
 
 def test_overhead_command(capsys):
-    assert main(["overhead"]) == 0
+    # §6.4's numbers print through `repro figures`.
+    assert main(["figures", "sec641", "sec642"]) == 0
     out = capsys.readouterr().out
     assert "mapping table" in out
     assert "32768" in out
+    assert "us per lookup" in out
+
+
+def test_figures_rejects_unknown_ids_before_running(capsys, tmp_path):
+    out_path = tmp_path / "figures.json"
+    code = main(["figures", "table1", "fig99", "--out", str(out_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'fig99'" in captured.err
+    assert "table1, fig1, fig2a" in captured.err
+    assert not out_path.exists()
 
 
 def test_scenario_command_runs(capsys):

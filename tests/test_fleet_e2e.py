@@ -265,6 +265,45 @@ def test_reported_runs_are_not_replayed_when_their_node_dies(fleet):
     assert final["node"] == survivor.config.node_id
 
 
+def test_orphan_waits_for_a_node_and_is_replayed_when_one_joins(tmp_path):
+    # The only node dies with a run in flight, so its eviction finds no
+    # node to replay the run on; the next sweeps must place it once a
+    # node registers, instead of leaving it in flight for good.
+    store = tmp_path / "store"
+    store.mkdir()
+    with CoordinatorThread(CoordinatorConfig(
+        port=0, heartbeat_timeout_s=1.0, sweep_interval_s=0.2,
+    )) as coord:
+        client = ServeClient(coord.base_url)
+        nodes = [FleetNodeThread(
+            _node_config(store, "n1"), coord.base_url, heartbeat_interval_s=0.2,
+        ).start()]
+        try:
+            _wait_for_nodes(client, 1)
+            orphan = client.submit({"scenario": "S-A", "bg_case": "bg-null",
+                                    "seconds": 300.0, "seed": 8100})
+            assert orphan["node"] == "n1"
+            nodes[0].kill()
+            _wait_for_nodes(client, 0)
+            assert client.stats()["jobs"]["resubmitted_total"] == 0
+            nodes.append(FleetNodeThread(
+                _node_config(store, "n2"), coord.base_url,
+                heartbeat_interval_s=0.2,
+            ).start())
+            assert _wait_for(
+                lambda: client.stats()["jobs"]["resubmitted_total"] >= 1,
+                timeout_s=15.0,
+            )
+            final = client.wait(orphan["id"], timeout_s=120.0)
+            assert final["state"] == "done"
+            assert final["id"] == orphan["id"]
+            assert final["node"] == "n2"
+            assert client.stats()["jobs"]["resubmitted_total"] == 1
+        finally:
+            for node in nodes:
+                node.stop(timeout_s=15.0)
+
+
 # ----------------------------------------------------------------------
 # One job table for both tiers
 # ----------------------------------------------------------------------
@@ -411,6 +450,29 @@ def test_heartbeat_body_is_validated():
         assert _raw_post(client, path, b"")[0] == 200
         unknown = "/v1/nodes/nobody/heartbeat"
         assert _raw_post(client, unknown, good.encode())[0] == 404
+
+
+def test_registration_body_is_validated():
+    with CoordinatorThread(CoordinatorConfig(
+        port=0, heartbeat_timeout_s=120.0, sweep_interval_s=1.0,
+    )) as coord:
+        client = ServeClient(coord.base_url)
+        node = {"node_id": "n1", "url": "http://127.0.0.1:9"}
+        bad_bodies = [b"[1]", b'"x"'] + [
+            json.dumps({**node, "workers": workers}).encode()
+            for workers in ("many", None, -3, 0, 2.5, True)
+        ]
+        for bad in bad_bodies:
+            status, body = _raw_post(client, "/v1/nodes", bad)
+            assert status == 400, bad
+            assert body["error"], bad
+        assert coord.coordinator.nodes == {}
+        assert client.healthz()["nodes_alive"] == 0
+        good = json.dumps({**node, "workers": 3}).encode()
+        assert _raw_post(client, "/v1/nodes", good)[0] == 200
+        assert coord.coordinator.nodes["n1"].workers == 3
+        assert _raw_post(client, "/v1/nodes", json.dumps(node).encode())[0] == 200
+        assert coord.coordinator.nodes["n1"].workers == 1
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.metrics.stats import mean, percentile, stddev, summarize
-from repro.metrics.tables import render_table
 
 
 def test_mean():
@@ -81,16 +80,3 @@ def test_percentile_bounds():
 def test_percentile_rejects_negative():
     with pytest.raises(ValueError):
         percentile([1.0], -0.1)
-
-
-def test_render_table_alignment():
-    out = render_table(["name", "value"], [["a", 1], ["bb", 2.5]], title="T")
-    lines = out.splitlines()
-    assert lines[0] == "T"
-    assert "name" in lines[1] and "value" in lines[1]
-    assert "2.50" in lines[4]
-
-
-def test_render_table_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        render_table(["a", "b"], [["only-one"]])
