@@ -25,20 +25,22 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from repro.bench.options import add_bench_args
 from repro.devices.specs import DEVICES
 from repro.experiments.cases import BgCase, SCENARIOS
 from repro.policies.registry import available_policies
 
-if TYPE_CHECKING:
-    from repro.trace.tracer import Tracer
-
 # Building the parser imports only the names above.  Each command
 # imports what it runs (the simulator, the serve plane, the fleet) when
 # it runs, so `repro submit` or `repro coordinator` never loads the
 # simulator.
+
+# `repro submit` retries 429 backpressure and transient connection
+# failures this many times, with jittered exponential backoff, and
+# waits this long for the result.
+SUBMIT_RETRIES = 3
+SUBMIT_WAIT_TIMEOUT_S = 600.0
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
@@ -74,15 +76,6 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sample-ms", type=float, default=100.0,
                         help="sampler interval in simulated ms (time "
                              "series and --watch rows)")
-    parser.add_argument("--trace-buffer", type=int, default=None,
-                        help="trace ring-buffer capacity in events")
-    parser.add_argument("--trace-buffer-kb", type=int, default=None,
-                        help="trace ring-buffer byte budget in KiB "
-                             "(composes with --trace-buffer; whichever "
-                             "bound bites first drops the oldest events)")
-    parser.add_argument("--engine-events", action="store_true",
-                        help="trace per-callback engine instants "
-                             "(high volume)")
     parser.add_argument("--proc", nargs="*", default=None, metavar="PATH",
                         help="after the result, print the virtual /proc: "
                              "every file, or these paths (e.g. "
@@ -138,17 +131,6 @@ def _emit_result(result: dict, as_json: bool, via: str = "") -> None:
         f"reclaims {result['reclaim']:6d} | LMK kills {result['lmk_kills']} | "
         f"frozen {result['frozen_apps']}" + (f" | via {via}" if via else "")
     )
-
-
-def _make_tracer(args: argparse.Namespace) -> Tracer:
-    from repro.trace.tracer import Tracer
-
-    kwargs = {}
-    if args.trace_buffer:
-        kwargs["capacity"] = args.trace_buffer
-    if args.trace_buffer_kb:
-        kwargs["capacity_bytes"] = args.trace_buffer_kb * 1024
-    return Tracer(engine_events=args.engine_events, **kwargs)
 
 
 def _policy_suffixed(path: str, policy: str) -> str:
@@ -263,10 +245,11 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(exc)
     from repro.experiments.scenarios import run_request
+    from repro.trace.tracer import Tracer
 
     tracing = bool(args.trace_out or args.timeseries_out)
     for request in requests:
-        tracer = _make_tracer(args) if tracing else None
+        tracer = Tracer() if tracing else None
         watch = _WatchTable() if args.watch else None
         result = run_request(
             request,
@@ -297,8 +280,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     from repro.serve.client import ServeClient
     from repro.serve.console import FleetConsole
 
-    refresh = {} if args.every is None else {"every_s": args.every}
-    console = FleetConsole(ServeClient(args.serve), plain=args.plain, **refresh)
+    console = FleetConsole(ServeClient(args.serve), plain=args.plain)
     return console.run(iterations=args.iterations)
 
 
@@ -324,27 +306,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        queue_depth=args.queue_depth,
-        max_retries=args.max_retries,
         cache_dir=args.cache_dir,
-        drain_grace_s=args.drain_grace,
-        default_timeout_s=args.default_timeout,
         cache_budget_bytes=(
             int(args.cache_budget_mb * 1024 * 1024)
             if args.cache_budget_mb else None
         ),
-        mem_sample_interval_s=args.mem_sample_every,
-        sse_keepalive_s=args.sse_keepalive,
         enable_tracemalloc=args.tracemalloc,
         job_budget_bytes=(
             int(args.job_budget_mb * 1024 * 1024)
             if args.job_budget_mb else None
         ),
         job_min_retention_s=args.job_min_retention,
-        max_events_per_job=args.max_job_events or None,
         node_id=args.node_id,
-        ratelimit_rps=args.ratelimit_rps,
-        ratelimit_burst=args.ratelimit_burst,
     )
 
     def ready(server) -> None:
@@ -384,12 +357,8 @@ def cmd_coordinator(args: argparse.Namespace) -> int:
     config = CoordinatorConfig(
         host=args.host,
         port=args.port,
-        vnodes=args.vnodes,
         heartbeat_timeout_s=args.heartbeat_timeout,
-        sweep_interval_s=args.sweep_every,
         ratelimit_rps=args.ratelimit_rps,
-        ratelimit_burst=args.ratelimit_burst,
-        proxy_timeout_s=args.proxy_timeout,
     )
 
     def ready(coordinator) -> None:
@@ -447,7 +416,7 @@ def _submit_one(client, request, args: argparse.Namespace) -> int:
             timeout_s=args.timeout,
             progress_interval_ms=progress_ms,
             tenant=args.tenant,
-            retries=args.retries,
+            retries=SUBMIT_RETRIES,
         )
     except QueueFullError as exc:
         return _fail(exc, code=3)
@@ -457,20 +426,17 @@ def _submit_one(client, request, args: argparse.Namespace) -> int:
     print(f"run {job_id}: {job['state']}"
           + (" (cache hit)" if job.get("cache_hit") else ""),
           file=sys.stderr)
-    if args.no_wait:
-        print(json.dumps(job))
-        return 0
     try:
         if args.follow and not job.get("cache_hit"):
             # follow() (not events()) so a dropped socket mid-run
             # reconnects from the last absolute cursor.
             for event, data in client.follow(
-                job_id, timeout_s=args.wait_timeout
+                job_id, timeout_s=SUBMIT_WAIT_TIMEOUT_S
             ):
                 print(f"  {event}: {json.dumps(data)}", file=sys.stderr)
             job = client.get(job_id)
         elif job["state"] not in TERMINAL_STATES:
-            job = client.wait(job_id, timeout_s=args.wait_timeout)
+            job = client.wait(job_id, timeout_s=SUBMIT_WAIT_TIMEOUT_S)
     except (ServeError, ConnectionError, OSError, TimeoutError) as exc:
         return _fail(exc)
     if job["state"] != "done":
@@ -490,7 +456,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return figures_main(args)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand and its options."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="ICE (EuroSys'23) reproduction: quick experiment runner",
@@ -513,10 +480,6 @@ def main(argv=None) -> int:
     )
     p_watch.add_argument("--serve", required=True, metavar="URL",
                          help="control-plane base URL")
-    p_watch.add_argument("--every", type=float, default=None,
-                         metavar="SECONDS",
-                         help="stats poll interval in wall seconds "
-                              "(default: the console's)")
     p_watch.add_argument("--iterations", type=int, default=None, metavar="N",
                          help="render N frames then exit "
                               "(default: until interrupted)")
@@ -552,33 +515,14 @@ def main(argv=None) -> int:
                          help="listen port (0 = ephemeral)")
     p_serve.add_argument("--workers", type=int, default=2, metavar="N",
                          help="simulation worker processes")
-    p_serve.add_argument("--queue-depth", type=int, default=64, metavar="N",
-                         help="max queued jobs before 429 backpressure")
-    p_serve.add_argument("--max-retries", type=int, default=1, metavar="N",
-                         help="retries for jobs whose worker process died")
     p_serve.add_argument("--cache-dir", default=None, metavar="PATH",
                          help="persist the content-addressed result cache "
                               "as JSON files here (default: memory only)")
-    p_serve.add_argument("--drain-grace", type=float, default=60.0,
-                         metavar="SECONDS",
-                         help="how long a SIGTERM drain waits for in-flight "
-                              "jobs before dropping them")
-    p_serve.add_argument("--default-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="deadline applied to jobs submitted without "
-                              "an explicit timeout_s")
     p_serve.add_argument("--cache-budget-mb", type=float, default=64.0,
                          metavar="MB",
                          help="byte budget for the result cache's memory "
                               "tier; size-aware LRU eviction keeps RSS "
                               "flat under it (0 = unbounded)")
-    p_serve.add_argument("--mem-sample-every", type=float, default=10.0,
-                         metavar="SECONDS",
-                         help="RSS/tracemalloc gauge sampling interval")
-    p_serve.add_argument("--sse-keepalive", type=float, default=15.0,
-                         metavar="SECONDS",
-                         help="interval between `: ping` comment frames "
-                              "on idle SSE event streams")
     p_serve.add_argument("--tracemalloc", action="store_true",
                          help="start tracemalloc for precise Python-heap "
                               "gauges (adds allocation overhead)")
@@ -591,14 +535,10 @@ def main(argv=None) -> int:
                          metavar="SECONDS",
                          help="a finished run is never evicted within this "
                               "window, budget notwithstanding")
-    p_serve.add_argument("--max-job-events", type=int, default=512,
-                         metavar="N",
-                         help="per-job lifecycle event cap; SSE followers "
-                              "see a dropped_events marker past it "
-                              "(0 = unbounded)")
     p_serve.add_argument("--coordinator", default=None, metavar="URL",
                          help="join the fleet at this coordinator URL "
-                              "(register + heartbeat; requires --node-id)")
+                              "(register + heartbeat; SIGTERM leaves the "
+                              "ring, then drains; requires --node-id)")
     p_serve.add_argument("--node-id", default=None, metavar="NAME",
                          help="this node's fleet identity")
     p_serve.add_argument("--advertise-url", default=None, metavar="URL",
@@ -607,15 +547,6 @@ def main(argv=None) -> int:
     p_serve.add_argument("--heartbeat-every", type=float, default=2.0,
                          metavar="SECONDS",
                          help="fleet heartbeat interval")
-    p_serve.add_argument("--ratelimit-rps", type=float, default=None,
-                         metavar="RPS",
-                         help="per-tenant token-bucket refill rate; "
-                              "rejections are 429 + Retry-After "
-                              "(default: no rate limiting)")
-    p_serve.add_argument("--ratelimit-burst", type=float, default=None,
-                         metavar="TOKENS",
-                         help="per-tenant bucket capacity "
-                              "(default: 2x the rate)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_coord = sub.add_parser(
@@ -627,26 +558,15 @@ def main(argv=None) -> int:
     p_coord.add_argument("--host", default="127.0.0.1")
     p_coord.add_argument("--port", type=int, default=8090,
                          help="listen port (0 = ephemeral)")
-    p_coord.add_argument("--vnodes", type=int, default=64, metavar="N",
-                         help="virtual nodes per member on the hash ring")
     p_coord.add_argument("--heartbeat-timeout", type=float, default=6.0,
                          metavar="SECONDS",
                          help="a node silent this long is evicted and its "
                               "in-flight jobs resubmitted")
-    p_coord.add_argument("--sweep-every", type=float, default=1.0,
-                         metavar="SECONDS",
-                         help="liveness sweep interval")
     p_coord.add_argument("--ratelimit-rps", type=float, default=None,
                          metavar="RPS",
                          help="per-tenant token-bucket refill rate at "
-                              "admission (default: no rate limiting)")
-    p_coord.add_argument("--ratelimit-burst", type=float, default=None,
-                         metavar="TOKENS",
-                         help="per-tenant bucket capacity "
-                              "(default: 2x the rate)")
-    p_coord.add_argument("--proxy-timeout", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="budget for one proxied node round-trip")
+                              "admission, burst twice the rate "
+                              "(default: no rate limiting)")
     p_coord.set_defaults(func=cmd_coordinator)
 
     p_loadtest = sub.add_parser(
@@ -673,21 +593,10 @@ def main(argv=None) -> int:
                                  "a soak runs 1)")
     p_loadtest.add_argument("--seed", type=int, default=42,
                             help="mix generator seed (same seed, same mix)")
-    p_loadtest.add_argument("--tenants", default=None, metavar="A,B,C",
-                            help="comma-separated tenant names "
-                                 "(default: tenant-a,tenant-b,tenant-c)")
     p_loadtest.add_argument("--duplicate-fraction", type=float, default=0.25,
                             metavar="F",
                             help="fraction of submissions duplicating an "
                                  "earlier one (cache-hit traffic)")
-    p_loadtest.add_argument("--sweep", default=None, metavar="1,2,4,8",
-                            help="also run a knee-of-curve concurrency sweep "
-                                 "at these levels")
-    p_loadtest.add_argument("--sweep-requests", type=int, default=60,
-                            metavar="N", help="requests per sweep level")
-    p_loadtest.add_argument("--wait-timeout-s", type=float, default=300.0,
-                            metavar="SECONDS",
-                            help="per-request completion timeout")
     p_loadtest.add_argument("--out", default=None, metavar="PATH",
                             help="artifact path "
                                  "(default: LOADTEST_<date>.json)")
@@ -732,16 +641,6 @@ def main(argv=None) -> int:
     p_submit.add_argument("--follow", action="store_true",
                           help="print the run's SSE event stream to stderr "
                                "while waiting")
-    p_submit.add_argument("--no-wait", action="store_true",
-                          help="print the submission snapshot and exit "
-                               "without waiting for the result")
-    p_submit.add_argument("--wait-timeout", type=float, default=600.0,
-                          metavar="SECONDS",
-                          help="client-side polling timeout")
-    p_submit.add_argument("--retries", type=int, default=3, metavar="N",
-                          help="retry 429 backpressure and transient "
-                               "connection failures this many times with "
-                               "jittered exponential backoff")
     p_submit.set_defaults(func=cmd_submit)
 
     p_figures = sub.add_parser(
@@ -758,8 +657,11 @@ def main(argv=None) -> int:
                            help="write every selected id's rows as JSON "
                                 "(the committed file is FIGURES.json)")
     p_figures.set_defaults(func=cmd_figures)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -86,9 +86,8 @@ def format_figure8(cells: Sequence[Figure8Cell]) -> str:
         entries = []
         for scheme in SCHEMES:
             cell = row.get(scheme)
-            entries.append(
-                f"{cell.fps:5.1f} / {cell.ria:4.0%}" if cell else " " * 14
-            )
+            entry = f"{cell.fps:5.1f} / {cell.ria:4.0%}" if cell else ""
+            entries.append(entry.rjust(14))
         lines.append(f"{device:>8} {scenario:>9} | " + " | ".join(entries))
     return "\n".join(lines)
 
@@ -121,8 +120,7 @@ def format_figure9(points: Sequence[Figure9Point]) -> str:
         entries = []
         for scheme in ("LRU+CFS", "Ice"):
             point = row.get(scheme)
-            entries.append(
-                f"{point.fps:5.1f}/{point.ria:4.0%}" if point else " " * 13
-            )
+            entry = f"{point.fps:5.1f}/{point.ria:4.0%}" if point else ""
+            entries.append(entry.rjust(13))
         lines.append(f"{config:>7} | " + " | ".join(entries))
     return "\n".join(lines)

@@ -12,19 +12,17 @@ one cache), this package scales it out:
 * :mod:`repro.fleet.coordinator` — the process serve nodes register
   with and heartbeat to; it tracks liveness, evicts dead nodes,
   routes submissions by content address, and resubmits the in-flight
-  jobs of an evicted node.
+  jobs of an evicted node.  The per-tenant limiter runs here only.
 * :mod:`repro.fleet.node` — a :class:`~repro.serve.http.SimulationServer`
   plus the registration/heartbeat loop that makes it a fleet member.
 * :mod:`repro.fleet.loadtest` — ``repro loadtest``, the one load
   generator: replays synthetic ``RunRequest`` mixes against a
   coordinator or single node, or soaks a node it boots in-process
   (RSS, accounting and worker-kill checks between submissions), and
-  emits a schema-versioned ``LOADTEST_<date>.json`` artifact
-  cross-checked against an M/M/k processor-sharing queue model.
+  emits a schema-versioned ``LOADTEST_<date>.json`` artifact.
 
 Everything is stdlib-only, like the serve plane it grows out of.
 Submodules are imported lazily by their users so ``import repro.fleet``
 stays cheap and cycle-free (the coordinator reuses the serve plane's
-HTTP plumbing, while the serve plane borrows this package's rate
-limiter).
+HTTP plumbing).
 """

@@ -20,6 +20,9 @@ keeps the id → node mapping so polls and cancels follow the job even
 after a failover resubmission.  The mapping lives in a node's
 :class:`~repro.serve.retention.JobTable`, under the node's rules (an
 evicted id answers 410), and heartbeats report the runs nodes finish.
+A node that leaves sends one last report after its drain; a run whose
+owner has left and no longer answers is replayed onto the ring's
+current owner when a client asks for it.
 
 SSE streams are the one endpoint not proxied: followers are
 long-lived and per-job, so ``GET /v1/runs/<id>/events`` answers 307
@@ -31,28 +34,33 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE, MetricsRegistry
-from repro.serve.httpbase import HttpBase
-from repro.serve.queue import BadSubmission, parse_submission, priority_class
+from repro.serve.httpbase import HttpBase, install_signal_handlers
+from repro.serve.queue import (
+    BadSubmission, JobState, parse_submission, priority_class,
+)
 from repro.serve.retention import JobTable
 from repro.serve.spec import (
     SPEC_VERSION, TERMINAL_STATES, canonical_size_bytes,
 )
 from repro.fleet.ratelimit import TenantRateLimiter
-from repro.fleet.routing import DEFAULT_VNODES, HashRing
+from repro.fleet.routing import HashRing
 from repro.fleet.transport import TransportError, async_request
 
 COORDINATOR_NAME = f"repro-fleet/{SPEC_VERSION}"
+
+# Budget for one proxied node round-trip (submit/poll/cancel/replay).
+PROXY_TIMEOUT_S = 30.0
 
 
 @dataclass
 class CoordinatorConfig:
     host: str = "127.0.0.1"
     port: int = 8090  # 0 = ephemeral (tests)
-    vnodes: int = DEFAULT_VNODES
     # A node silent for longer than this is considered dead: evicted
     # from the ring, its in-flight jobs resubmitted elsewhere.
     heartbeat_timeout_s: float = 6.0
@@ -61,8 +69,6 @@ class CoordinatorConfig:
     # Per-tenant admission (None = no rate limiting at the front door).
     ratelimit_rps: Optional[float] = None
     ratelimit_burst: Optional[float] = None
-    # Budget for one proxied node round-trip (submit/poll/cancel).
-    proxy_timeout_s: float = 30.0
 
 
 @dataclass
@@ -79,14 +85,16 @@ class NodeInfo:
 class CoordJob:
     """The coordinator's view of one admitted run (a job-table entry).
 
-    Failover replays only runs in flight, so a terminal run drops its
-    payload and is charged its tombstone's size.
+    A finished run keeps its payload: when its owner has left and no
+    longer answers, a lookup replays it onto the ring's current owner,
+    which answers from the shared store.  It is charged its tombstone's
+    size plus its payload's.
     """
 
     id: str             # the id clients hold (node-issued, uuid-unique)
     node_id: str        # current owner
-    node_job_id: str    # id on the current owner (== id unless failed over)
-    payload: Optional[dict]  # original submission, replayed on failover
+    node_job_id: str    # id on the current owner (== id unless replayed)
+    payload: dict       # original submission, replayed onto a new owner
     cache_key: str
     tenant: str
     state: Optional[str] = None  # the terminal state, once a node says so
@@ -101,7 +109,8 @@ class CoordJob:
                 "tenant": self.tenant, "cache_key": self.cache_key}
 
     def retention_cost(self) -> int:
-        return canonical_size_bytes(self.tombstone(0.0))
+        return (canonical_size_bytes(self.tombstone(0.0))
+                + canonical_size_bytes(self.payload))
 
 
 def _registration_error(doc) -> Optional[str]:
@@ -128,7 +137,7 @@ class Coordinator(HttpBase):
         self.config = config or CoordinatorConfig()
         self.registry = MetricsRegistry()
         super().__init__(self.registry)
-        self.ring = HashRing(vnodes=self.config.vnodes)
+        self.ring = HashRing()
         self.limiter: Optional[TenantRateLimiter] = None
         if self.config.ratelimit_rps:
             self.limiter = TenantRateLimiter(
@@ -158,7 +167,8 @@ class Coordinator(HttpBase):
         )
         self._resubmitted_counter = self.registry.counter(
             "repro_fleet_resubmitted_jobs_total",
-            "In-flight jobs replayed onto surviving nodes after an eviction",
+            "In-flight jobs replayed onto another node after their owner "
+            "was evicted or left and stopped answering",
         )
         self._node_up_gauge = self.registry.gauge(
             "repro_fleet_node_up",
@@ -228,45 +238,47 @@ class Coordinator(HttpBase):
                 self._orphans.add(job.id)
 
     async def _resubmit(self, job: CoordJob) -> bool:
-        """Replay an orphaned submission onto the ring's current owner;
-        False if no node took it (none alive, or the target failed too).
+        """Replay a submission onto the ring's current owner; False if
+        no node took it (none alive, or the target failed too).
 
-        The payload hashes to the same content address, so if the dead
-        node already finished the run (shared store) the new node
+        The payload hashes to the same content address, so if the old
+        owner already finished the run (shared store) the new node
         answers from cache; otherwise it simply runs it again.  Either
-        way the public id keeps resolving.
+        way the public id keeps resolving.  Replaying a run in flight is
+        a failover; a finished run only changes hands.
         """
+        failover = not job.terminal
         target = self._route(job.cache_key)
         if target is None:
             return False
         try:
             status, _, doc = await async_request(
                 "POST", f"{target.url}/v1/runs", job.payload,
-                timeout_s=self.config.proxy_timeout_s,
+                timeout_s=PROXY_TIMEOUT_S,
                 headers={"X-Repro-Route-Node": target.node_id},
             )
         except TransportError:
             self._proxy_errors_counter.inc()
             return False
-        if job.terminal:
-            return True
-        if status in (200, 202) and doc:
-            self._failover_ids.pop(job.node_job_id, None)
-            job.node_id = target.node_id
-            job.node_job_id = doc["id"]
+        if failover and job.terminal:
+            return True  # a report or a proxied GET ended it meanwhile
+        if status not in (200, 202) or not doc:
+            return False
+        self._failover_ids.pop(job.node_job_id, None)
+        job.node_id = target.node_id
+        job.node_job_id = doc["id"]
+        if failover:
             self._failover_ids[job.node_job_id] = job.id
             self._resubmitted_counter.inc()
             if status == 200:  # answered from the shared store
                 self._finish(job, doc.get("state"))
-            return True
-        return False
+        return True
 
     def _finish(self, job: CoordJob, state) -> None:
         """Record a run's terminal state, once; other states are ignored."""
         if job.terminal or state not in TERMINAL_STATES:
             return
         job.state = state
-        job.payload = None
         self._failover_ids.pop(job.node_job_id, None)
         self.table.note_terminal(job)
 
@@ -314,7 +326,7 @@ class Coordinator(HttpBase):
         if path.startswith("/v1/runs/"):
             rest = path[len("/v1/runs/"):]
             if rest.endswith("/events") and method == "GET":
-                self._handle_events_redirect(
+                await self._handle_events_redirect(
                     writer, rest[: -len("/events")], query
                 )
                 return
@@ -363,6 +375,9 @@ class Coordinator(HttpBase):
 
         ``finished`` maps the node's run ids to terminal states; a 200
         acknowledges them all, and the node resends on any other answer.
+        A node off the ring (it left, or was evicted) is still heard for
+        the runs it owns, since a leaving node reports once more after
+        its drain, and is then told to re-register.
         """
         try:
             finished = json.loads(body.decode("utf-8") or "{}").get(
@@ -376,6 +391,14 @@ class Coordinator(HttpBase):
                          "'finished' maps run ids to terminal states",
             })
             return
+        for node_job_id, state in finished.items():
+            job = self.table.get(
+                self._failover_ids.get(node_job_id, node_job_id)
+            )
+            # Only a run's current owner, under its own id, speaks for it.
+            owner = (node_id, node_job_id)
+            if job is not None and (job.node_id, job.node_job_id) == owner:
+                self._finish(job, state)
         node = self.nodes.get(node_id)
         if node is None or not node.alive:
             # 404 tells the node to re-register (it was evicted, or the
@@ -386,14 +409,6 @@ class Coordinator(HttpBase):
             )
             return
         node.last_heartbeat = asyncio.get_event_loop().time()
-        for node_job_id, state in finished.items():
-            job = self.table.get(
-                self._failover_ids.get(node_job_id, node_job_id)
-            )
-            # Only a run's current owner, under its own id, speaks for it.
-            owner = (node_id, node_job_id)
-            if job is not None and (job.node_id, job.node_job_id) == owner:
-                self._finish(job, state)
         self._write_json(writer, 200, {"node_id": node_id, "ok": True})
 
     def _handle_deregister(self, writer, node_id: str) -> None:
@@ -404,7 +419,8 @@ class Coordinator(HttpBase):
             )
             return
         # Graceful leave: the node drains its own queue, so its jobs
-        # finish where they are — only the ring membership changes.
+        # finish where they are and its last report marks them terminal;
+        # only the ring membership changes.
         node.alive = False
         self.ring.remove(node_id)
         self._node_up_gauge.remove(node_id)
@@ -459,7 +475,7 @@ class Coordinator(HttpBase):
             try:
                 status, headers, doc = await async_request(
                     "POST", f"{target.url}/v1/runs", payload,
-                    timeout_s=self.config.proxy_timeout_s,
+                    timeout_s=PROXY_TIMEOUT_S,
                     headers={"X-Repro-Route-Node": target.node_id},
                 )
             except TransportError:
@@ -489,52 +505,89 @@ class Coordinator(HttpBase):
             writer, 503, {"error": "no live nodes registered with the fleet"}
         )
 
+    def _write_ratelimited(self, writer, decision) -> None:
+        """The 429 for a token-bucket rejection.
+
+        Retry-After is delta-seconds (an integer per RFC 9110); the body
+        carries the exact float for clients that parse.
+        """
+        retry_after = max(1, math.ceil(decision.retry_after_s))
+        self._write_json(
+            writer, 429,
+            {
+                "error": f"tenant {decision.tenant!r} rate limited; "
+                         f"retry in {decision.retry_after_s:.3f}s",
+                "retry_after_s": round(decision.retry_after_s, 4),
+                "ratelimited": True,
+                "tenant": decision.tenant,
+                "priority_class": decision.priority_class,
+            },
+            extra_headers=(("Retry-After", str(retry_after)),),
+        )
+
+    async def _ask_owner(self, job: CoordJob, method: str):
+        """``(status, doc)`` of ``method`` on the run at its owner.
+
+        An owner that left the ring and does not answer hands an
+        unfinished or ``done`` run to the ring's current owner first; a
+        ``TransportError`` means no node answered for the run.  A 410 is
+        a run the node finished and has since evicted.
+        """
+        for replayed in (False, True):
+            node = self.nodes[job.node_id]
+            try:
+                status, _, doc = await async_request(
+                    method, f"{node.url}/v1/runs/{job.node_job_id}",
+                    timeout_s=PROXY_TIMEOUT_S,
+                )
+                break
+            except TransportError:
+                self._proxy_errors_counter.inc()
+                if (replayed or node.alive
+                        or job.state not in (None, JobState.DONE)
+                        or not await self._resubmit(job)):
+                    raise
+        doc = doc or {}
+        if status in (200, 410) and doc:
+            self._finish(job, doc.get("state"))
+        return status, doc
+
     async def _handle_proxy_job(self, writer, method: str, job_id: str) -> None:
         job = self._lookup_or_respond(writer, self.table, job_id)
         if job is None:
             return
-        node = self.nodes.get(job.node_id)
-        if node is None:
-            self._write_json(
-                writer, 503,
-                {"error": f"run {job_id!r} owner {job.node_id!r} is gone"},
-            )
-            return
         try:
-            status, _, doc = await async_request(
-                method, f"{node.url}/v1/runs/{job.node_job_id}",
-                timeout_s=self.config.proxy_timeout_s,
-            )
+            status, doc = await self._ask_owner(job, method)
         except TransportError as exc:
-            self._proxy_errors_counter.inc()
             self._write_json(
                 writer, 503,
                 {"error": f"node {job.node_id!r} unreachable: {exc}"},
             )
             return
-        doc = doc or {}
         if status in (200, 410) and doc:
-            # Clients hold the public id; after a failover the node's id
-            # differs, so rewrite before the doc leaves the fleet.  A 410
-            # is a run the node finished and has since evicted.
+            # Clients hold the public id; after a replay the node's id
+            # differs, so rewrite before the doc leaves the fleet.
             doc["id"] = job.id
             doc["node"] = job.node_id
-            self._finish(job, doc.get("state"))
         self._write_json(writer, status, doc)
 
-    def _handle_events_redirect(
+    async def _handle_events_redirect(
         self, writer, job_id: str, query: Dict[str, str]
     ) -> None:
         job = self._lookup_or_respond(writer, self.table, job_id)
         if job is None:
             return
-        node = self.nodes.get(job.node_id)
-        if node is None:
-            self._write_json(
-                writer, 503,
-                {"error": f"run {job_id!r} owner {job.node_id!r} is gone"},
-            )
-            return
+        if not self.nodes[job.node_id].alive:
+            # Only a live owner is sent its followers unasked.
+            try:
+                await self._ask_owner(job, "GET")
+            except TransportError as exc:
+                self._write_json(
+                    writer, 503,
+                    {"error": f"node {job.node_id!r} unreachable: {exc}"},
+                )
+                return
+        node = self.nodes[job.node_id]
         location = f"{node.url}/v1/runs/{job.node_job_id}/events"
         if query.get("cursor"):
             location += f"?cursor={query['cursor']}"
@@ -590,7 +643,7 @@ async def run_coordinator(config: CoordinatorConfig, ready=None) -> None:
     """Start a coordinator, announce readiness, serve until stopped."""
     coordinator = Coordinator(config)
     await coordinator.start()
-    coordinator.install_signal_handlers()
+    install_signal_handlers(coordinator.request_shutdown)
     if ready is not None:
         ready(coordinator)
     await coordinator.serve_forever()

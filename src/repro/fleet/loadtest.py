@@ -4,12 +4,9 @@ Replays a deterministic, seeded mix of submissions (tenants,
 priorities, work sizes, deliberate duplicates for cache hits) against
 a coordinator or a single serve node with a closed-loop client pool,
 and emits a schema-versioned ``LOADTEST_<date>.json`` artifact:
-throughput, per-priority-class p50/p95/p99, lost/duplicate accounting,
-an optional knee-of-curve concurrency sweep, and a cross-check of the
-measured latencies against an M/M/k processor-sharing queue model
-(Pellegrini 2020 uses the same family of models to validate replayed
-request-clone latencies; the gem5 reproducibility methodology is why
-the artifact is versioned and re-runnable rather than a console dump).
+throughput, per-priority-class p50/p95/p99 and lost/duplicate
+accounting (the gem5 reproducibility methodology is why the artifact
+is versioned and re-runnable rather than a console dump).
 
 A **soak** (``duration_s``, ``--soak SECONDS``) is one long level
 against a node the loadtest boots in its own process: that is the only
@@ -21,17 +18,6 @@ job table's byte budget, and recent ids answering 200 or 410, never
 sends a cache miss through the rebuilt pool.  The loadtest keeps
 counts and bounded samples, never a record per request, so an
 hour-long soak holds no more state than a short one.
-
-The model: with ``k`` workers, arrival rate ``λ`` (measured), and mean
-service time ``1/μ`` (measured over cache-miss executions), Erlang-C
-gives the probability an arrival waits,
-
-    P_wait = (a^k / k!) / ((1-ρ) Σ_{i<k} a^i/i! + a^k/k!),  a = λ/μ
-
-and the expected sojourn time ``E[T] = 1/μ + P_wait / (kμ - λ)``.
-A measured-to-model ratio near 1 says the fleet queues like an ideal
-processor-sharing cluster; a large ratio localizes overhead in the
-control plane rather than the workers.
 """
 
 from __future__ import annotations
@@ -57,14 +43,13 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.queue import DEFAULT_PRIORITY, priority_class
 from repro.serve.spec import SPEC_VERSION, TERMINAL_STATES
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Work sizes in simulated seconds (~260 sim-s per wall-s on a dev
 # box): a mix of quick probes and meatier runs.
 _WORK_SIZES = (20.0, 60.0, 120.0)
 _PRIORITIES = (5, 10, 20)  # one per class: high / normal / low
-# Retries for 429 backpressure while submitting (the sweep pushes
-# levels past the knee on purpose, so rejections are expected).
+# Retries for 429 backpressure while submitting.
 _SUBMIT_RETRIES = 6
 # The most the loadtest keeps of anything per request: mix history,
 # job ids checked for duplicates, latency samples per class.  Levels
@@ -100,8 +85,8 @@ CONSISTENCY_PAIRS = (
 
 @dataclass
 class LoadtestConfig:
-    """One loadtest run: target, mix, levels and, for a soak, the node's
-    job budget and the sampler's cadences and drift gate."""
+    """One loadtest run: target, mix and, for a soak, the node's job
+    budget and the sampler's cadences and drift gate."""
 
     # The target; a soak replaces it with the node it boots.
     base_url: str = "http://127.0.0.1:8090"
@@ -114,9 +99,6 @@ class LoadtestConfig:
     # one, exercising the content-addressed store (and, on a fleet,
     # cross-node cache answers).
     duplicate_fraction: float = 0.25
-    # Concurrency levels for the knee-of-curve sweep ([] = skip).
-    sweep: Sequence[int] = ()
-    sweep_requests: int = 60
     wait_timeout_s: float = 300.0
     # Soak: hold the main level for at least this long (None = no soak).
     duration_s: Optional[float] = None
@@ -134,13 +116,11 @@ class LoadtestConfig:
             )
 
 
-def generate_mix(config: LoadtestConfig, salt: str = "") -> Iterator[dict]:
+def generate_mix(config: LoadtestConfig) -> Iterator[dict]:
     """An endless deterministic submission mix: same seed, same requests.
 
     A duplicate repeats one of the last ``_KEEP`` submissions, so the
-    generator's state is bounded.  ``salt`` uniquifies scenarios across
-    sweep levels so each level measures compute, not the previous
-    level's cache.
+    generator's state is bounded.
     """
     rng = random.Random(config.seed)
     recent: deque = deque(maxlen=_KEEP)
@@ -152,17 +132,12 @@ def generate_mix(config: LoadtestConfig, salt: str = "") -> Iterator[dict]:
                 "scenario": "S-A",
                 "bg_case": "bg-null",
                 "seconds": rng.choice(_WORK_SIZES),
-                "seed": 1000 + config.seed * 10000 + i + hash_salt(salt),
+                "seed": 1000 + config.seed * 10000 + i,
             }
         base["tenant"] = rng.choice(list(config.tenants))
         base["priority"] = rng.choice(_PRIORITIES)
         recent.append(base)
         yield base
-
-
-def hash_salt(salt: str) -> int:
-    """Small deterministic offset per sweep level (stable across runs)."""
-    return sum(ord(c) * 131 ** n for n, c in enumerate(salt)) % 1_000_000
 
 
 # ----------------------------------------------------------------------
@@ -187,11 +162,11 @@ class _Samples:
             if slot < _KEEP:
                 self.values[slot] = value
 
-    def mean(self) -> Optional[float]:
-        return round(self.total / self.count, 4) if self.count else None
-
     def doc(self) -> dict:
-        doc = {"count": self.count, "mean_s": self.mean()}
+        doc = {
+            "count": self.count,
+            "mean_s": round(self.total / self.count, 4) if self.count else None,
+        }
         for q in (50, 95, 99):
             doc[f"p{q}_s"] = round(percentile(self.values, q), 4)
         return doc
@@ -218,7 +193,6 @@ def run_level(
          "errors", "cache_hits"), 0,
     )
     by_class: Dict[str, _Samples] = {}
-    misses = _Samples(rng)
     recent_ids: "OrderedDict[str, None]" = OrderedDict()
 
     def record(payload: dict, job_id: Optional[str], job: Optional[dict],
@@ -240,12 +214,11 @@ def run_level(
         counts["failed"] += state == "failed"
         if state == "done":
             counts["completed"] += 1
-            hit = bool(job.get("cache_hit") or job.get("cached"))
-            counts["cache_hits"] += hit
+            counts["cache_hits"] += bool(
+                job.get("cache_hit") or job.get("cached")
+            )
             cls = priority_class(payload.get("priority", DEFAULT_PRIORITY))
             by_class.setdefault(cls, _Samples(rng)).add(e2e_s)
-            if not hit:
-                misses.add(e2e_s)
 
     def client_loop() -> None:
         client = ServeClient(config.base_url, timeout_s=config.wait_timeout_s)
@@ -290,23 +263,7 @@ def run_level(
             round(sum(s.total for s in by_class.values()) / done, 4)
             if done else None
         ),
-        "miss_mean_e2e_s": misses.mean(),
-        "service_estimate_s": _service_time_estimate(misses.values),
     }
-
-
-def _service_time_estimate(miss_e2e_s: List[float]) -> Optional[float]:
-    """Mean service time ≈ fastest-quartile miss e2e (queue-wait-free).
-
-    The loadtest sees sojourn times, not bare service times; the
-    quickest misses waited least, so their mean approximates 1/μ
-    without needing server-side exec histograms from every node.
-    """
-    samples = sorted(miss_e2e_s)
-    if not samples:
-        return None
-    quartile = samples[: max(1, len(samples) // 4)]
-    return round(sum(quartile) / len(quartile), 4)
 
 
 # ----------------------------------------------------------------------
@@ -511,67 +468,10 @@ class _Soak:
 
 
 # ----------------------------------------------------------------------
-# M/M/k processor-sharing model
-# ----------------------------------------------------------------------
-def mmk_model(
-    k: int, lambda_rps: float, mean_service_s: float
-) -> Optional[dict]:
-    """Erlang-C sojourn time for k servers; None when inputs degenerate.
-
-    Saturated (ρ >= 1) systems have no steady state — the model doc
-    says so explicitly instead of reporting a negative wait.
-    """
-    if k <= 0 or lambda_rps <= 0 or not mean_service_s:
-        return None
-    mu = 1.0 / mean_service_s
-    a = lambda_rps / mu  # offered load in erlangs
-    rho = a / k
-    doc = {
-        "kind": "mmk-processor-sharing",
-        "k": k,
-        "lambda_rps": round(lambda_rps, 4),
-        "mean_service_s": round(mean_service_s, 4),
-        "rho": round(rho, 4),
-    }
-    if rho >= 1.0:
-        doc["saturated"] = True
-        return doc
-    # Erlang-C via the stable iterative form.
-    term = 1.0
-    inv_sum = 1.0  # i = 0 term
-    for i in range(1, k):
-        term *= a / i
-        inv_sum += term
-    term *= a / k
-    p_wait = term / ((1.0 - rho) * inv_sum + term)
-    expected = mean_service_s + p_wait / (k * mu - lambda_rps)
-    doc.update({
-        "p_wait": round(p_wait, 4),
-        "expected_e2e_s": round(expected, 4),
-    })
-    return doc
-
-
-def find_knee(sweep_results: List[dict], gain: float = 0.10) -> Optional[int]:
-    """Last concurrency level that still bought ``gain`` more throughput.
-
-    Past the knee, added concurrency only deepens queues (latency grows,
-    throughput plateaus) — the sweep's reason to exist.
-    """
-    knee = None
-    previous = 0.0
-    for level in sweep_results:
-        if previous <= 0 or level["throughput_rps"] >= previous * (1 + gain):
-            knee = level["concurrency"]
-        previous = level["throughput_rps"]
-    return knee
-
-
-# ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
 def run_loadtest(config: LoadtestConfig, progress=None) -> dict:
-    """Main level (a soak when ``duration_s`` is set), sweep, model.
+    """The main level, a soak when ``duration_s`` is set.
 
     ``progress(sample)`` is called with each soak sample.
     """
@@ -610,29 +510,6 @@ def _drive(
         config, mix, config.concurrency,
         between=soak.between if soak is not None else None,
     )
-    sweep_docs = [
-        run_level(
-            config,
-            itertools.islice(
-                generate_mix(config, salt=f"sweep-{level}"),
-                config.sweep_requests,
-            ),
-            level,
-        )
-        for level in config.sweep
-    ]
-
-    # Model the cache-miss subset: hits never touch a worker, so the
-    # queue model's λ and service time both exclude them.
-    miss_lambda = (main["completed"] - main["cache_hits"]) / main["wall_s"]
-    model = mmk_model(workers, miss_lambda, main["service_estimate_s"])
-    measured = main["miss_mean_e2e_s"]
-    if model is not None and measured and model.get("expected_e2e_s"):
-        model["measured_e2e_s"] = measured
-        model["measured_over_model"] = round(
-            measured / model["expected_e2e_s"], 3
-        )
-
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "repro-loadtest",
@@ -645,9 +522,6 @@ def _drive(
         },
         "config": dataclasses.asdict(config),
         "results": main,
-        "sweep": sweep_docs,
-        "knee_concurrency": find_knee(sweep_docs) if sweep_docs else None,
-        "model": model,
         "soak": soak.doc() if soak is not None else None,
     }
 
@@ -711,11 +585,6 @@ def write_report(report: dict, path: str) -> str:
 
 
 def config_from_args(args: argparse.Namespace) -> LoadtestConfig:
-    sweep: Sequence[int] = ()
-    if args.sweep:
-        sweep = tuple(
-            int(level) for level in args.sweep.split(",") if level.strip()
-        )
     concurrency = args.concurrency
     if concurrency is None:
         concurrency = (
@@ -726,12 +595,7 @@ def config_from_args(args: argparse.Namespace) -> LoadtestConfig:
         requests=args.requests,
         concurrency=concurrency,
         seed=args.seed,
-        tenants=tuple(args.tenants.split(",")) if args.tenants
-        else LoadtestConfig.tenants,
         duplicate_fraction=args.duplicate_fraction,
-        sweep=sweep,
-        sweep_requests=args.sweep_requests,
-        wait_timeout_s=args.wait_timeout_s,
         duration_s=args.soak,
         job_budget_bytes=int(args.job_budget_mb * 1024 * 1024),
         sample_every=args.soak_sample_every,
@@ -770,12 +634,6 @@ def main(args: argparse.Namespace) -> int:
         f"{results['throughput_rps']} req/s -> {out_path}",
         file=sys.stderr,
     )
-    if report["knee_concurrency"] is not None:
-        print(
-            f"loadtest: knee of curve at concurrency "
-            f"{report['knee_concurrency']}",
-            file=sys.stderr,
-        )
     if report["soak"] is not None:
         soak = report["soak"]["summary"]
         drift = soak["rss_drift_pct"]

@@ -11,6 +11,9 @@ restarted and lost its table); the node simply re-registers and
 carries on — the shared result store means nothing of value lived
 only in the membership table.
 
+A node leaves one way, on SIGTERM or :meth:`FleetNode.stop`: it leaves
+the ring, drains, and reports the runs the drain finished.
+
 The node's serve config should point ``cache_dir`` at the fleet's
 shared store directory; that single shared disk tier is what lets any
 node answer any cached run and makes failover resubmission idempotent.
@@ -22,6 +25,7 @@ import asyncio
 from typing import Optional
 
 from repro.serve.http import ServeConfig, SimulationServer
+from repro.serve.httpbase import install_signal_handlers
 from repro.fleet.transport import TransportError, async_request
 
 DEFAULT_HEARTBEAT_INTERVAL_S = 2.0
@@ -44,6 +48,7 @@ class FleetNode:
         self.advertise_url = advertise_url
         self.heartbeat_interval_s = heartbeat_interval_s
         self._member_task: Optional[asyncio.Task] = None
+        self._stop_task: Optional[asyncio.Task] = None
         self._dead = False  # fault injection: stop acting like a member
 
     @property
@@ -89,30 +94,37 @@ class FleetNode:
                     await asyncio.sleep(min(1.0, self.heartbeat_interval_s))
                     continue
             await asyncio.sleep(self.heartbeat_interval_s)
-            finished = self.server.state.finished
-            sent = dict(finished)
-            try:
-                status, _, _ = await async_request(
-                    "POST",
-                    f"{self.coordinator_url}/v1/nodes/"
-                    f"{self.node_id}/heartbeat",
-                    {"node_id": self.node_id, "finished": sent},
-                    timeout_s=5.0,
-                )
-                if status == 200:
-                    for job_id in sent:
-                        finished.pop(job_id, None)
-                elif status == 404:
-                    registered = False
-            except TransportError:
-                pass  # coordinator briefly away; keep beating
+            # None: the coordinator is briefly away; keep beating.
+            if await self._heartbeat() == 404:
+                registered = False
+
+    async def _heartbeat(self) -> Optional[int]:
+        """Send the runs finished since the last 200; the status, or
+        None when the coordinator did not answer."""
+        finished = self.server.state.finished
+        sent = dict(finished)
+        try:
+            status, _, _ = await async_request(
+                "POST",
+                f"{self.coordinator_url}/v1/nodes/{self.node_id}/heartbeat",
+                {"node_id": self.node_id, "finished": sent},
+                timeout_s=5.0,
+            )
+        except TransportError:
+            return None
+        if status == 200:
+            for job_id in sent:
+                finished.pop(job_id, None)
+        return status
 
     # ------------------------------------------------------------------
-    async def stop(self, deregister: bool = True) -> None:
-        """Graceful leave: tell the coordinator, then drain the server."""
+    async def stop(self) -> None:
+        """Leave the fleet: leave the ring, drain, then report the runs
+        the drain finished, so none of them stays in flight at the
+        coordinator.  Returns once the server is down."""
         if self._member_task is not None:
             self._member_task.cancel()
-        if deregister and not self._dead:
+        if not self._dead:
             try:
                 await async_request(
                     "DELETE",
@@ -123,6 +135,19 @@ class FleetNode:
                 pass
         self.server.request_shutdown()
         await self.server.serve_forever()
+        if not self._dead:
+            await self._heartbeat()
+
+    def request_stop(self) -> None:
+        """Begin :meth:`stop` (idempotent, signal-handler safe)."""
+        if self._stop_task is None:
+            self._stop_task = asyncio.ensure_future(self.stop())
+
+    async def serve_forever(self) -> None:
+        """Serve until the server is down and a begun leave finished."""
+        await self.server.serve_forever()
+        if self._stop_task is not None:
+            await self._stop_task
 
     def simulate_death(self) -> None:
         """Fault injection: vanish without a goodbye.
@@ -154,7 +179,7 @@ async def run_node(
         heartbeat_interval_s=heartbeat_interval_s,
     )
     await node.start()
-    node.server.install_signal_handlers()
+    install_signal_handlers(node.request_stop)
     if ready is not None:
         ready(node)
-    await node.server.serve_forever()
+    await node.serve_forever()

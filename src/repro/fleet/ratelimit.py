@@ -30,12 +30,11 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.obs.metrics import MetricsRegistry
 
 DEFAULT_RATE_PER_S = 50.0
-DEFAULT_BURST = 100.0
 
 # Token cost per priority class.  `high` is deliberately cheaper than
 # `normal`: an interactive probe should survive a tenant's own batch
 # flood.  `low` pays double so bulk traffic drains the budget fastest.
-DEFAULT_CLASS_COSTS = {"high": 0.5, "normal": 1.0, "low": 2.0}
+CLASS_COSTS = {"high": 0.5, "normal": 1.0, "low": 2.0}
 
 
 @dataclass
@@ -50,21 +49,6 @@ class Decision:
     # Seconds until the bucket holds `cost` tokens again; 0 when
     # admitted.  This is the 429 Retry-After value.
     retry_after_s: float = 0.0
-
-
-class RateLimited(Exception):
-    """Tenant bucket empty; maps to 429 + Retry-After.
-
-    Carries the limiter's decision so the transport can surface the
-    exact wait (header and body) instead of a generic backoff hint.
-    """
-
-    def __init__(self, decision: Decision):
-        self.decision = decision
-        super().__init__(
-            f"tenant {decision.tenant!r} rate limited; retry in "
-            f"{decision.retry_after_s:.3f}s"
-        )
 
 
 class TokenBucket:
@@ -128,14 +112,10 @@ class _TenantLedger:
 class TenantRateLimiter:
     """Per-tenant buckets behind one ``admit()`` call.
 
-    ``overrides`` grants specific tenants their own (rate, burst) —
-    a paid tier, or a deliberately throttled batch account — while
-    every other tenant shares the default shape (each still gets its
-    *own* bucket; only the parameters are shared).
-
-    Rejections are counted only in ``repro_fleet_ratelimited_total``
-    (per tenant) on ``registry``, a private one when none is shared;
-    :meth:`stats` reads them from there.
+    Every tenant gets its own bucket of one shared shape.  Rejections
+    are counted only in ``repro_fleet_ratelimited_total`` (per tenant)
+    on ``registry``, a private one when none is shared; :meth:`stats`
+    reads them from there.
     """
 
     def __init__(
@@ -143,15 +123,11 @@ class TenantRateLimiter:
         rate_per_s: float = DEFAULT_RATE_PER_S,
         burst: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
-        class_costs: Optional[Dict[str, float]] = None,
-        overrides: Optional[Dict[str, Tuple[float, float]]] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
         self.rate_per_s = float(rate_per_s)
         self.burst = float(burst) if burst is not None else 2.0 * self.rate_per_s
         self._clock = clock
-        self.class_costs = dict(class_costs or DEFAULT_CLASS_COSTS)
-        self.overrides = dict(overrides or {})
         self._tenants: Dict[str, _TenantLedger] = {}
         self.admitted_total = 0
         self._rejected = (registry or MetricsRegistry()).counter(
@@ -164,17 +140,16 @@ class TenantRateLimiter:
     def _ledger(self, tenant: str) -> _TenantLedger:
         ledger = self._tenants.get(tenant)
         if ledger is None:
-            rate, burst = self.overrides.get(
-                tenant, (self.rate_per_s, self.burst)
-            )
             ledger = self._tenants[tenant] = _TenantLedger(
-                bucket=TokenBucket(rate, burst, clock=self._clock)
+                bucket=TokenBucket(
+                    self.rate_per_s, self.burst, clock=self._clock
+                )
             )
         return ledger
 
     def admit(self, tenant: str, priority_class: str = "normal") -> Decision:
         """Charge one submission against ``tenant``'s bucket."""
-        cost = self.class_costs.get(priority_class, 1.0)
+        cost = CLASS_COSTS.get(priority_class, 1.0)
         ledger = self._ledger(tenant)
         allowed, retry_after = ledger.bucket.try_take(cost)
         if allowed:
@@ -204,7 +179,7 @@ class TenantRateLimiter:
         return {
             "rate_per_s": self.rate_per_s,
             "burst": self.burst,
-            "class_costs": dict(self.class_costs),
+            "class_costs": dict(CLASS_COSTS),
             "admitted_total": self.admitted_total,
             "rejected_total": sum(rejected.values()),
             "tenants": {

@@ -14,9 +14,8 @@ instead of reshuffling everything the way ``hash(key) % n`` would.
 The alternative — routing each request to the shortest queue — is
 discussed in DESIGN.md: it wins on instantaneous balance but destroys
 cache affinity, which for a content-addressed workload is the whole
-point.  Queue imbalance is handled one layer up (the loadtest's
-knee-of-curve sweep sizes the fleet; per-node backpressure sheds the
-rest).
+point.  Queue imbalance is handled one layer up: per-node
+backpressure sheds it.
 
 Hashes are :mod:`hashlib` sha256, *not* Python's ``hash()``: routing
 must be identical across processes and interpreter runs (PYTHONHASHSEED

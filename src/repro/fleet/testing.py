@@ -73,11 +73,10 @@ class FleetNodeThread(LoopThread):
         )
         await self.node.start()
         self._ready.set()
-        await self.node.server.serve_forever()
+        await self.node.serve_forever()
 
     def _shutdown(self) -> None:
-        # Graceful leave: deregister, then drain.
-        asyncio.ensure_future(self.node.stop())
+        self.node.request_stop()
 
     def kill(self) -> None:
         """Fault injection: die without deregistering (no drain)."""

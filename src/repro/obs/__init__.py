@@ -5,8 +5,7 @@
 * :mod:`repro.obs.psi` — Linux-faithful Pressure Stall Information for
   the memory, io, and cpu resources, fed by the kernel/sched/storage
   stall sites and exposed as ``avg10``/``avg60``/``avg300`` windows plus
-  total stall clocks, with per-app (memcg-style) breakdowns and
-  threshold triggers policies can subscribe to.
+  total stall clocks, with per-app (memcg-style) breakdowns.
 * :mod:`repro.obs.procfs` — a virtual ``/proc`` registry rendering live
   ``meminfo``, ``vmstat``, ``pressure/{memory,io,cpu}``, per-app memcg
   stat files and the freezer cgroup state from the authoritative kernel

@@ -36,17 +36,13 @@ stall ratio is folded into three EWMA windows with
 ``alpha = 1 - exp(-period / window)``.
 
 Per-app (memcg-style) groups keyed by UID receive the same accounting
-for stalls attributable to one application, and threshold triggers fire
-a callback when the windowed stall exceeds a budget — the mechanism
-lmkd's PSI triggers use — so policies can subscribe to pressure events.
+for stalls attributable to one application.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 # Resources (Linux /proc/pressure file names).
 MEMORY = "memory"
@@ -238,72 +234,6 @@ class PsiGroup:
         }
 
 
-@dataclass
-class PsiEvent:
-    """Delivered to trigger subscribers when a stall budget is exceeded."""
-
-    resource: str
-    kind: str
-    stall_ms: float  # stall accrued within the trigger window
-    window_ms: float
-    threshold_ms: float
-    now_ms: float
-
-
-class PsiTrigger:
-    """One lmkd-style trigger: "≥ threshold stall within window".
-
-    Checked at every monitor update; fires at most once per window
-    (the kernel's trigger rate limit).
-    """
-
-    def __init__(
-        self,
-        resource: str,
-        kind: str,
-        threshold_ms: float,
-        window_ms: float,
-        callback: Callable[[PsiEvent], None],
-    ):
-        if resource not in RESOURCES:
-            raise ValueError(f"unknown PSI resource {resource!r}")
-        if kind not in (SOME, FULL):
-            raise ValueError(f"unknown PSI kind {kind!r}")
-        if threshold_ms <= 0 or window_ms <= 0:
-            raise ValueError("trigger threshold and window must be positive")
-        if threshold_ms > window_ms:
-            raise ValueError("trigger threshold cannot exceed its window")
-        self.resource = resource
-        self.kind = kind
-        self.threshold_ms = threshold_ms
-        self.window_ms = window_ms
-        self.callback = callback
-        self.fire_count = 0
-        self._history: Deque[Tuple[float, float]] = deque()
-        self._baseline_total = 0.0
-        self._last_fire = -math.inf
-
-    def check(self, group: PsiGroup, now: float) -> None:
-        total = group.lines[(self.resource, self.kind)].clock.total(now)
-        self._history.append((now, total))
-        while self._history and self._history[0][0] <= now - self.window_ms:
-            self._baseline_total = self._history.popleft()[1]
-        windowed = total - self._baseline_total
-        if windowed >= self.threshold_ms and now - self._last_fire >= self.window_ms:
-            self._last_fire = now
-            self.fire_count += 1
-            self.callback(
-                PsiEvent(
-                    resource=self.resource,
-                    kind=self.kind,
-                    stall_ms=windowed,
-                    window_ms=self.window_ms,
-                    threshold_ms=self.threshold_ms,
-                    now_ms=now,
-                )
-            )
-
-
 class PsiMonitor:
     """System-wide + per-app PSI accounting on the simulated clock.
 
@@ -323,10 +253,7 @@ class PsiMonitor:
         self.update_ms = update_ms
         self.system = PsiGroup(update_ms)
         self.groups: Dict[int, PsiGroup] = {}  # uid → per-app group
-        self.triggers: List[PsiTrigger] = []
         self.updates = 0
-        # Optional tracing hook (repro.trace.Tracer); None when disabled.
-        self.tracer = None
 
     # ------------------------------------------------------------------
     # Recording (called from the stall sites)
@@ -397,40 +324,7 @@ class PsiMonitor:
         self.system.update(now, self.update_ms)
         for group in self.groups.values():
             group.update(now, self.update_ms)
-        for trigger in self.triggers:
-            trigger.check(self.system, now)
         self.updates += 1
-
-    # ------------------------------------------------------------------
-    # Triggers
-    # ------------------------------------------------------------------
-    def add_trigger(
-        self,
-        resource: str,
-        kind: str,
-        threshold_ms: float,
-        window_ms: float,
-        callback: Callable[[PsiEvent], None],
-    ) -> PsiTrigger:
-        """Subscribe ``callback`` to "≥ threshold stall within window"."""
-
-        def fire(event: PsiEvent) -> None:
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.instant(
-                    f"psi_trigger:{event.resource}",
-                    args={
-                        "kind": event.kind,
-                        "stall_ms": round(event.stall_ms, 3),
-                        "window_ms": event.window_ms,
-                    },
-                    cat="psi",
-                )
-            callback(event)
-
-        trigger = PsiTrigger(resource, kind, threshold_ms, window_ms, fire)
-        self.triggers.append(trigger)
-        return trigger
 
     # ------------------------------------------------------------------
     # Views

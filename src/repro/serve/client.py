@@ -137,8 +137,8 @@ class ServeClient:
         ``retries`` > 0 retries 429 backpressure and transient
         connection failures with jittered exponential backoff (the
         library default stays 0 so callers that *want* to observe
-        backpressure — tests, the loadtest's knee sweep — see every
-        429; the CLI passes 3).
+        backpressure, such as tests, see every 429; ``repro submit``
+        passes 3).
         """
         body = dict(
             request.to_dict() if isinstance(request, RunRequest) else request

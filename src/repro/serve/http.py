@@ -5,8 +5,7 @@ Endpoints (all under ``/v1``):
 * ``POST   /v1/runs``          — submit a :class:`RunRequest` (JSON body;
   optional ``priority``, ``timeout_s``, ``progress_interval_ms``,
   ``tenant`` submission options).  202 queued, 200 cache hit, 429
-  queue full or rate limited (the latter with a ``Retry-After``
-  header), 503 draining, 400 malformed.
+  queue full, 503 draining, 400 malformed.
 * ``GET    /v1/runs/<id>``        — job snapshot (state, result, error).
 * ``GET    /v1/runs/<id>/events`` — Server-Sent Events: replays the
   job's lifecycle (``queued``/``started``/``sample``/``retry``/
@@ -20,7 +19,7 @@ Endpoints (all under ``/v1``):
 * ``GET    /v1/stats``            — queue depth, cache hit rate, worker
   utilization, job state counts, per-priority-class latency
   percentiles, an RSS/tracemalloc/cache memory breakdown, per-tenant
-  rogue scores, rate-limit budgets, and the most recent runs.
+  rogue scores, and the most recent runs.
 * ``GET    /metrics``             — Prometheus text exposition from the
   server's metrics registry (counters, gauges, latency histograms).
 
@@ -43,9 +42,10 @@ import asyncio
 import json
 from typing import Dict, Optional
 
-from repro.fleet.ratelimit import RateLimited
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE
-from repro.serve.httpbase import ROUTE_NODE_HEADER, HttpBase
+from repro.serve.httpbase import (
+    ROUTE_NODE_HEADER, HttpBase, install_signal_handlers,
+)
 from repro.serve.queue import BadSubmission, QueueFull
 from repro.serve.spec import TERMINAL_STATES
 from repro.serve.state import (  # re-exported; they predate the split
@@ -154,9 +154,6 @@ class SimulationServer(HttpBase):
             status, job = self.state.submit(payload)
         except BadSubmission as exc:
             self._write_json(writer, 400, {"error": str(exc)})
-            return
-        except RateLimited as exc:
-            self._write_ratelimited(writer, exc.decision)
             return
         except QueueFull as exc:
             self._write_json(writer, 429, {
@@ -284,7 +281,7 @@ async def run_server(config: ServeConfig, ready=None) -> None:
     """Start a server, announce readiness, and serve until drained."""
     server = SimulationServer(config)
     await server.start()
-    server.install_signal_handlers()
+    install_signal_handlers(server.request_shutdown)
     if ready is not None:
         ready(server)
     await server.serve_forever()

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import signal
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qsl
 
-from repro.fleet.ratelimit import RateLimited
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.spec import SPEC_VERSION
 
@@ -43,6 +41,16 @@ class _BadRequest(Exception):
 
 class _PayloadTooLarge(Exception):
     """Maps to a 413 with the exception text as the error body."""
+
+
+def install_signal_handlers(handler: Callable[[], None]) -> None:
+    """SIGTERM/SIGINT → ``handler`` (main-thread loops only)."""
+    loop = asyncio.get_event_loop()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(signum, handler)
+        except (NotImplementedError, ValueError, RuntimeError):
+            return  # not the main thread / unsupported platform
 
 
 class HttpBase:
@@ -74,15 +82,6 @@ class HttpBase:
 
     async def serve_forever(self) -> None:
         await self._stopped.wait()
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT → ``request_shutdown`` (main-thread loops only)."""
-        loop = asyncio.get_event_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.request_shutdown)
-            except (NotImplementedError, ValueError, RuntimeError):
-                return  # not the main thread / unsupported platform
 
     # ------------------------------------------------------------------
     async def _handle_client(
@@ -236,25 +235,6 @@ class HttpBase:
         self._write_bytes(
             writer, status, json.dumps(doc).encode("utf-8"),
             "application/json", extra_headers,
-        )
-
-    def _write_ratelimited(self, writer, decision) -> None:
-        """The 429 for a token-bucket rejection, node or coordinator.
-
-        Retry-After is delta-seconds (an integer per RFC 9110); the body
-        carries the exact float for clients that parse.
-        """
-        retry_after = max(1, math.ceil(decision.retry_after_s))
-        self._write_json(
-            writer, 429,
-            {
-                "error": str(RateLimited(decision)),
-                "retry_after_s": round(decision.retry_after_s, 4),
-                "ratelimited": True,
-                "tenant": decision.tenant,
-                "priority_class": decision.priority_class,
-            },
-            extra_headers=(("Retry-After", str(retry_after)),),
         )
 
     def _write_text(self, writer, status: int, text: str,

@@ -2,8 +2,8 @@
 
 :class:`ServerState` owns everything a serve node *is* — the bounded
 priority queue, the supervised worker fleet, the two-tier result
-cache, the byte-budgeted job table, per-tenant accounting, the
-admission rate limiter, and the drain protocol — while
+cache, the byte-budgeted job table, per-tenant accounting and the
+drain protocol — while
 :class:`repro.serve.http.SimulationServer` owns only how that state is
 *reached* (request parsing, routing, SSE streaming, response
 encoding).
@@ -26,7 +26,6 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.fleet.ratelimit import RateLimited, TenantRateLimiter
 from repro.obs.metrics import (
     MetricsRegistry,
     latency_summary,
@@ -41,7 +40,6 @@ from repro.serve.queue import (
     JobState,
     QueueFull,
     parse_submission,
-    priority_class,
 )
 from repro.serve.retention import (
     DEFAULT_JOB_BUDGET_BYTES,
@@ -52,6 +50,9 @@ from repro.serve.retention import (
 )
 from repro.serve.workers import WorkerFleet
 
+# How many recently submitted runs /v1/stats lists (fleet console).
+RECENT_JOBS = 20
+
 
 @dataclass
 class ServeConfig:
@@ -61,12 +62,8 @@ class ServeConfig:
     port: int = 8080  # 0 = ephemeral (tests)
     workers: int = 2
     queue_depth: int = 64
-    max_retries: int = 1
     cache_dir: Optional[str] = None
     drain_grace_s: float = 60.0
-    # Applied when a submission carries no timeout_s of its own
-    # (None = jobs may wait/run forever).
-    default_timeout_s: Optional[float] = None
     # Memory-tier byte budget for the result cache (None = unbounded).
     cache_budget_bytes: Optional[int] = DEFAULT_MEMORY_BUDGET_BYTES
     # How often the RSS/tracemalloc gauges are re-sampled.
@@ -77,15 +74,11 @@ class ServeConfig:
     # Idle SSE followers get a `: ping` comment frame at this interval
     # so read-timeout clients can tell a quiet stream from a dead one.
     sse_keepalive_s: float = 15.0
-    # How many recently submitted runs /v1/stats lists (fleet console).
-    recent_jobs: int = 20
     # Terminal-job retention: canonical-JSON byte budget for finished
-    # jobs (None = retain forever, the pre-retention behavior), the
-    # window inside which a finished job is never evicted, and the
-    # bound on eviction tombstones (410 Gone summaries).
+    # jobs (None = retain forever, the pre-retention behavior) and the
+    # window inside which a finished job is never evicted.
     job_budget_bytes: Optional[int] = DEFAULT_JOB_BUDGET_BYTES
     job_min_retention_s: float = DEFAULT_MIN_RETENTION_S
-    job_tombstone_limit: int = DEFAULT_TOMBSTONE_LIMIT
     # Per-job event-list cap; SSE followers see a `dropped_events`
     # marker where history was lost (None = unbounded).
     max_events_per_job: Optional[int] = DEFAULT_MAX_EVENTS_PER_JOB
@@ -95,10 +88,6 @@ class ServeConfig:
     # repro_fleet_misrouted_total (the request is still served — the
     # shared store makes any node able to answer).
     node_id: Optional[str] = None
-    # Per-tenant token-bucket admission (None = no rate limiting).
-    # Rejections are 429 with a Retry-After derived from the bucket.
-    ratelimit_rps: Optional[float] = None
-    ratelimit_burst: Optional[float] = None
 
 
 class ServerState:
@@ -119,26 +108,17 @@ class ServerState:
         )
         self.fleet = WorkerFleet(
             size=self.config.workers,
-            max_retries=self.config.max_retries,
             on_progress=self._on_progress,
             registry=self.registry,
         )
         self.table = JobTable(
             budget_bytes=self.config.job_budget_bytes,
             min_retention_s=self.config.job_min_retention_s,
-            tombstone_limit=self.config.job_tombstone_limit,
             registry=self.registry,
         )
         # Dequeue-time expiries never surface from queue.pop(); the
         # callback folds them into tenant/retention accounting anyway.
         self.queue.on_expired = self._finalize_job
-        self.limiter: Optional[TenantRateLimiter] = None
-        if self.config.ratelimit_rps:
-            self.limiter = TenantRateLimiter(
-                rate_per_s=self.config.ratelimit_rps,
-                burst=self.config.ratelimit_burst,
-                registry=self.registry,
-            )
         self.draining = False
         self._supervisor_task: Optional[asyncio.Task] = None
         self._job_tasks: set = set()
@@ -148,7 +128,7 @@ class ServerState:
         self._memory_sample = memory_snapshot()
         # Per-tenant accumulators for the fleet console's rogue scores.
         self.tenants: Dict[str, dict] = {}
-        self._recent: deque = deque(maxlen=max(1, self.config.recent_jobs))
+        self._recent: deque = deque(maxlen=RECENT_JOBS)
         # A fleet node's finished runs, id -> terminal state, until its
         # coordinator acknowledges them on a heartbeat; bounded like the
         # tombstones, oldest dropped first.
@@ -189,8 +169,7 @@ class ServerState:
             fn=lambda: self.healthz()["uptime_s"],
         )
         # Fleet-facing observability, registered only in fleet mode so
-        # a plain single-node scrape stays free of dead families (the
-        # limiter registers its own rejection counter).
+        # a plain single-node scrape stays free of dead families.
         self._misrouted_counter = None
         if self.config.node_id is not None:
             self._misrouted_counter = self.registry.counter(
@@ -443,19 +422,12 @@ class ServerState:
     def submit(self, payload: dict) -> Tuple[int, Job]:
         """Admit one request; returns ``(http_status, job)``.
 
-        Raises :class:`BadSubmission` for malformed payloads,
-        :class:`RateLimited` when the tenant's bucket is empty, and
+        Raises :class:`BadSubmission` for malformed payloads and
         :class:`QueueFull` for backpressure.
         """
         if self.draining:
             raise BadSubmission("server is draining")  # callers map to 503
         options, request = parse_submission(payload)
-        if self.limiter is not None:
-            decision = self.limiter.admit(
-                options["tenant"], priority_class(options["priority"])
-            )
-            if not decision.allowed:
-                raise RateLimited(decision)
         loop = asyncio.get_event_loop()
         job = Job(
             id=f"run-{uuid.uuid4().hex[:12]}",
@@ -468,8 +440,6 @@ class ServerState:
             on_event_dropped=self._events_dropped_counter.inc,
         )
         timeout_s = options["timeout_s"]
-        if timeout_s is None:
-            timeout_s = self.config.default_timeout_s
         if timeout_s is not None:
             job.deadline_at = job.submitted_at + timeout_s
 
@@ -569,8 +539,6 @@ class ServerState:
                 self._recent_doc(job_id) for job_id in reversed(self._recent)
             ],
         })
-        if self.limiter is not None:
-            doc["ratelimit"] = self.limiter.stats()
         if self.config.node_id is not None:
             doc["fleet"] = {
                 "node_id": self.config.node_id,

@@ -12,7 +12,7 @@ Supervision details:
 
 * **Crash detection** — a worker that dies (OOM-kill, segfault,
   ``os._exit``) surfaces as ``BrokenProcessPool``; the fleet rebuilds
-  the pool and retries the job up to ``max_retries`` times before
+  the pool and retries the job up to ``MAX_RETRIES`` times before
   failing it.  Simulation errors (unknown scenario/policy, bad
   config) are *not* retried: they are deterministic and would fail
   identically every time.
@@ -53,9 +53,12 @@ PROGRESS_SAMPLE_KEYS = (
     "frozen_processes",
 )
 
+# Retries of a job whose worker process died.
+MAX_RETRIES = 1
+
 
 class WorkerCrashed(Exception):
-    """A job's worker process died more times than ``max_retries``."""
+    """A job's worker process died more times than ``MAX_RETRIES``."""
 
 
 # Set in each pool process by the initializer; the parent's drain
@@ -130,14 +133,12 @@ class WorkerFleet:
     def __init__(
         self,
         size: int = 2,
-        max_retries: int = 1,
         on_progress: Optional[Callable[[dict], None]] = None,
         registry=None,
     ):
         if size <= 0:
             raise ValueError("fleet size must be positive")
         self.size = size
-        self.max_retries = max_retries
         self.on_progress = on_progress
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
@@ -269,7 +270,7 @@ class WorkerFleet:
             raise RuntimeError("fleet not started")
         loop = asyncio.get_event_loop()
         last_error: Optional[BaseException] = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             pool = self._pool
             job.attempts += 1
             job.progress_rows = 0  # a retried attempt streams afresh
@@ -288,7 +289,7 @@ class WorkerFleet:
                 self._counters["crashes"].inc()
                 last_error = exc
                 self._rebuild_pool(pool)
-                if attempt < self.max_retries:
+                if attempt < MAX_RETRIES:
                     self._counters["retries"].inc()
                     job.add_event("retry", {
                         "attempt": job.attempts,

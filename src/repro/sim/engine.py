@@ -104,9 +104,6 @@ class Simulator:
         # schedule/cancel/pop so pending_count() is O(1).
         self._live: int = 0
         self._cancelled_in_heap: int = 0
-        # Optional tracing hook (repro.trace.Tracer); None costs one
-        # truthiness check per executed event.
-        self.tracer = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -221,11 +218,6 @@ class Simulator:
                 heappush(heap, (when, seq, event))
                 self._live += 1
 
-        # Engine-event traces name an event after its callback; without
-        # this every periodic would read "tick".  Only the name is
-        # copied: ``__module__`` still marks the closure as the engine's
-        # re-arm wrapper.
-        tick.__name__ = getattr(fn, "__name__", None) or type(fn).__name__
         handle._current = self.schedule(
             interval if first_delay is None else first_delay, tick
         )
@@ -252,9 +244,6 @@ class Simulator:
             self._live -= 1
             self.now = when
             self.events_executed += 1
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.engine_event(when, event.fn)
             event.fn(*event.args)
             return True
         return False
@@ -266,9 +255,7 @@ class Simulator:
         fired earlier, so back-to-back ``run_until`` calls tile cleanly.
 
         This is the hot loop: peek and pop are fused (one heap touch per
-        event instead of a ``peek_time``/``step`` pair), and the tracer
-        check is hoisted out of the per-event path — attaching a tracer
-        mid-run takes effect on the next ``run_until``/``step`` call.
+        event instead of a ``peek_time``/``step`` pair).
         """
         if time < self.now:
             raise SimulationError(
@@ -282,12 +269,6 @@ class Simulator:
         # the `heap` alias survives callbacks that cancel events.
         heap = self._heap
         pop = heapq.heappop
-        tracer = self.tracer
-        trace_hook = (
-            tracer.engine_event
-            if tracer is not None and tracer.engine_events
-            else None
-        )
         executed = 0
         try:
             while heap:
@@ -306,8 +287,6 @@ class Simulator:
                 self._live -= 1
                 self.now = when
                 executed += 1
-                if trace_hook is not None:
-                    trace_hook(when, event.fn)
                 event.fn(*event.args)
             self.now = time
         finally:

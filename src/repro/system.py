@@ -103,14 +103,11 @@ class MobileSystem:
         self.tracer = tracer
         if tracer is not None:
             tracer.bind_clock(lambda: self.sim.now)
-            self.sim.tracer = tracer
 
         # Pressure Stall Information is always on (recording a stall is
         # a few float compares); its EWMA windows advance on a periodic
         # tick of the simulated clock.
         self.psi = PsiMonitor(clock=lambda: self.sim.now)
-        if tracer is not None:
-            self.psi.tracer = tracer
         self.sim.every(self.psi.update_ms, self.psi.tick)
 
         # --- storage + memory management -------------------------------

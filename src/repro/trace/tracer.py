@@ -36,10 +36,9 @@ events (faults) attributed to the process.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.trace.histogram import Histogram
 
@@ -71,35 +70,12 @@ PH_ASYNC_END = "e"
 
 DEFAULT_CAPACITY = 512 * 1024
 
-# Approximate per-event overhead charged by the byte-budgeted ring:
-# the TraceEvent object header, slot pointers, and the two floats.
-_EVENT_BASE_COST = 64
-
-
-def _event_cost(name: str, cat: str, args: Optional[Dict[str, Any]]) -> int:
-    """Canonical-ish byte cost of one event for ring budgeting.
-
-    Mirrors the serve plane's canonical-size discipline: strings count
-    their length, args count their compact-JSON rendering (falling back
-    to ``repr`` for non-JSON values), plus a fixed object overhead.
-    Cheap enough for the emit hot path — one json.dumps of a typically
-    tiny dict.
-    """
-    cost = _EVENT_BASE_COST + len(name) + len(cat)
-    if args:
-        try:
-            cost += len(json.dumps(args, separators=(",", ":")))
-        except (TypeError, ValueError):
-            cost += len(repr(args))
-    return cost
-
 
 class TraceEvent:
     """One emitted tracepoint (timestamps in simulated ms)."""
 
     __slots__ = (
         "ts", "ph", "name", "cat", "pid", "tid", "dur", "args", "flow_id",
-        "cost",
     )
 
     def __init__(
@@ -123,7 +99,6 @@ class TraceEvent:
         self.dur = dur
         self.args = args
         self.flow_id = flow_id
-        self.cost = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TraceEvent {self.ph} {self.name!r} t={self.ts:.3f} {self.pid}/{self.tid}>"
@@ -136,39 +111,19 @@ class Tracer:
     full — a long run keeps its most recent window, like a kernel trace
     buffer in overwrite mode.  ``events_emitted`` keeps counting, so
     ``dropped_events`` reports how much history was lost.
-
-    ``capacity_bytes`` adds a second, byte-denominated bound: each event
-    is charged an approximate cost (:func:`_event_cost`) at emission and
-    the oldest events are dropped while the ring's total exceeds the
-    budget.  Count and byte bounds compose — whichever bites first wins
-    — so a ring of few huge-args events and a ring of millions of tiny
-    ones are both held to a predictable footprint.
     """
 
     def __init__(
         self,
         clock: Optional[Callable[[], float]] = None,
         capacity: int = DEFAULT_CAPACITY,
-        engine_events: bool = False,
-        capacity_bytes: Optional[int] = None,
     ):
         if capacity <= 0:
             raise ValueError(f"trace buffer capacity must be positive, got {capacity}")
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError(
-                f"trace buffer capacity_bytes must be positive or None, "
-                f"got {capacity_bytes}"
-            )
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self.capacity = capacity
-        self.capacity_bytes = capacity_bytes
         self.events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self.buffer_bytes: int = 0
         self.events_emitted: int = 0
-        # Sim-engine callback instants are high-volume detail; off unless
-        # explicitly requested (the engine hook itself stays a single
-        # truthiness check either way).
-        self.engine_events = engine_events
         self._processes: Dict[int, str] = {}
         self._threads: Dict[Tuple[int, int], str] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -238,20 +193,7 @@ class Tracer:
             args=args,
             flow_id=flow_id,
         )
-        if self.capacity_bytes is not None:
-            event.cost = _event_cost(name, cat, args)
-            # deque(maxlen) drops events[0] silently on a full append;
-            # reclaim its cost first or the byte ledger drifts upward.
-            if len(self.events) == self.capacity:
-                self.buffer_bytes -= self.events[0].cost
-            self.events.append(event)
-            self.buffer_bytes += event.cost
-            # Overwrite-mode byte budget: shed oldest, keep the newest
-            # event even if it alone exceeds the budget.
-            while self.buffer_bytes > self.capacity_bytes and len(self.events) > 1:
-                self.buffer_bytes -= self.events.popleft().cost
-        else:
-            self.events.append(event)
+        self.events.append(event)
         self.events_emitted += 1
         return event
 
@@ -367,16 +309,6 @@ class Tracer:
         return self._emit(
             PH_ASYNC_END, name, cat, pid, tid, args=args, flow_id=async_id
         )
-
-    # ------------------------------------------------------------------
-    # Engine hook (high-volume; double-gated by ``engine_events``)
-    # ------------------------------------------------------------------
-    def engine_event(self, ts: float, fn: Any) -> None:
-        """Record one simulator callback execution (when detail is on)."""
-        if not self.engine_events:
-            return
-        name = getattr(fn, "__name__", None) or type(fn).__name__
-        self._emit(PH_INSTANT, name, "engine", KERNEL_PID, 0, ts=ts)
 
     # ------------------------------------------------------------------
     # Latency histograms

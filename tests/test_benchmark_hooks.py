@@ -6,6 +6,10 @@ by module, class and attribute name, and ``perfbench/simload.py`` /
 renames one of them breaks ``perfbench/run.py --trace 1`` with an
 ``AttributeError`` long after tier-1 has passed; this test catches it
 here.  It loads ``tracing.py`` as it is, without modifying it.
+
+``fleetload.py`` also boots the fleet through the CLI and drives it
+through ``ServeClient``: the argv it passes must parse, and the client
+calls it makes must bind.
 """
 
 import importlib
@@ -33,20 +37,24 @@ DIRECT_NAMES = (
 )
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    """``perfbench/tracing.py`` imported the way ``run.py`` imports it
+def _load(name):
+    """``perfbench/<name>.py`` imported the way ``run.py`` imports it
     (its directory on ``sys.path`` for ``common``)."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         spec = importlib.util.spec_from_file_location(
-            "perfbench_tracing", PERFBENCH / "tracing.py"
+            f"perfbench_{name}", PERFBENCH / f"{name}.py"
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     finally:
         sys.path.remove(str(PERFBENCH))
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
 
 
 def _resolve(module_name, class_name, attr):
@@ -74,3 +82,47 @@ def test_every_traced_entry_point_resolves(tracing):
 )
 def test_names_used_by_the_workloads_resolve(module_name, class_name, attr):
     _resolve(module_name, class_name, attr)
+
+
+class _Booted(Exception):
+    """Stops ``Fleet.boot`` once both processes were asked for."""
+
+
+def test_fleet_boot_argv_parses(tmp_path, monkeypatch):
+    from repro.__main__ import build_parser
+
+    fleetload = _load("fleetload")
+    argvs = {}
+
+    def spawn(self, role, args):
+        argvs[role] = args
+        if role == "node":
+            raise _Booted
+        return object(), "http://127.0.0.1:9"
+
+    monkeypatch.setattr(fleetload.Fleet, "_spawn", spawn)
+    with pytest.raises(_Booted):
+        fleetload.Fleet(str(tmp_path), {}, "boot").boot()
+    assert set(argvs) == {"coordinator", "node"}
+    parser = build_parser()
+    coordinator = parser.parse_args(argvs["coordinator"])
+    assert coordinator.command == "coordinator"
+    assert coordinator.ratelimit_rps == fleetload.RATELIMIT_RPS
+    node = parser.parse_args(argvs["node"])
+    assert node.command == "serve"
+    assert (node.workers, node.node_id) == (1, "n1")
+    assert node.coordinator == "http://127.0.0.1:9"
+
+
+def test_client_calls_used_by_the_workloads_bind():
+    from repro.serve.client import ServeClient
+
+    client = ServeClient("http://127.0.0.1:9", timeout_s=60.0)
+    signature = inspect.signature
+    signature(client.submit).bind(
+        {"scenario": "S-A"}, tenant="tenant-0", progress_interval_ms=1000.0
+    )
+    signature(client.events).bind("run-1", timeout_s=60.0)
+    signature(client.get).bind("run-1")
+    signature(client.stats).bind()
+    signature(client.healthz).bind()

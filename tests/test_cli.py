@@ -1,11 +1,12 @@
 """Tests for the `python -m repro` CLI."""
 
+import argparse
 import json
 import re
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 from repro.devices.specs import DEVICES
 from repro.policies.registry import available_policies
 
@@ -20,6 +21,24 @@ def _help_text(argv, capsys) -> str:
         main(argv)
     assert exc_info.value.code == 0
     return capsys.readouterr().out
+
+
+def _settable_values(parser) -> int:
+    """Argparse actions other than help, positionals included, over
+    every subcommand."""
+    count = 0
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            count += sum(map(_settable_values, action.choices.values()))
+        elif not isinstance(action, argparse._HelpAction):
+            count += 1
+    return count
+
+
+def test_settable_value_count_is_pinned():
+    # Every option has a caller (DESIGN decision 23); a change that adds
+    # or removes one moves this pin in its own diff.
+    assert _settable_values(build_parser()) == 69
 
 
 def test_help_lists_every_command(capsys):

@@ -230,6 +230,16 @@ def test_fig9_bg_sweep(figures):
     assert ice_full.ria < base_full.ria
 
 
+@pytest.mark.parametrize("figure_id", ["fig8", "fig9"])
+def test_frame_rate_tables_line_up_with_their_headers(figures, figure_id):
+    from repro.experiments.figures import FIGURES
+
+    _title, header, *rows = FIGURES[figure_id].render(
+        figures[figure_id]).splitlines()
+    assert rows
+    assert {len(row) for row in rows} == {len(header)}
+
+
 # Figure 10.  Paper: Ice cuts refaults by ~40-58% and reclaims to ~70%;
 # Acclaim does not reduce refaults.
 def test_fig10_reclaim_refault(figures):

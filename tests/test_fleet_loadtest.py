@@ -1,4 +1,4 @@
-"""Loadtest internals: mix determinism, percentiles, knee, M/M/k model."""
+"""Loadtest internals: mix determinism and percentiles."""
 
 import random
 from itertools import islice
@@ -9,15 +9,13 @@ from repro.fleet.loadtest import (
     _KEEP,
     LoadtestConfig,
     _Samples,
-    find_knee,
     generate_mix,
-    mmk_model,
 )
 from repro.metrics.stats import percentile
 
 
-def take(config, count, salt=""):
-    return list(islice(generate_mix(config, salt=salt), count))
+def take(config, count):
+    return list(islice(generate_mix(config), count))
 
 
 # ----------------------------------------------------------------------
@@ -27,15 +25,6 @@ def test_mix_is_deterministic_per_seed():
     config = LoadtestConfig(seed=7)
     assert take(config, 50) == take(config, 50)
     assert take(config, 50) != take(LoadtestConfig(seed=8), 50)
-
-
-def test_mix_salt_uniquifies_sweep_levels():
-    config = LoadtestConfig(seed=7)
-    plain = take(config, 30)
-    salted = take(config, 30, salt="sweep-4")
-    seeds = {p["seed"] for p in plain}
-    salted_seeds = {p["seed"] for p in salted}
-    assert seeds.isdisjoint(salted_seeds)
 
 
 def test_mix_contains_duplicates_and_valid_fields():
@@ -90,57 +79,3 @@ def test_level_samples_stay_bounded():
     # A uniform sample of 0..9999 has its median near the middle.
     assert 3000 < level.doc()["p50_s"] < 7000
 
-
-# ----------------------------------------------------------------------
-# Knee detection
-# ----------------------------------------------------------------------
-def test_find_knee_picks_last_scaling_level():
-    sweep = [
-        {"concurrency": 1, "throughput_rps": 2.0},
-        {"concurrency": 2, "throughput_rps": 3.9},   # +95%
-        {"concurrency": 4, "throughput_rps": 7.0},   # +79%
-        {"concurrency": 8, "throughput_rps": 7.3},   # +4% — past the knee
-        {"concurrency": 16, "throughput_rps": 7.1},
-    ]
-    assert find_knee(sweep) == 4
-
-
-def test_find_knee_degenerate_inputs():
-    assert find_knee([]) is None
-    assert find_knee([{"concurrency": 2, "throughput_rps": 5.0}]) == 2
-
-
-# ----------------------------------------------------------------------
-# M/M/k model
-# ----------------------------------------------------------------------
-def test_mmk_model_unloaded_system_approaches_service_time():
-    # At 1% utilization nobody queues: E[T] ~= 1/mu.
-    model = mmk_model(k=4, lambda_rps=0.04, mean_service_s=1.0)
-    assert model["rho"] == pytest.approx(0.01)
-    assert model["p_wait"] < 1e-4
-    assert model["expected_e2e_s"] == pytest.approx(1.0, rel=1e-3)
-
-
-def test_mmk_model_single_server_matches_mm1():
-    # For k=1, Erlang-C reduces to M/M/1: P_wait = rho and
-    # E[T] = 1/(mu - lambda).
-    model = mmk_model(k=1, lambda_rps=0.5, mean_service_s=1.0)
-    assert model["p_wait"] == pytest.approx(0.5)
-    assert model["expected_e2e_s"] == pytest.approx(2.0)
-
-
-def test_mmk_model_queueing_grows_with_load():
-    light = mmk_model(k=2, lambda_rps=0.5, mean_service_s=1.0)
-    heavy = mmk_model(k=2, lambda_rps=1.8, mean_service_s=1.0)
-    assert heavy["p_wait"] > light["p_wait"]
-    assert heavy["expected_e2e_s"] > light["expected_e2e_s"]
-    assert 0.0 <= light["p_wait"] <= 1.0
-
-
-def test_mmk_model_saturation_and_degenerate_inputs():
-    saturated = mmk_model(k=2, lambda_rps=3.0, mean_service_s=1.0)
-    assert saturated["saturated"] is True
-    assert "expected_e2e_s" not in saturated
-    assert mmk_model(k=0, lambda_rps=1.0, mean_service_s=1.0) is None
-    assert mmk_model(k=2, lambda_rps=0.0, mean_service_s=1.0) is None
-    assert mmk_model(k=2, lambda_rps=1.0, mean_service_s=None) is None

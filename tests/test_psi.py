@@ -9,7 +9,6 @@ from repro.obs.psi import (
     PSI_UPDATE_MS,
     PsiGroup,
     PsiMonitor,
-    PsiTrigger,
     StallClock,
 )
 from repro.system import MobileSystem
@@ -140,55 +139,6 @@ def test_per_uid_groups_are_lazy_and_independent():
     t["now"] = 1000.0
     assert psi.system.line("io").total_us(t["now"]) == 150_000
     assert psi.groups[10007].line("io").total_us(t["now"]) == 50_000
-
-
-# ----------------------------------------------------------------------
-# Triggers
-# ----------------------------------------------------------------------
-def test_trigger_fires_once_per_window():
-    t = {"now": 0.0}
-    psi = PsiMonitor(clock=lambda: t["now"], update_ms=500.0)
-    events = []
-    trigger = psi.add_trigger("memory", "some", threshold_ms=100.0,
-                              window_ms=1000.0, callback=events.append)
-    psi.record("memory", 400.0, start=0.0)
-    t["now"] = 500.0
-    psi.tick()  # 400 ms stall in window → fires
-    assert len(events) == 1
-    assert events[0].stall_ms >= 100.0
-    psi.record("memory", 400.0, start=500.0)
-    t["now"] = 1000.0
-    psi.tick()  # still inside the rate-limit window → no second fire
-    assert len(events) == 1
-    psi.record("memory", 400.0, start=1000.0)
-    t["now"] = 1500.0
-    psi.tick()  # a full window has passed since the fire → fires again
-    assert len(events) == 2
-    assert trigger.fire_count == 2
-
-
-def test_trigger_quiet_system_never_fires():
-    t = {"now": 0.0}
-    psi = PsiMonitor(clock=lambda: t["now"], update_ms=500.0)
-    events = []
-    psi.add_trigger("io", "some", threshold_ms=50.0, window_ms=1000.0,
-                    callback=events.append)
-    for step in range(1, 10):
-        t["now"] = step * 500.0
-        psi.tick()
-    assert events == []
-
-
-def test_trigger_validation():
-    cb = lambda event: None  # noqa: E731
-    with pytest.raises(ValueError):
-        PsiTrigger("disk", "some", 10.0, 100.0, cb)
-    with pytest.raises(ValueError):
-        PsiTrigger("memory", "most", 10.0, 100.0, cb)
-    with pytest.raises(ValueError):
-        PsiTrigger("memory", "some", 200.0, 100.0, cb)  # threshold > window
-    with pytest.raises(ValueError):
-        PsiTrigger("memory", "some", 0.0, 100.0, cb)
 
 
 def test_monitor_rejects_bad_update_period():

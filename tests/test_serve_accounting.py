@@ -45,8 +45,6 @@ NODE_FAMILIES = (
      ("workers.abandoned_total",)),
     ("repro_serve_jobs_evicted_total", (), ("retention.evicted_total",)),
     ("repro_fleet_misrouted_total", (), ("fleet.misrouted_total",)),
-    ("repro_fleet_ratelimited_total", (TENANT,),
-     ("ratelimit.rejected_total", f"ratelimit.tenants.{TENANT}.rejected")),
 )
 
 COORDINATOR_FAMILIES = (
@@ -82,16 +80,12 @@ def _totals(doc, prefix=""):
 
 
 def _node_state():
-    state = ServerState(ServeConfig(
-        port=0, workers=1, node_id="n1", ratelimit_rps=1.0,
-    ))
-    state.limiter.admit(TENANT)  # the tenant's ratelimit block exists
-    return state
+    return ServerState(ServeConfig(port=0, workers=1, node_id="n1"))
 
 
 def _coordinator():
     coordinator = Coordinator(CoordinatorConfig(port=0, ratelimit_rps=1.0))
-    coordinator.limiter.admit(TENANT)
+    coordinator.limiter.admit(TENANT)  # the tenant's ratelimit block exists
     return coordinator
 
 
@@ -155,12 +149,17 @@ def test_soak_pairs_are_covered_by_the_node_table():
 
 
 def test_reading_ratelimit_stats_creates_no_series():
+    # The limiter is the coordinator's: a node registers no family, and
+    # reading the coordinator's stats adds no series to it.
     async def scenario():
-        for owner in (_node_state(), _coordinator()):
-            owner.stats()
-            text = owner.registry.render()
-            assert "# TYPE repro_fleet_ratelimited_total counter" in text
-            assert "repro_fleet_ratelimited_total{" not in text
+        node = _node_state()
+        node.stats()
+        assert "repro_fleet_ratelimited_total" not in node.registry.render()
+        coordinator = _coordinator()
+        coordinator.stats()
+        text = coordinator.registry.render()
+        assert "# TYPE repro_fleet_ratelimited_total counter" in text
+        assert "repro_fleet_ratelimited_total{" not in text
 
     asyncio.run(scenario())
 

@@ -20,7 +20,6 @@ from repro.trace.tracer import KERNEL_PID, Tracer
 def test_tracing_disabled_by_default():
     system = MobileSystem()
     assert system.tracer is None
-    assert system.sim.tracer is None
     assert system.mm.tracer is None
     assert system.kswapd.tracer is None
     assert system.fault_handler.tracer is None
@@ -47,7 +46,6 @@ def test_traced_system_wires_all_hooks():
     assert system.fault_handler.tracer is tracer
     assert system.freezer.tracer is tracer
     assert system.sched.tracer is tracer
-    assert system.sim.tracer is tracer
     # The clock is bound to simulated time.
     system.run(seconds=1.0)
     assert tracer.clock() == system.sim.now
@@ -132,28 +130,6 @@ def test_flow_ids_are_unique():
     tracer.flow_end("handoff", first, 2, 1)
     start, end = tracer.events
     assert start.flow_id == end.flow_id == first
-
-
-def test_engine_events_gated():
-    tracer = Tracer()
-    tracer.engine_event(1.0, lambda: None)
-    assert len(tracer.events) == 0
-    tracer.engine_events = True
-    tracer.engine_event(2.0, lambda: None)
-    assert len(tracer.events) == 1
-    assert tracer.events[0].cat == "engine"
-
-
-def test_engine_events_name_periodic_callbacks():
-    # A periodic firing runs the engine's re-arm closure; the event must
-    # still carry the callback's own name, or every periodic reads "tick".
-    from repro.experiments.scenarios import BgCase, run_scenario
-
-    tracer = Tracer(engine_events=True)
-    run_scenario("S-A", policy="Ice", bg_case=BgCase.NULL, seconds=1.0,
-                 settle_s=0.0, tracer=tracer)
-    names = {event.name for event in tracer.events if event.cat == "engine"}
-    assert {"_sched_tick", "_on_vsync", "_issue_bursts", "_psi_tick"} <= names
 
 
 # ----------------------------------------------------------------------
@@ -257,57 +233,3 @@ def test_export_is_json_serializable_after_real_run():
     phases = {event["ph"] for event in parsed["traceEvents"]}
     # Scheduler slices, launch async pair, and metadata must all be there.
     assert {"M", "X", "b", "e"} <= phases
-
-
-# ----------------------------------------------------------------------
-# Byte-budgeted ring (capacity_bytes)
-# ----------------------------------------------------------------------
-def test_byte_budget_sheds_oldest_events():
-    tracer = Tracer(capacity_bytes=2000)
-    for i in range(200):
-        tracer.instant(f"ev-{i:03d}", args={"index": i})
-    assert tracer.buffer_bytes <= 2000
-    assert tracer.events_emitted == 200
-    assert tracer.dropped_events > 0
-    # The retained window is the newest suffix.
-    names = [event.name for event in tracer.events]
-    assert names == [f"ev-{200 - len(names) + i:03d}" for i in range(len(names))]
-
-
-def test_byte_ledger_matches_event_costs():
-    tracer = Tracer(capacity_bytes=100_000)
-    for i in range(50):
-        tracer.instant("ev", args={"i": i})
-    assert tracer.buffer_bytes == sum(e.cost for e in tracer.events)
-
-
-def test_count_and_byte_bounds_compose():
-    # Tiny count bound, generous byte bound: the deque's maxlen drops
-    # events, and the byte ledger must follow it down.
-    tracer = Tracer(capacity=4, capacity_bytes=1 << 20)
-    for i in range(20):
-        tracer.instant("ev", args={"i": i})
-    assert len(tracer.events) == 4
-    assert tracer.buffer_bytes == sum(e.cost for e in tracer.events)
-    assert tracer.dropped_events == 16
-
-
-def test_byte_budget_keeps_newest_even_when_oversized():
-    tracer = Tracer(capacity_bytes=64)
-    tracer.instant("huge", args={"blob": "x" * 500})
-    assert len(tracer.events) == 1  # never evict down to empty
-    assert tracer.buffer_bytes > 64
-
-
-def test_unbudgeted_tracer_charges_nothing():
-    tracer = Tracer()
-    tracer.instant("free", args={"i": 1})
-    assert tracer.buffer_bytes == 0
-    assert tracer.events[0].cost == 0
-
-
-def test_byte_budget_validation():
-    with pytest.raises(ValueError):
-        Tracer(capacity_bytes=0)
-    with pytest.raises(ValueError):
-        Tracer(capacity_bytes=-5)
