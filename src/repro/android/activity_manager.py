@@ -145,13 +145,13 @@ class ActivityManager:
             return
         if previous is not None and previous.alive:
             system.frame_engine.stop()
-            previous.state = AppState.CACHED
+            system.set_app_state(previous, AppState.CACHED)
             previous.last_foreground_ms = system.sim.now
             self._cache_order.insert(0, previous)
         if app in self._cache_order:
             self._cache_order.remove(app)
         self._update_recency()
-        app.state = AppState.FOREGROUND
+        system.set_app_state(app, AppState.FOREGROUND)
         self.foreground = app
         system.mm.foreground_uid = app.uid
         system.policy.on_foreground_change(app, previous)
@@ -203,12 +203,12 @@ class ActivityManager:
             app.processes.append(process)
 
             main_task = Task(f"{name}.main", process=process, nice=0)
-            system.sched.add_task(main_task)
+            system.add_task(main_task)
             process.tasks.append(main_task)
             gc_task = None
             if java > 0:
                 gc_task = Task(f"{name}.HeapTaskDaemon", process=process, nice=4)
-                system.sched.add_task(gc_task)
+                system.add_task(gc_task)
                 process.tasks.append(gc_task)
 
             behavior = BackgroundBehavior(system, process, main_task, gc_task)
@@ -252,9 +252,9 @@ class ActivityManager:
         def read_code() -> float:
             if code_pages <= 0:
                 return 0.0
-            bio = system.flash.read(system.sim.now, code_pages, owner_pid=main.pid)
+            complete = system.flash.read(system.sim.now, code_pages)
             system.mm.vmstat.filein += code_pages
-            return bio.complete_time - system.sim.now
+            return complete - system.sim.now
 
         chunks = self._resident_chunks(app)
 

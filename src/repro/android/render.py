@@ -125,7 +125,7 @@ class FrameEngine:
         if main is None:
             raise ValueError(f"{app.package} has no main process to render from")
         self.task = Task("RenderThread", process=main, nice=self.RENDER_NICE)
-        self.system.sched.add_task(self.task)
+        self.system.add_task(self.task)
         tracer = self.system.tracer
         if tracer is not None:
             tracer.register_thread(main.pid, self.task.tid, "RenderThread")

@@ -59,7 +59,7 @@ class FrameworkLoad:
         for name in SERVICE_NAMES:
             task = Task(name, process=None, nice=0, is_kernel=(name.startswith("kworker")))
             task.freezable = False
-            self.system.sched.add_task(task)
+            self.system.add_task(task)
             self.tasks.append(task)
         self.system.sim.every(
             self.BURST_PERIOD_MS,
@@ -72,7 +72,7 @@ class FrameworkLoad:
         return sum(
             1
             for app in self.system.apps.values()
-            if app.alive and app.state in _CACHED_STATES
+            if app.processes and app.state in _CACHED_STATES
         )
 
     def current_target(self) -> float:

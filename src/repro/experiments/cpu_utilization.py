@@ -53,7 +53,7 @@ def measure_cpu_utilization(
         # population is purely background, as in the paper's setup.
         last = system.get_app(packages[-1])
         system.frame_engine.stop()
-        last.state = AppState.CACHED
+        system.set_app_state(last, AppState.CACHED)
         system.activity_manager.foreground = None
         system.mm.foreground_uid = None
     system.run(seconds=3.0)

@@ -22,7 +22,8 @@ after a failover resubmission.  The mapping lives in a node's
 evicted id answers 410), and heartbeats report the runs nodes finish.
 A node that leaves sends one last report after its drain; a run whose
 owner has left and no longer answers is replayed onto the ring's
-current owner when a client asks for it.
+current owner when a client asks for it, or when the liveness sweep
+next checks on it.
 
 SSE streams are the one endpoint not proxied: followers are
 long-lived and per-job, so ``GET /v1/runs/<id>/events`` answers 307
@@ -151,6 +152,9 @@ class Coordinator(HttpBase):
         self._failover_ids: Dict[str, str] = {}
         # Public ids of orphans no node took yet; every sweep retries them.
         self._orphans: Set[str] = set()
+        # Public id -> loop time the sweep last asked after an in-flight
+        # run whose owner left the ring.
+        self._checked: Dict[str, float] = {}
         self._sweep_task: Optional[asyncio.Task] = None
         self._started_at: Optional[float] = None
         self._submissions_counter = self.registry.counter(
@@ -207,7 +211,7 @@ class Coordinator(HttpBase):
 
     async def sweep(self) -> None:
         """Retry waiting orphans, evict every node whose heartbeat lapsed
-        and failover its jobs, GC."""
+        and failover its jobs, check on runs whose owner left, GC."""
         for job_id in list(self._orphans):
             job = self.table.get(job_id)
             if job is None or job.terminal or await self._resubmit(job):
@@ -221,7 +225,43 @@ class Coordinator(HttpBase):
         ]
         for node in lapsed:
             await self._evict(node)
+        await self._check_departed(now)
         self.table.gc()
+
+    async def _check_departed(self, now: float) -> None:
+        """Ask after each in-flight run whose owner left the ring, at
+        most once per heartbeat timeout, the way a client GET does.
+
+        A leaving node drains and answers, so its runs stay put; one
+        that died before its last report does not answer within the
+        heartbeat timeout, and :meth:`_ask_owner` replays the run onto
+        the ring's current owner without waiting for a client to ask.
+        The checks run concurrently, so a dead owner holds the sweep up
+        for one timeout, not one per run.
+        """
+        timeout = self.config.heartbeat_timeout_s
+        due = []
+        checked: Dict[str, float] = {}
+        for job in self.table.jobs.values():
+            node = self.nodes.get(job.node_id)
+            if (job.terminal or node is None or node.alive
+                    or job.id in self._orphans):
+                continue
+            last = self._checked.get(job.id)
+            if last is not None and now - last < timeout:
+                checked[job.id] = last
+            else:
+                checked[job.id] = now
+                due.append(job)
+        self._checked = checked
+
+        async def check(job: CoordJob) -> None:
+            try:
+                await self._ask_owner(job, "GET", timeout_s=timeout)
+            except TransportError:
+                pass  # no node took the run; the next check retries
+
+        await asyncio.gather(*(check(job) for job in due))
 
     async def _evict(self, node: NodeInfo) -> None:
         node.alive = False
@@ -525,7 +565,9 @@ class Coordinator(HttpBase):
             extra_headers=(("Retry-After", str(retry_after)),),
         )
 
-    async def _ask_owner(self, job: CoordJob, method: str):
+    async def _ask_owner(
+        self, job: CoordJob, method: str, timeout_s: float = PROXY_TIMEOUT_S,
+    ):
         """``(status, doc)`` of ``method`` on the run at its owner.
 
         An owner that left the ring and does not answer hands an
@@ -538,7 +580,7 @@ class Coordinator(HttpBase):
             try:
                 status, _, doc = await async_request(
                     method, f"{node.url}/v1/runs/{job.node_job_id}",
-                    timeout_s=PROXY_TIMEOUT_S,
+                    timeout_s=timeout_s,
                 )
                 break
             except TransportError:

@@ -367,11 +367,3 @@ class LruLists:
         while i:
             yield i
             i = lru_next[i]
-
-    def needs_aging(self, kind_inactive: LruKind) -> bool:
-        """Linux keeps inactive:active near 1:2 for anon and 1:1 for file;
-        we age the active list when inactive falls below that share."""
-        sizes = self._size
-        if kind_inactive is _INACTIVE_ANON:
-            return sizes[LRU_INACTIVE_ANON] * 2 < sizes[LRU_ACTIVE_ANON]
-        return sizes[LRU_INACTIVE_FILE] < sizes[LRU_ACTIVE_FILE]

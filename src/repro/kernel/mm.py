@@ -36,6 +36,10 @@ from repro.kernel.slab import (
     HEAP_NATIVE,
     KIND_ANON,
     KIND_FILE,
+    LRU_ACTIVE_ANON,
+    LRU_ACTIVE_FILE,
+    LRU_INACTIVE_ANON,
+    LRU_INACTIVE_FILE,
     PRESENT,
     REFERENCED,
     PageSlab,
@@ -111,10 +115,8 @@ _FRESH_BUFFER = PRESENT | REFERENCED
 # CPython 3.11 (see repro.sched.task), and every reclaim round uses them.
 _INACTIVE_ANON = LruKind.INACTIVE_ANON
 _INACTIVE_FILE = LruKind.INACTIVE_FILE
-_RECLAIM_LISTS = (
-    (_INACTIVE_ANON, LruKind.ACTIVE_ANON),
-    (_INACTIVE_FILE, LruKind.ACTIVE_FILE),
-)
+_ACTIVE_ANON = LruKind.ACTIVE_ANON
+_ACTIVE_FILE = LruKind.ACTIVE_FILE
 
 
 class MemoryManager:
@@ -453,35 +455,51 @@ class MemoryManager:
         return result
 
     def _shrink_round(self, target: int, result: ReclaimResult) -> int:
-        # Refill inactive lists by aging active ones when needed.
-        lru = self.lru
-        for inactive, active in _RECLAIM_LISTS:
-            if lru.needs_aging(inactive):
-                aged = lru.age_active(active, budget=target * 2)
-                result.scanned += aged
-                result.cpu_ms += aged * SCAN_COST_MS
-                self.vmstat.pgscan += aged
+        """One reclaim round over both inactive lists.
 
-        anon_avail = lru.inactive_anon
-        file_avail = lru.inactive_file
+        The guards read the list sizes and the zram room directly, and
+        a list whose share is zero is not visited: every kswapd quantum
+        and direct-reclaim batch runs up to four rounds.
+        """
+        lru = self.lru
+        sizes = lru._size
+        # Refill inactive lists by aging active ones when needed: Linux
+        # keeps inactive:active near 1:2 for anon and 1:1 for file.
+        if sizes[LRU_INACTIVE_ANON] * 2 < sizes[LRU_ACTIVE_ANON]:
+            aged = lru.age_active(_ACTIVE_ANON, budget=target * 2)
+            result.scanned += aged
+            result.cpu_ms += aged * SCAN_COST_MS
+            self.vmstat.pgscan += aged
+        if sizes[LRU_INACTIVE_FILE] < sizes[LRU_ACTIVE_FILE]:
+            aged = lru.age_active(_ACTIVE_FILE, budget=target * 2)
+            result.scanned += aged
+            result.cpu_ms += aged * SCAN_COST_MS
+            self.vmstat.pgscan += aged
+
+        anon_avail = sizes[LRU_INACTIVE_ANON]
+        file_avail = sizes[LRU_INACTIVE_FILE]
         total_avail = anon_avail + file_avail
         if total_avail == 0:
             return 0
         anon_share = int(round(target * anon_avail / total_avail))
-        if not self.zram.has_room(1):
+        zram = self.zram
+        free_slots = zram.capacity_pages - len(zram._slots)
+        if free_slots < 1:
             anon_share = 0
             result.zram_full = True
-        anon_share = min(anon_share, self.zram.free_slots)
+        elif anon_share > free_slots:
+            anon_share = free_slots
         file_share = target - anon_share
 
         reclaimed = 0
-        reclaimed += self._evict_from(_INACTIVE_ANON, anon_share, result)
-        reclaimed += self._evict_from(_INACTIVE_FILE, file_share, result)
+        if anon_share > 0:
+            reclaimed += self._evict_from(_INACTIVE_ANON, anon_share, result)
+        if file_share > 0:
+            reclaimed += self._evict_from(_INACTIVE_FILE, file_share, result)
         return reclaimed
 
     def _evict_from(self, kind: LruKind, count: int, result: ReclaimResult) -> int:
-        if count <= 0:
-            return 0
+        """Evict up to ``count`` (> 0) pages from the inactive list ``kind``."""
         lru = self.lru
         victims, scanned = lru.scan_inactive_ids(
             kind, budget=count * 2, protect=self.reclaim_protect

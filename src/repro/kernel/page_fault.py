@@ -224,8 +224,7 @@ class PageFaultHandler:
                     psi.record("memory", swapin_ms, start=now, uid=uid,
                                full=foreground)
             else:
-                bio = mm.flash.read(now, 1, owner_pid=pid)
-                io_complete_at = bio.complete_time
+                io_complete_at = mm.flash.read(now, 1)
                 vmstat.filein += 1
                 if psi is not None:
                     wait = io_complete_at - now
@@ -238,8 +237,7 @@ class PageFaultHandler:
             vmstat.pgmajfault += 1
         elif is_file:
             # Fresh file page (first touch) also needs a flash read.
-            bio = mm.flash.read(now, 1, owner_pid=pid)
-            io_complete_at = bio.complete_time
+            io_complete_at = mm.flash.read(now, 1)
             vmstat.filein += 1
             if psi is not None:
                 psi.record("io", io_complete_at - now, start=now,

@@ -285,17 +285,17 @@ class PsiMonitor:
         if end <= start:
             return
         some_clock, full_clock = self.system._clock_pairs[resource]
-        clocks = [some_clock]
-        if full:
-            clocks.append(full_clock)
-        if uid is not None:
+        if uid is None:
+            clocks = (some_clock, full_clock) if full else (some_clock,)
+        else:
             group = self.groups.get(uid)
             if group is None:
                 group = self.groups[uid] = PsiGroup(self.update_ms)
-            some_clock, full_clock = group._clock_pairs[resource]
-            clocks.append(some_clock)
+            group_some, group_full = group._clock_pairs[resource]
             if full:
-                clocks.append(full_clock)
+                clocks = (some_clock, full_clock, group_some, group_full)
+            else:
+                clocks = (some_clock, group_some)
         for clock in clocks:
             s = start
             if s < clock._open_start:

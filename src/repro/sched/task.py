@@ -100,6 +100,7 @@ class Task:
         "sched",
         "order_index",
         "app_uid",
+        "background",
         "pick_mark",
         "vruntime",
         "queue",
@@ -140,6 +141,11 @@ class Task:
         # change after construction) so the scheduler's cpu-pressure
         # accounting avoids a three-hop attribute chain per waiting task.
         self.app_uid = getattr(getattr(process, "app", None), "uid", None)
+        # Android cpuset: True while the owning app is out of the
+        # foreground, which confines the task to the little cluster.
+        # The system sets it when the task is added and whenever its app
+        # enters or leaves the foreground, so the pick reads a flag.
+        self.background = False
         # Scratch mark used by the dispatch loop to tag this quantum's
         # picked tasks without building a per-tick set.
         self.pick_mark = 0

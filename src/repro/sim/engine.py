@@ -17,6 +17,11 @@ The heap stores ``(time, seq, event)`` tuples rather than bare
 :class:`Event` objects: tuple comparison is C-level, so no Python
 ``__lt__`` frame runs on any heap sift.  ``event.time``/``event.seq``
 always mirror the tuple (both are updated before every push).
+
+A periodic event carries its ``interval``: the loop that fires it
+re-arms the same :class:`Event` after the callback returns, with the
+next ``seq``, so a periodic firing is one callback frame and nothing
+else.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ class Event:
     event stays in the heap but is skipped when popped).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "popped")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "popped", "interval")
 
     def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
         self.time = time
@@ -46,13 +51,8 @@ class Event:
         self.args = args
         self.cancelled = False
         self.popped = False
-
-    def __lt__(self, other: "Event") -> bool:
-        # Branch form instead of tuple comparison: this runs on every
-        # heap sift and the two tuple allocations dominate its cost.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+        # Set by Simulator.every: re-arm this many ms after each firing.
+        self.interval: Optional[float] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -66,24 +66,16 @@ class PeriodicHandle:
     Calling :meth:`stop` prevents any further firings.
     """
 
-    __slots__ = ("stopped", "_current", "_sim")
+    __slots__ = ("_event", "_sim")
 
-    def __init__(self, sim: Optional["Simulator"] = None) -> None:
-        self.stopped = False
-        self._current: Optional[Event] = None
+    def __init__(self, sim: "Simulator", event: Event) -> None:
+        self._event = event
         self._sim = sim
 
     def stop(self) -> None:
-        self.stopped = True
-        if self._current is not None:
-            # Route through the simulator so its live-event accounting
-            # stays exact; fall back to the bare flag for handles built
-            # outside an engine (tests).
-            if self._sim is not None:
-                self._sim.cancel(self._current)
-            else:
-                self._current.cancelled = True
-            self._current = None
+        # Cancelling the event also stops a firing in progress: the
+        # engine re-arms only an event that is not cancelled.
+        self._sim.cancel(self._event)
 
 
 class Simulator:
@@ -158,27 +150,6 @@ class Simulator:
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
 
-    def reschedule(self, event: Event, delay: float) -> Event:
-        """Re-arm an already-fired event ``delay`` ms from now.
-
-        Fast path for periodic work: reuses the Event object instead of
-        allocating a fresh one per firing.  The event must have been
-        popped (executed or skipped) — re-arming a still-queued event
-        would corrupt the heap.
-        """
-        if not event.popped:
-            raise SimulationError("cannot reschedule an event that is still queued")
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        event.time = self.now + delay
-        event.seq = self._seq
-        event.popped = False
-        event.cancelled = False
-        heapq.heappush(self._heap, (event.time, self._seq, event))
-        self._live += 1
-        return event
-
     def every(
         self,
         interval: float,
@@ -189,39 +160,33 @@ class Simulator:
         """Run ``fn(*args)`` every ``interval`` ms until stopped.
 
         The first firing happens after ``first_delay`` ms (defaults to
-        ``interval``).  The callback may itself stop the handle.  Each
-        firing re-arms the same :class:`Event` object (no per-tick
-        allocation).
+        ``interval``).  The callback may itself stop the handle.  The
+        event is queued here rather than through :meth:`schedule_at`,
+        so a wrapper of either method sees each callback once; the
+        loop that fires it re-arms the same :class:`Event`.
         """
         if interval <= 0:
             raise SimulationError(f"periodic interval must be positive, got {interval}")
-        handle = PeriodicHandle(self)
-        heappush = heapq.heappush
-        heap = self._heap  # _compact rebuilds in place; alias stays valid
+        delay = interval if first_delay is None else first_delay
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        self._seq += 1
+        when = self.now + delay
+        event = Event(when, self._seq, fn, args)
+        event.interval = interval
+        heapq.heappush(self._heap, (when, self._seq, event))
+        self._live += 1
+        return PeriodicHandle(self, event)
 
-        def tick() -> None:
-            if handle.stopped:
-                return
-            fn(*args)
-            if not handle.stopped:
-                # Inlined reschedule(): this runs for every firing of
-                # every periodic — the call and its guards are pure
-                # overhead for an event we know was just popped.
-                event = handle._current
-                seq = self._seq + 1
-                self._seq = seq
-                when = self.now + interval
-                event.time = when
-                event.seq = seq
-                event.popped = False
-                event.cancelled = False
-                heappush(heap, (when, seq, event))
-                self._live += 1
-
-        handle._current = self.schedule(
-            interval if first_delay is None else first_delay, tick
-        )
-        return handle
+    def _rearm(self, event: Event) -> None:
+        """Queue a periodic event that just fired, ``interval`` ms on."""
+        self._seq += 1
+        when = self.now + event.interval
+        event.time = when
+        event.seq = self._seq
+        event.popped = False
+        heapq.heappush(self._heap, (when, self._seq, event))
+        self._live += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -245,6 +210,8 @@ class Simulator:
             self.now = when
             self.events_executed += 1
             event.fn(*event.args)
+            if event.interval is not None and not event.cancelled:
+                self._rearm(event)
             return True
         return False
 
@@ -255,7 +222,8 @@ class Simulator:
         fired earlier, so back-to-back ``run_until`` calls tile cleanly.
 
         This is the hot loop: peek and pop are fused (one heap touch per
-        event instead of a ``peek_time``/``step`` pair).
+        event instead of a ``peek_time``/``step`` pair), and a periodic
+        event is re-armed inline (:meth:`_rearm` without its frame).
         """
         if time < self.now:
             raise SimulationError(
@@ -269,6 +237,7 @@ class Simulator:
         # the `heap` alias survives callbacks that cancel events.
         heap = self._heap
         pop = heapq.heappop
+        push = heapq.heappush
         executed = 0
         try:
             while heap:
@@ -288,6 +257,16 @@ class Simulator:
                 self.now = when
                 executed += 1
                 event.fn(*event.args)
+                interval = event.interval
+                if interval is not None and not event.cancelled:
+                    seq = self._seq + 1
+                    self._seq = seq
+                    when = self.now + interval
+                    event.time = when
+                    event.seq = seq
+                    event.popped = False
+                    push(heap, (when, seq, event))
+                    self._live += 1
             self.now = time
         finally:
             self.events_executed += executed

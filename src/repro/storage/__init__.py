@@ -9,12 +9,11 @@ models I/O congestion: a burst of background refaults lengthens the queue
 and thereby delays the foreground application's own faults.
 """
 
-from repro.storage.block import BioRequest, BlockQueue, IoDirection, IoStats
+from repro.storage.block import BlockQueue, IoDirection, IoStats
 from repro.storage.flash import FlashDevice
 from repro.storage.zram import ZramDevice, ZramFullError
 
 __all__ = [
-    "BioRequest",
     "BlockQueue",
     "IoDirection",
     "IoStats",

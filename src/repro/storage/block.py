@@ -1,4 +1,4 @@
-"""Block layer: bio requests and a FIFO device queue.
+"""Block layer: a FIFO device queue for bio requests.
 
 The kernel transfers reclaimed pages as ``bio`` instances (in-flight
 block-I/O requests, §2.1).  We model each device as a single-server FIFO
@@ -7,33 +7,21 @@ time ``t`` completes at ``max(t, busy_until) + pages * latency``.  This
 captures the congestion effect central to the paper — background refault
 storms lengthen the queue and delay foreground I/O — without simulating
 the full request lifecycle.
+
+A request is its completion time: :meth:`BlockQueue.submit` returns that
+float and keeps no request object, because every caller (a refault read,
+a cold-launch read, a write-back batch) needs only when it completes.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 
 class IoDirection(enum.Enum):
     READ = "read"
     WRITE = "write"
-
-
-@dataclass(slots=True)
-class BioRequest:
-    """An in-flight block I/O request (one or more contiguous pages)."""
-
-    direction: IoDirection
-    pages: int
-    issue_time: float
-    complete_time: float = 0.0
-    owner_pid: Optional[int] = None
-
-    @property
-    def latency(self) -> float:
-        return self.complete_time - self.issue_time
 
 
 @dataclass(slots=True)
@@ -54,16 +42,6 @@ class IoStats:
     @property
     def total_pages(self) -> int:
         return self.read_pages + self.write_pages
-
-    def record(self, request: BioRequest, service_ms: float, wait_ms: float) -> None:
-        if request.direction is IoDirection.READ:
-            self.read_requests += 1
-            self.read_pages += request.pages
-        else:
-            self.write_requests += 1
-            self.write_pages += request.pages
-        self.busy_ms += service_ms
-        self.total_wait_ms += wait_ms
 
 
 class BlockQueue:
@@ -98,20 +76,13 @@ class BlockQueue:
         )
         return per_page * pages
 
-    def submit(
-        self,
-        now: float,
-        direction: IoDirection,
-        pages: int,
-        owner_pid: Optional[int] = None,
-    ) -> BioRequest:
-        """Enqueue a request at simulated time ``now``; returns the bio
-        with its ``complete_time`` filled in.
+    def submit(self, now: float, direction: IoDirection, pages: int) -> float:
+        """Enqueue a request of ``pages`` at simulated time ``now``;
+        returns its completion time.
 
-        ``service_time`` and ``IoStats.record`` are inlined: every
-        refault read and write-back batch passes through here, and the
-        two extra frames per bio were measurable at the fault-loop
-        level.  Arithmetic order matches the unfused version.
+        The service time and the stats update are inlined: every
+        refault read and write-back batch passes through here.
+        Arithmetic order matches :meth:`service_time`.
         """
         if pages <= 0:
             raise ValueError(f"bio must carry at least one page, got {pages}")
@@ -142,8 +113,7 @@ class BlockQueue:
             stats.write_pages += pages
         stats.busy_ms += service
         stats.total_wait_ms += start - now
-        return BioRequest(direction=direction, pages=pages, issue_time=now,
-                          complete_time=complete, owner_pid=owner_pid)
+        return complete
 
     def queue_delay(self, now: float) -> float:
         """How long a read issued now would wait before service."""

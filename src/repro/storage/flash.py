@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.devices.specs import StorageSpec
-from repro.storage.block import BioRequest, BlockQueue, IoDirection
+from repro.storage.block import BlockQueue, IoDirection
 
 
 class FlashDevice:
@@ -33,14 +33,16 @@ class FlashDevice:
     def stats(self):
         return self.queue.stats
 
-    def read(self, now: float, pages: int, owner_pid: Optional[int] = None) -> BioRequest:
-        """Synchronous page-in: caller blocks until ``complete_time``."""
-        return self.queue.submit(now, IoDirection.READ, pages, owner_pid)
+    def read(self, now: float, pages: int) -> float:
+        """Synchronous page-in: the caller blocks until the returned
+        completion time."""
+        return self.queue.submit(now, IoDirection.READ, pages)
 
-    def write(self, now: float, pages: int, owner_pid: Optional[int] = None) -> BioRequest:
+    def write(self, now: float, pages: int) -> float:
         """Write-back: asynchronous from the caller's point of view, but
-        still occupies the device and delays subsequent reads."""
-        return self.queue.submit(now, IoDirection.WRITE, pages, owner_pid)
+        still occupies the device and delays subsequent reads; returns
+        the completion time."""
+        return self.queue.submit(now, IoDirection.WRITE, pages)
 
     def queue_delay(self, now: float) -> float:
         return self.queue.queue_delay(now)

@@ -45,9 +45,8 @@ from repro.storage.zram import ZramDevice
 
 
 # Module-level aliases: ``AppState.FOREGROUND`` is a descriptor call on
-# CPython 3.11 (see repro.sched.task), and the cpuset check below runs
-# for every runnable task in most quanta; kswapd wakes and allocation
-# stalls check states as often.
+# CPython 3.11 (see repro.sched.task), and every page touch, kswapd
+# wake and allocation stall checks a state.
 _FOREGROUND = AppState.FOREGROUND
 _KSWAPD_WAKEABLE = (SLEEPING, BLOCKED)
 
@@ -134,7 +133,7 @@ class MobileSystem:
             self.fault_handler.tracer = tracer
 
         # --- scheduling --------------------------------------------------
-        self.sched = CfsScheduler(cores=self.spec.cores)
+        self.sched = CfsScheduler(cores=self.spec.cores, sim=self.sim)
         self.sched.psi = self.psi
         self.freezer = Freezer()
         self.freezer.subscribe(self._on_freeze_change)
@@ -149,9 +148,9 @@ class MobileSystem:
             "kswapd0", process=None, nice=0, is_kernel=True,
             body=_KswapdBody(self.kswapd),
         )
-        self.sched.add_task(self._kswapd_task)
+        self.add_task(self._kswapd_task)
         self.kswapd.on_wake = self._wake_kswapd_task
-        self.sim.every(self.sched.quantum_ms, self._sched_tick)
+        self.sim.every(self.sched.quantum_ms, self.sched.tick)
 
         # --- framework -----------------------------------------------------
         self.apps: Dict[str, Application] = {}
@@ -194,15 +193,11 @@ class MobileSystem:
         # no Python frame per runnable task.
         if type(policy).sched_pick_key is not ManagementPolicy.sched_pick_key:
             self.sched.pick_key = policy.sched_pick_key
-        self.sched.is_background = self._is_background_task
         policy.attach(self)
 
     # ------------------------------------------------------------------
     # Wiring callbacks
     # ------------------------------------------------------------------
-    def _sched_tick(self) -> None:
-        self.sched.tick(self.sim.now)
-
     def _wake_kswapd_task(self) -> None:
         task = self._kswapd_task
         if task.state in _KSWAPD_WAKEABLE:
@@ -217,12 +212,29 @@ class MobileSystem:
     def _reclaim_protect(self, page: Page) -> bool:
         return self.policy.reclaim_protect(page)
 
-    def _is_background_task(self, task: Task) -> bool:
-        """Background-app tasks live in the little-cluster cpuset."""
+    # ------------------------------------------------------------------
+    # Cpusets: background-app tasks live in the little-cluster cpuset
+    # ------------------------------------------------------------------
+    def add_task(self, task: Task) -> Task:
+        """Register ``task`` with the scheduler, in its app's cpuset
+        (kernel and framework tasks have no process and are never
+        confined)."""
         process = task.process
-        if process is None:
-            return False
-        return process.app.state is not _FOREGROUND
+        task.background = (
+            process is not None and process.app.state is not _FOREGROUND
+        )
+        return self.sched.add_task(task)
+
+    def set_app_state(self, app: Application, state: AppState) -> None:
+        """Move ``app`` to ``state``, and its tasks with it between the
+        top-app and background cpusets, as Android's framework moves an
+        app's tasks between cpuset cgroups."""
+        app.state = state
+        background = state is not _FOREGROUND
+        uid = app.uid
+        for task in self.sched.tasks.values():
+            if task.app_uid == uid:
+                task.background = background
 
     # ------------------------------------------------------------------
     # App management
@@ -266,7 +278,7 @@ class MobileSystem:
             self.freezer.forget(process.pid)
             freed += self.mm.discard_ids(process.page_table.all_page_ids())
         app.processes = []
-        app.state = AppState.STOPPED
+        self.set_app_state(app, AppState.STOPPED)
         self.activity_manager.on_app_killed(app)
         self.policy.on_app_killed(app)
         return freed

@@ -411,6 +411,52 @@ def test_graceful_leave_strands_no_run_in_flight(tmp_path):
                 node.stop(timeout_s=15.0)
 
 
+def test_run_of_a_node_that_left_then_died_is_replayed_unasked(tmp_path):
+    # A node that left the ring and died before its last report leaves
+    # its run in flight with no heartbeat to lapse; the sweep asks after
+    # the run, finds no owner, and replays it with no client request.
+    store = tmp_path / "store"
+    store.mkdir()
+    with CoordinatorThread(CoordinatorConfig(
+        port=0, heartbeat_timeout_s=1.0, sweep_interval_s=0.2,
+    )) as coord:
+        client = ServeClient(coord.base_url)
+        nodes = [
+            FleetNodeThread(
+                _node_config(store, node_id), coord.base_url,
+                heartbeat_interval_s=0.2,
+            ).start()
+            for node_id in ("n1", "n2")
+        ]
+        try:
+            _wait_for_nodes(client, 2)
+            table = coord.coordinator.table
+            job = client.submit(
+                _routed_to(coord.coordinator.ring, "n1", 1500.0, 9400))
+            assert job["node"] == "n1"
+            # Killed first, so no heartbeat can re-register n1 after the
+            # DELETE takes it off the ring.
+            nodes[0].kill()
+            conn = http.client.HTTPConnection(
+                client.host, client.port, timeout=10.0)
+            try:
+                conn.request("DELETE", "/v1/nodes/n1")
+                assert conn.getresponse().status == 200
+            finally:
+                conn.close()
+            assert _wait_for(
+                lambda: client.stats()["jobs"]["resubmitted_total"] == 1,
+                timeout_s=15.0,
+            )
+            assert table.get(job["id"]).node_id == "n2"
+            stats = client.stats()
+            assert stats["evictions"]["nodes_evicted_total"] == 0
+            assert stats["jobs"]["in_flight"] == 1
+        finally:
+            for node in nodes:
+                node.stop(timeout_s=15.0)
+
+
 def test_finished_run_stays_reachable_after_its_node_leaves(fleet):
     coord, nodes, client, store = fleet
     job = client.submit({"scenario": "S-A", "bg_case": "bg-null",

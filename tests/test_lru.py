@@ -149,13 +149,6 @@ def test_age_active_on_inactive_list_rejected(lru):
         lru.age_active(LruKind.INACTIVE_ANON, budget=1)
 
 
-def test_needs_aging_anon_ratio(slab, lru):
-    lru.add_ids(make_ids(slab, 4), active=True)
-    assert lru.needs_aging(LruKind.INACTIVE_ANON)
-    lru.add_ids(make_ids(slab, 3))
-    assert not lru.needs_aging(LruKind.INACTIVE_ANON)
-
-
 def test_sizes_and_total(slab, lru):
     lru.add_id(anon(slab))
     lru.add_id(anon(slab), active=True)

@@ -54,6 +54,19 @@ def test_release_frees_page(mm):
     assert mm.vmstat.pgfree == 1
 
 
+def test_reclaim_ages_active_anon_only_below_one_to_two(mm):
+    # Linux keeps inactive:active anon near 1:2: a reclaim round ages
+    # the active list only while inactive * 2 < active.
+    mm.make_resident_bulk_ids(make_ids(mm.slab, 4), active=True)
+    mm.make_resident_bulk_ids(make_ids(mm.slab, 3))
+    mm.shrink(1)  # 3:4, then 2:4 after the eviction
+    mm.shrink(1)  # 2:4, then 1:4
+    assert mm.lru.active_anon == 4
+    assert mm.vmstat.pgscan == 4  # inactive scans only (2 per eviction)
+    mm.shrink(1)  # 1:4 ages the active list first
+    assert mm.lru.active_anon < 4
+
+
 def test_kswapd_woken_below_low_watermark(mm, small_spec):
     wakes = []
     mm.kswapd_waker = lambda: wakes.append(1)

@@ -142,10 +142,10 @@ def test_block_queue_completion_order(requests):
     for delay, pages, is_write in requests:
         now += delay
         direction = IoDirection.WRITE if is_write else IoDirection.READ
-        bio = queue.submit(now, direction, pages)
-        assert bio.complete_time >= now + queue.service_time(direction, pages)
-        assert bio.complete_time >= last_completion[direction]
-        last_completion[direction] = bio.complete_time
+        complete = queue.submit(now, direction, pages)
+        assert complete >= now + queue.service_time(direction, pages)
+        assert complete >= last_completion[direction]
+        last_completion[direction] = complete
 
 
 # ----------------------------------------------------------------------

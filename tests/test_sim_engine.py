@@ -138,18 +138,49 @@ def test_periodic_stop_from_inside_callback():
     assert len(count) == 3
 
 
-def test_periodic_event_carries_callback_name():
+def test_each_periodic_firing_passes_one_wrapper(monkeypatch):
+    # A tracer that wraps every callback handed to schedule_at and to
+    # every (as the benchmark's span recorder does) must see each
+    # firing once: every() queues its event itself and the engine
+    # re-arms it, with no callback of its own in between.
+    passed = []
+
+    def wrap(fn):
+        def wrapper(*args):
+            passed.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    schedule_at, every = Simulator.schedule_at, Simulator.every
+    monkeypatch.setattr(
+        Simulator, "schedule_at",
+        lambda self, when, fn, *args: schedule_at(self, when, wrap(fn), *args),
+    )
+    monkeypatch.setattr(
+        Simulator, "every",
+        lambda self, interval, fn, *args, first_delay=None: every(
+            self, interval, wrap(fn), *args, first_delay=first_delay),
+    )
     sim = Simulator()
+    fired = []
 
     def on_beat():
-        pass
+        fired.append(("on_beat", sim.now))
+
+    def once():
+        fired.append(("once", sim.now))
 
     sim.every(5.0, on_beat)
-    (_when, _seq, event), = sim._heap
-    # The queued event is the engine's own re-arm closure, marked by its
-    # module: the benchmark's span wrappers skip it by module and wrap
-    # the callback once.
-    assert event.fn.__module__ == "repro.sim.engine"
+    sim.schedule(5.0, once)   # queued after the first beat
+    sim.schedule(10.0, once)  # queued before the beat re-arms for t=10
+    sim.run_until(10.0)
+    assert sim.step()         # the re-arm after a step() firing too
+    # Same-instant events keep their (time, seq) order: a re-armed beat
+    # takes the next seq after its callback returns.
+    assert fired == [("on_beat", 5.0), ("once", 5.0), ("once", 10.0),
+                     ("on_beat", 10.0), ("on_beat", 15.0)]
+    assert passed == [name for name, _ in fired]
+    assert sim.pending_count() == 1
 
 
 def test_periodic_zero_interval_rejected():

@@ -21,29 +21,24 @@ def test_empty_bio_rejected():
 
 def test_single_read_latency():
     queue = make_queue()
-    bio = queue.submit(10.0, IoDirection.READ, 4)
-    assert bio.complete_time == 10.0 + 4.0
-    assert bio.latency == 4.0
+    assert queue.submit(10.0, IoDirection.READ, 4) == 10.0 + 4.0
 
 
 def test_writes_cost_more():
     queue = make_queue()
-    bio = queue.submit(0.0, IoDirection.WRITE, 3)
-    assert bio.complete_time == 6.0
+    assert queue.submit(0.0, IoDirection.WRITE, 3) == 6.0
 
 
 def test_fifo_congestion_delays_later_requests():
     queue = make_queue()
     queue.submit(0.0, IoDirection.READ, 10)  # busy until 10
-    second = queue.submit(0.0, IoDirection.READ, 1)
-    assert second.complete_time == 11.0
+    assert queue.submit(0.0, IoDirection.READ, 1) == 11.0
 
 
 def test_idle_gap_resets_queue():
     queue = make_queue()
     queue.submit(0.0, IoDirection.READ, 5)
-    late = queue.submit(100.0, IoDirection.READ, 1)
-    assert late.complete_time == 101.0
+    assert queue.submit(100.0, IoDirection.READ, 1) == 101.0
 
 
 def test_queue_delay_reflects_read_backlog():
@@ -57,15 +52,14 @@ def test_write_backlog_delays_reads_only_up_to_cap():
     queue = make_queue()
     queue.submit(0.0, IoDirection.WRITE, 100)  # write lane busy until 200
     assert queue.queue_delay(0.0) == queue.WRITE_INTERFERENCE_CAP_MS
-    bio = queue.submit(0.0, IoDirection.READ, 1)
-    assert bio.complete_time == queue.WRITE_INTERFERENCE_CAP_MS + 1.0
+    complete = queue.submit(0.0, IoDirection.READ, 1)
+    assert complete == queue.WRITE_INTERFERENCE_CAP_MS + 1.0
 
 
 def test_reads_do_not_delay_writes():
     queue = make_queue()
     queue.submit(0.0, IoDirection.READ, 50)  # read lane busy until 50
-    bio = queue.submit(0.0, IoDirection.WRITE, 2)
-    assert bio.complete_time == 4.0
+    assert queue.submit(0.0, IoDirection.WRITE, 2) == 4.0
 
 
 def test_stats_accumulate_by_direction():

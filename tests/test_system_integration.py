@@ -186,3 +186,36 @@ def test_deterministic_given_seed():
         return (vm.pgalloc, vm.pgsteal, vm.refault_total, system.mm.free_pages)
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("policy", ["LRU+CFS", "Ice"])
+def test_cpuset_follows_the_app_state_at_every_quantum(monkeypatch, policy):
+    # The pick reads task.background; the system sets it when a task is
+    # added and whenever its app enters or leaves the foreground.  Over
+    # launches, cache moves, LMK kills and freezes, it must equal the
+    # app state at every quantum.
+    from repro.experiments.scenarios import run_scenario
+    from repro.sched.cfs import CfsScheduler
+
+    tick = CfsScheduler.tick
+    quanta, misplaced = [], []
+
+    def check(sched, when):
+        for task in sched.tasks.values():
+            process = task.process
+            expected = (process is not None
+                        and process.app.state is not AppState.FOREGROUND)
+            if task.background is not expected:
+                misplaced.append((when, sched.sim.now, task.name))
+
+    def checked_tick(self):
+        check(self, "before")
+        busy = tick(self)
+        check(self, "after")
+        quanta.append(busy)
+        return busy
+
+    monkeypatch.setattr(CfsScheduler, "tick", checked_tick)
+    run_scenario("S-D", policy=policy, seconds=4.0, settle_s=1.0, seed=11)
+    assert len(quanta) > 1000
+    assert misplaced == []

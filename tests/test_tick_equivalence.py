@@ -20,7 +20,12 @@ mixes:
 After every quantum both worlds must agree on the busy time, on every
 task's state, vruntime, CPU time and queue, on the min vruntime, on the
 ``CpuStats`` accounting, and on the ordered logs of callbacks, custom
-body calls, PSI records and tracer spans (which record the picks).
+body calls, PSI records and tracer spans (which record the picks).  The
+fused scheduler's incremental idle minimum must equal a full ``min``
+over its idle tasks whenever it is set.
+
+A task's cpuset is its ``background`` flag, set once when the world
+spawns it; the reference reads the same flag.
 """
 
 import operator
@@ -30,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.sched.cfs import CfsScheduler
 from repro.sched.task import Task, TaskBody, TaskState, WorkItem
+from repro.sim.engine import Simulator
 from repro.trace.tracer import CPU_PID
 
 _ORDER_KEY = operator.attrgetter("order_index")
@@ -76,18 +82,30 @@ class RefQueueBody(TaskBody):
         return bool(task.queue)
 
 
+def _record_cpu(stats, now, busy_ms):
+    """The old ``CpuStats.record``: one quantum's busy time into the
+    per-second bucket of its start."""
+    stats.busy_ms_total += busy_ms
+    while now - stats._bucket_start >= 1000.0:
+        stats.samples.append(stats._bucket_busy / (stats.cores * 1000.0))
+        stats._bucket_busy = 0.0
+        stats._bucket_start += 1000.0
+    stats._bucket_busy += busy_ms
+
+
 class RefScheduler(CfsScheduler):
     """The old tick: table-order sort plus stable key sort, and every
     picked task dispatched through ``task.body``."""
 
-    def tick(self, now):
+    def tick(self):
+        now = self.sim.now
         if self._blocked:
             for task in list(self._blocked.values()):
                 if task.blocked_until <= now:
                     task.blocked_until = 0.0
                     task.unblock()
         if not self._runnable:
-            self.stats.record(now, 0.0)
+            _record_cpu(self.stats, now, 0.0)
             return 0.0
         runnable = sorted(self._runnable.values(), key=_ORDER_KEY)
         idle_vr = self._idle_vr
@@ -103,12 +121,11 @@ class RefScheduler(CfsScheduler):
         else:
             serial = self._pick_serial + 1
             self._pick_serial = serial
-            is_bg = self.is_background
             picked = []
             for task in runnable:
                 if big_free + little_free == 0:
                     break
-                if is_bg(task):
+                if task.background:
                     if little_free > 0:
                         little_free -= 1
                         picked.append(task)
@@ -173,7 +190,7 @@ class RefScheduler(CfsScheduler):
                         lowest = vruntime
             if lowest is not None and lowest > self._min_vruntime:
                 self._min_vruntime = lowest
-        self.stats.record(now, busy)
+        _record_cpu(self.stats, now, busy)
         return busy
 
 
@@ -232,11 +249,10 @@ class World:
         self.tasks = []
         self.index_of_tid = {}
         cls = RefScheduler if reference else CfsScheduler
-        sched = cls(cores=spec["cores"])
+        sched = cls(cores=spec["cores"], sim=Simulator())
         if spec["ucsg"]:
             sched.pick_key = self._ucsg_key
             sched.bg_slot_limit = spec["bg_slot_limit"]
-        sched.is_background = lambda task: task.name.startswith("bg")
         recorder = _Recorder(self)
         sched.psi = recorder
         if spec["traced"]:
@@ -268,6 +284,7 @@ class World:
         elif self.reference:
             body = RefQueueBody()
         task = Task(name, process=process, nice=task_spec["nice"], body=body)
+        task.background = name.startswith("bg")
         self.tasks.append(task)
         self.sched.add_task(task)
         self.index_of_tid[task.tid] = index
@@ -341,6 +358,10 @@ class World:
         return on_complete
 
     # -- between quanta ------------------------------------------------
+    def tick(self, now):
+        self.sched.sim.now = now
+        return self.sched.tick()
+
     def external(self, action):
         kind, index, arg = action
         task = self._task(index)
@@ -414,6 +435,11 @@ _spec = st.fixed_dictionaries({
 })
 
 
+def _assert_idle_min_exact(sched):
+    if sched._idle_min is not None:
+        assert sched._idle_min == min(sched._idle_vr.values())
+
+
 @settings(max_examples=150, deadline=None)
 @given(spec=_spec)
 def test_fused_tick_matches_unfused_reference(spec):
@@ -429,10 +455,11 @@ def test_fused_tick_matches_unfused_reference(spec):
                 fused.external(action)
                 ref.external(action)
         now = q * 20.0
-        busy = fused.sched.tick(now)
-        assert busy == ref.sched.tick(now), f"quantum {q}"
+        busy = fused.tick(now)
+        assert busy == ref.tick(now), f"quantum {q}"
         assert fused.log == ref.log, f"quantum {q}"
         assert fused.snapshot() == ref.snapshot(), f"quantum {q}"
+        _assert_idle_min_exact(fused.sched)
 
 
 def test_reference_and_fused_agree_on_a_fixed_mix():
@@ -465,9 +492,10 @@ def test_reference_and_fused_agree_on_a_fixed_mix():
                 fused.external(action)
                 ref.external(action)
         now = q * 20.0
-        assert fused.sched.tick(now) == ref.sched.tick(now)
+        assert fused.tick(now) == ref.tick(now)
         assert fused.log == ref.log
         assert fused.snapshot() == ref.snapshot()
+        _assert_idle_min_exact(fused.sched)
     kinds = {entry[0] for entry in fused.log}
     assert {"touch", "done", "body", "psi", "span"} <= kinds
     assert any(t.state is TaskState.DEAD for t in fused.tasks)
