@@ -14,7 +14,6 @@ ADJ_FOREGROUND = 0
 ADJ_PERCEPTIBLE = 200
 CACHED_APP_MIN_ADJ = 900
 CACHED_APP_MAX_ADJ = 999
-WHITELIST_ADJ_THRESHOLD = 200  # paper: adj <= 200 is whitelisted
 
 
 def cached_adj(recency_rank: int) -> int:
@@ -22,8 +21,3 @@ def cached_adj(recency_rank: int) -> int:
     if recency_rank < 0:
         raise ValueError("recency rank must be >= 0")
     return min(CACHED_APP_MAX_ADJ, CACHED_APP_MIN_ADJ + recency_rank * 10)
-
-
-def is_whitelisted_score(adj: int) -> bool:
-    """The paper's whitelist rule: adj <= 200 is user-perceptible."""
-    return adj <= WHITELIST_ADJ_THRESHOLD

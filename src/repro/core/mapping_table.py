@@ -139,9 +139,5 @@ class MappingTable:
         return uid in self._apps
 
     @property
-    def app_count(self) -> int:
-        return len(self._apps)
-
-    @property
     def process_count(self) -> int:
         return len(self._pid_to_uid)

@@ -8,8 +8,7 @@ re-randomised BG sets; the paper reports the average over ten rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Optional
 
 from repro.android.app import AppState
 from repro.apps.catalog import catalog_apps
@@ -19,23 +18,15 @@ from repro.policies.registry import make_policy
 from repro.system import MobileSystem
 
 
-@dataclass
-class CpuUtilizationRow:
-    """One row of Table 1."""
-
-    bg_apps: int
-    average: float
-    peak: float
-
-
 def measure_cpu_utilization(
     bg_apps: int,
     spec: Optional[DeviceSpec] = None,
     seconds: float = 30.0,
     seed: int = 42,
     policy: str = "LRU+CFS",
-) -> CpuUtilizationRow:
-    """One round: utilization with ``bg_apps`` cached apps and no FG app.
+) -> Dict[str, float]:
+    """One round: utilization with ``bg_apps`` cached apps and no FG app,
+    as ``{"bg_apps", "average", "peak"}``.
 
     Each round reboots the device and re-selects the BG apps from its
     seed; Table 1 averages rounds at seeds 42, 1042, ...
@@ -59,21 +50,8 @@ def measure_cpu_utilization(
     system.run(seconds=3.0)
     system.reset_measurements()
     system.run(seconds=seconds)
-    return CpuUtilizationRow(
-        bg_apps=bg_apps,
-        average=system.sched.stats.average_utilization,
-        peak=system.sched.stats.peak_utilization,
-    )
-
-
-def format_table1(rows: Sequence[CpuUtilizationRow]) -> str:
-    lines = [
-        "Table 1: CPU utilization with N apps in the BG (no FG app)",
-        f"{'BG apps':>8} | {'Average':>8} | {'Peak':>8}",
-        "-" * 32,
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.bg_apps:>8} | {row.average:>7.0%} | {row.peak:>7.0%}"
-        )
-    return "\n".join(lines)
+    return {
+        "bg_apps": bg_apps,
+        "average": system.sched.stats.average_utilization,
+        "peak": system.sched.stats.peak_utilization,
+    }

@@ -13,7 +13,7 @@ frozen app; ~2x a normal hot launch but far below a cold one).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.apps.catalog import catalog_apps
 from repro.devices.specs import DeviceSpec, huawei_p20
@@ -165,19 +165,3 @@ def worst_case_hot_launch(
     record = system.launch(package, drive_frames=False)
     system.run_until_complete(record, timeout_s=240.0)
     return WorstCaseResult(normal_hot_ms=normal_hot, worst_hot_ms=record.latency_ms)
-
-
-def format_launch_study(results: Dict[str, LaunchStudyResult]) -> str:
-    lines = [
-        "Figure 11: application launching",
-        f"{'policy':>10} | {'avg ms':>8} | {'cold ms':>8} | {'hot ms':>8} | "
-        f"{'hot launches (r2+)':>18} | {'LMK kills':>9}",
-        "-" * 74,
-    ]
-    for policy, result in results.items():
-        lines.append(
-            f"{policy:>10} | {result.average_ms:>8.0f} | {result.cold_ms:>8.0f} | "
-            f"{result.hot_ms:>8.0f} | {result.hot_launches:>18} | "
-            f"{result.lmk_kills:>9}"
-        )
-    return "\n".join(lines)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.mapping_table import (
     MappingTable,
@@ -88,27 +87,3 @@ def indexing_overhead(lookups: int = 100_000) -> IndexingOverheadResult:
 def thaw_latency_ms(processes: int = 3) -> float:
     """§6.4.2: thawing an application costs tens of milliseconds."""
     return THAW_LATENCY_MS_PER_PROCESS * processes
-
-
-def format_overhead(
-    memory: Optional[MemoryOverheadResult] = None,
-    indexing: Optional[IndexingOverheadResult] = None,
-    thaw_ms: Optional[float] = None,
-) -> str:
-    """§6.4's lines for the parts given."""
-    lines = ["§6.4: overhead analysis"]
-    if memory is not None:
-        lines.append(
-            f"mapping table ({memory.apps} apps x {memory.processes_per_app} "
-            f"procs): {memory.measured_bytes} B measured, "
-            f"{memory.paper_bytes} B by the paper's accounting "
-            f"({memory.paper_bytes / 1024:.1f} KB), bound {memory.bound_bytes} B"
-        )
-    if indexing is not None:
-        lines.append(
-            f"table indexing: {indexing.us_per_lookup:.2f} us per lookup "
-            f"({indexing.lookups} lookups)"
-        )
-    if thaw_ms is not None:
-        lines.append(f"thaw latency: {thaw_ms:.0f} ms per 3-process application")
-    return "\n".join(lines)

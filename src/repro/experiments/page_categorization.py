@@ -15,7 +15,7 @@ the idle runtime GC disabled (≈77%).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.apps.catalog import extended_catalog
 from repro.devices.specs import DeviceSpec, huawei_p20
@@ -179,26 +179,3 @@ def figure4(
                     trace_app_refaults(system, batch[0].package, window_s=window_s)
                 )
     return summary
-
-
-def format_figure4(summary: CategorizationSummary) -> str:
-    lines = [
-        "Figure 4: categorization of refaulted pages (per-process reclaim study)",
-        f"{'app':>18} | {'reclaimed':>9} | {'refaulted':>9} | {'frac':>5} | "
-        f"{'file':>5} | {'java':>5} | {'native':>6}",
-        "-" * 78,
-    ]
-    for app in summary.apps:
-        lines.append(
-            f"{app.package:>18} | {app.reclaimed:>9} | {app.refaulted:>9} | "
-            f"{app.refault_fraction:>5.0%} | {app.refaulted_file:>5} | "
-            f"{app.refaulted_java:>5} | {app.refaulted_native:>6}"
-        )
-    lines.append("-" * 78)
-    lines.append(
-        f"aggregate: refault fraction {summary.refault_fraction:.1%}; "
-        f"file {summary.file_share:.1%} vs anon {summary.anon_share:.1%}; "
-        f"anon split native {summary.native_share_of_anon:.1%} / "
-        f"java {summary.java_share_of_anon:.1%}"
-    )
-    return "\n".join(lines)

@@ -1,13 +1,10 @@
-"""Figure 2: reclaim/refault totals and the FPS-vs-BG-refault correlation.
+"""Figure 2(b): frame rate against BG refaults.
 
-* **Figure 2(a)** — total reclaimed and refaulted pages under BG-null,
-  BG-memtester and BG-apps (baseline kernel): memtester forces plenty of
-  reclaim but few refaults; real BG apps force the most reclaim *and*
-  dramatically more refaults.
-* **Figure 2(b)** — the four-scenario runs are cut into 30-second
-  slices; slices are sorted by their BG-refault count and bucketed into
-  deciles; the mean FPS and reclaim count per decile shows frame rate
-  collapsing as BG refaults rise.
+Scenario runs are cut into slices; slices are sorted by their
+BG-refault count and bucketed into deciles; the mean FPS and reclaim
+count per decile shows frame rate collapsing as BG refaults rise.
+(Figure 2(a)'s reclaim/refault totals are three of Figure 1's scenario
+runs, reduced in :mod:`repro.experiments.figures`.)
 """
 
 from __future__ import annotations
@@ -22,30 +19,6 @@ from repro.policies.registry import make_policy
 from repro.system import MobileSystem
 
 
-# ----------------------------------------------------------------------
-# Figure 2(a)
-# ----------------------------------------------------------------------
-@dataclass
-class Figure2aRow:
-    case: str
-    reclaim: int
-    refault: int
-
-
-def format_figure2a(rows: Sequence[Figure2aRow]) -> str:
-    lines = [
-        "Figure 2(a): reclaimed and refaulted pages in total",
-        f"{'case':>14} | {'Reclaim':>8} | {'Refault':>8}",
-        "-" * 38,
-    ]
-    for row in rows:
-        lines.append(f"{row.case:>14} | {row.reclaim:>8} | {row.refault:>8}")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Figure 2(b)
-# ----------------------------------------------------------------------
 @dataclass
 class SliceSample:
     """One 30-second slice of a scenario run."""
@@ -54,14 +27,6 @@ class SliceSample:
     bg_refaults: int
     reclaims: int
     fps: float
-
-
-@dataclass
-class DecileRow:
-    decile: str
-    fps: float
-    reclaims: float
-    bg_refaults: float
 
 
 def collect_slices(
@@ -116,38 +81,24 @@ def collect_slices(
     return samples
 
 
-def figure2b(samples: List[SliceSample]) -> List[DecileRow]:
-    """Sort slices by BG-refault count and bucket into deciles."""
+def figure2b(samples: List[SliceSample]) -> List[dict]:
+    """Sort slices by BG-refault count and bucket into deciles: one row
+    per decile, with its mean FPS, reclaims and BG refaults."""
     ordered = sorted(samples, key=lambda s: s.bg_refaults)
     n = len(ordered)
     if n == 0:
         return []
-    rows: List[DecileRow] = []
+    rows: List[dict] = []
     buckets = min(10, n)
     for index in range(buckets):
         lo = index * n // buckets
         hi = (index + 1) * n // buckets
         bucket = ordered[lo:hi] or [ordered[-1]]
-        rows.append(
-            DecileRow(
-                decile=f"[{index * 10}th,{(index + 1) * 10}th]",
-                fps=sum(s.fps for s in bucket) / len(bucket),
-                reclaims=sum(s.reclaims for s in bucket) / len(bucket),
-                bg_refaults=sum(s.bg_refaults for s in bucket) / len(bucket),
-            )
-        )
+        rows.append({
+            "decile": f"[{index * 10}th,{(index + 1) * 10}th]",
+            "fps": sum(s.fps for s in bucket) / len(bucket),
+            "reclaims": sum(s.reclaims for s in bucket) / len(bucket),
+            "bg_refaults": sum(s.bg_refaults for s in bucket) / len(bucket),
+        })
     return rows
 
-
-def format_figure2b(rows: Sequence[DecileRow]) -> str:
-    lines = [
-        "Figure 2(b): frame rate vs BG refaults (30 s slices, deciles)",
-        f"{'decile':>14} | {'FPS':>6} | {'reclaims':>9} | {'BG refaults':>11}",
-        "-" * 52,
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.decile:>14} | {row.fps:>6.1f} | {row.reclaims:>9.0f} | "
-            f"{row.bg_refaults:>11.0f}"
-        )
-    return "\n".join(lines)

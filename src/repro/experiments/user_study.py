@@ -18,7 +18,7 @@ and more than 60% of refaults are caused by BG processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.apps.catalog import catalog_apps
 from repro.devices.specs import get_device
@@ -180,60 +180,3 @@ def simulate_user(
             )
         )
     return result
-
-
-def user_study(
-    users: Sequence[UserProfile] = STUDY_USERS,
-    days: int = 5,
-    day_minutes: float = 2.0,
-    policy: str = "LRU+CFS",
-) -> List[UserStudyResult]:
-    """Figure 3: run the whole study population."""
-    return [
-        simulate_user(user, days=days, day_minutes=day_minutes, policy=policy)
-        for user in users
-    ]
-
-
-def format_figure3a(results: Sequence[UserStudyResult]) -> str:
-    lines = [
-        "Figure 3(a): evicted/refaulted pages per (compressed) day",
-        f"{'user':>7} {'device':>7} | {'evicted/day':>11} | {'refault/day':>11} | "
-        f"{'ratio':>6} | {'BG share':>8}",
-        "-" * 64,
-    ]
-    for result in results:
-        n_days = max(1, len(result.days))
-        lines.append(
-            f"{result.user.user_id:>7} {result.user.device:>7} | "
-            f"{result.total_evicted // n_days:>11} | "
-            f"{result.total_refaulted // n_days:>11} | "
-            f"{result.refault_ratio:>6.0%} | {result.bg_share:>8.0%}"
-        )
-    ratios = [r.refault_ratio for r in results]
-    shares = [r.bg_share for r in results]
-    lines.append("-" * 64)
-    lines.append(
-        f"{'mean':>15} | {'':>11} | {'':>11} | "
-        f"{sum(ratios) / len(ratios):>6.0%} | {sum(shares) / len(shares):>8.0%}"
-    )
-    return "\n".join(lines)
-
-
-def format_figure3b(result: UserStudyResult, points: int = 20) -> str:
-    lines = [
-        f"Figure 3(b): cumulative evictions/refaults over time ({result.user.user_id}, "
-        f"{result.user.device})",
-        f"{'t(s)':>7} | {'evicted':>9} | {'refaulted':>9} | {'ratio':>6} | {'BG share':>8}",
-        "-" * 50,
-    ]
-    timeline = result.timeline
-    step = max(1, len(timeline) // points)
-    for point in timeline[::step]:
-        ratio = point.refaulted / point.evicted if point.evicted else 0.0
-        share = point.refault_bg / point.refaulted if point.refaulted else 0.0
-        lines.append(
-            f"{point.time_s:>7.0f} | {point.evicted:>9} | {point.refaulted:>9} | "
-            f"{ratio:>6.0%} | {share:>8.0%}"
-        )
-    return "\n".join(lines)

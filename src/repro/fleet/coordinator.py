@@ -197,8 +197,7 @@ class Coordinator(HttpBase):
         if not self._stopped.is_set():
             if self._sweep_task is not None:
                 self._sweep_task.cancel()
-            if self._server is not None:
-                self._server.close()
+            self.close_listener()
             self._stopped.set()
 
     # ------------------------------------------------------------------

@@ -161,8 +161,7 @@ class FleetNode:
         self._dead = True
         if self._member_task is not None:
             self._member_task.cancel()
-        if self.server._server is not None:
-            self.server._server.close()
+        self.server.close_listener()
 
 
 async def run_node(

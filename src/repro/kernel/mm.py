@@ -211,11 +211,6 @@ class MemoryManager:
         """The MDT formula's S_am: free plus easily-droppable file pages."""
         return self._free_pages + self.lru.inactive_file
 
-    def memory_pressure(self) -> float:
-        """0 (idle) .. 1+ (thrashing): high-watermark over availability."""
-        available = max(1, self.available_pages)
-        return self.spec.high_watermark_pages / available
-
     # ------------------------------------------------------------------
     # Allocation / residency
     # ------------------------------------------------------------------

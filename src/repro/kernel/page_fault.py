@@ -64,11 +64,6 @@ class FaultOutcome:
     refault: Optional[RefaultEvent] = None
     direct_reclaims: int = 0
 
-    def blocking_ms(self, now: float) -> float:
-        """Total time the faulting task is off-CPU for this fault alone."""
-        io_wait = max(0.0, (self.io_complete_at or now) - now)
-        return self.service_ms + io_wait
-
 
 class PageFaultHandler:
     """Resolves faults against the memory manager and storage devices."""

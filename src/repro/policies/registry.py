@@ -65,19 +65,6 @@ def register_policy(name: str, factory: Callable[[], ManagementPolicy]) -> None:
     _REGISTRY[name] = factory
 
 
-def unregister_policy(name: str) -> None:
-    """Remove a previously registered policy.
-
-    Raises ``KeyError`` for names that were never registered, so a
-    typo'd cleanup is loud instead of silently leaving the real
-    registration behind.
-    """
-    if name not in _REGISTRY:
-        known = ", ".join(_REGISTRY)
-        raise KeyError(f"policy {name!r} is not registered; known: {known}")
-    del _REGISTRY[name]
-
-
 @contextmanager
 def temporary_policy(
     name: str, factory: Callable[[], ManagementPolicy]

@@ -57,11 +57,6 @@ class CpuStats:
     def peak_utilization(self) -> float:
         return max(self.samples) if self.samples else 0.0
 
-    def utilization_over(self, elapsed_ms: float) -> float:
-        if elapsed_ms <= 0:
-            return 0.0
-        return self.busy_ms_total / (self.cores * elapsed_ms)
-
 
 class CfsScheduler:
     """The run-queue plus the per-quantum dispatch loop."""

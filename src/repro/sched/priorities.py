@@ -30,8 +30,3 @@ def nice_to_weight(nice: int) -> int:
     if not NICE_MIN <= nice <= NICE_MAX:
         raise ValueError(f"nice value {nice} outside [{NICE_MIN}, {NICE_MAX}]")
     return _PRIO_TO_WEIGHT[nice - NICE_MIN]
-
-
-def clamp_nice(nice: int) -> int:
-    """Clamp an arbitrary integer into the valid nice range."""
-    return max(NICE_MIN, min(NICE_MAX, nice))

@@ -292,9 +292,8 @@ class ServeClient:
                         payload = "\n".join(data_lines) or "{}"
                         yield event_id, event, json.loads(payload)
                         if event in TERMINAL_STATES:
-                            # Don't wait for EOF: a worker process forked
-                            # while this connection was open can hold a
-                            # duplicate of its fd, delaying the FIN.
+                            # The terminal event is the stream's
+                            # last: no need to wait for EOF.
                             return
                     event = None
                     event_id = None

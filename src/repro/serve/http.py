@@ -82,7 +82,7 @@ class SimulationServer(HttpBase):
     async def _drain(self) -> None:
         await self.state.drain()
         if self._server is not None:
-            self._server.close()
+            self.close_listener()
             await self._server.wait_closed()
         self._stopped.set()
 

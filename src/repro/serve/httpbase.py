@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qsl
@@ -33,6 +34,36 @@ _MAX_BODY_BYTES = 1 << 20
 # Stamped by the coordinator on proxied submissions so the receiving
 # node can detect (and count) routing mistakes.
 ROUTE_NODE_HEADER = "x-repro-route-node"
+
+
+# The listening and accepted sockets of every server in this process,
+# from listen or accept until closed.  A child forked while they are
+# open (a node's pool worker, forked at start-up or when a dead worker
+# is replaced) would hold them after this process closes its copies: a
+# killed node's port would go on accepting connections, and a client
+# would never see its connection end.  So a forked child releases them.
+_SOCKETS: set = set()
+
+
+def _release_sockets() -> None:
+    """In a forked child: let go of every server socket of the parent.
+
+    Each fd is pointed at /dev/null rather than closed, because the
+    child's copy of the socket object still owns the fd number and may
+    close it later; closing it now could let that close hit an
+    unrelated file that reused the number.
+    """
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for sock in _SOCKETS:
+        fd = sock.fileno()
+        if fd != -1:
+            os.dup2(devnull, fd, inheritable=False)
+    os.close(devnull)
+    _SOCKETS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_release_sockets)
 
 
 class _BadRequest(Exception):
@@ -72,13 +103,22 @@ class HttpBase:
         )
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        self._listening: Tuple = ()
         self._stopped = asyncio.Event()
 
     async def _listen(self, host: str, port: int) -> None:
         self._server = await asyncio.start_server(
             self._handle_client, host=host, port=port
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._listening = self._server.sockets
+        _SOCKETS.update(self._listening)
+        self.port = self._listening[0].getsockname()[1]
+
+    def close_listener(self) -> None:
+        """Stop accepting connections (idempotent)."""
+        if self._server is not None:
+            self._server.close()
+            _SOCKETS.difference_update(self._listening)
 
     async def serve_forever(self) -> None:
         await self._stopped.wait()
@@ -87,6 +127,8 @@ class HttpBase:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        sock = writer.get_extra_info("socket")
+        _SOCKETS.add(sock)
         try:
             parsed = await self._read_request(reader)
             if parsed is None:
@@ -118,6 +160,14 @@ class HttpBase:
             except ConnectionError:
                 pass
             writer.close()
+            # The transport closes the socket on a later loop turn; it
+            # stays listed until then.
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass
+            finally:
+                _SOCKETS.discard(sock)
 
     @staticmethod
     async def _discard_input(reader, limit: int = 8 << 20) -> None:

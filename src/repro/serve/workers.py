@@ -225,13 +225,13 @@ class WorkerFleet:
             initializer=_init_worker,
             initargs=(self._progress_queue,),
         )
-        # Spawn the whole fleet NOW, before the HTTP listener accepts
-        # traffic: the executor otherwise forks lazily at first submit,
-        # and a fork duplicates every open fd — a worker forked while a
-        # client connection is live would hold that socket open forever
-        # after the server closes its copy (the peer never sees EOF).
-        # Under a start method that does not fork, the warm-up is also
-        # where each worker imports the simulator.
+        # Spawn the whole fleet now; the executor otherwise forks lazily
+        # at first submit.  A fork duplicates every open fd, and the
+        # child releases the server's sockets among them (the at-fork
+        # hook in ``repro.serve.httpbase``), so a pool rebuilt while
+        # clients are connected holds none of their connections.  Under
+        # a start method that does not fork, the warm-up is also where
+        # each worker imports the simulator.
         _futures_wait([self._pool.submit(_warmup) for _ in range(self.size)])
 
     def _rebuild_pool(self, broken: ProcessPoolExecutor) -> None:

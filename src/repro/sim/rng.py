@@ -149,6 +149,3 @@ class RngRegistry:
             existing = RngStream(self.base_seed, namespace)
             self._streams[namespace] = existing
         return existing
-
-    def namespaces(self) -> List[str]:
-        return sorted(self._streams)

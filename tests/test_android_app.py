@@ -8,7 +8,6 @@ from repro.android.oom_adj import (
     ADJ_PERCEPTIBLE,
     CACHED_APP_MIN_ADJ,
     cached_adj,
-    is_whitelisted_score,
 )
 from repro.apps.catalog import get_profile
 from repro.apps.profiles import AppCategory, AppProfile
@@ -41,13 +40,6 @@ def test_cached_adj_capped():
 def test_cached_adj_negative_rank_rejected():
     with pytest.raises(ValueError):
         cached_adj(-1)
-
-
-def test_whitelist_score_rule():
-    assert is_whitelisted_score(ADJ_FOREGROUND)
-    assert is_whitelisted_score(ADJ_PERCEPTIBLE)
-    assert not is_whitelisted_score(ADJ_PERCEPTIBLE + 1)
-    assert not is_whitelisted_score(CACHED_APP_MIN_ADJ)
 
 
 # ----------------------------------------------------------------------

@@ -3,20 +3,8 @@
 import pytest
 
 from repro.devices.specs import huawei_p20, pixel3
-from repro.experiments.cpu_utilization import CpuUtilizationRow, format_table1
-from repro.experiments.frame_rate import (
-    Figure8Cell,
-    Figure9Point,
-    format_figure8,
-    format_figure9,
-)
+from repro.experiments.figures import FIGURES
 from repro.experiments.launch_study import LaunchSample, LaunchStudyResult
-from repro.experiments.reclaim_study import (
-    ReclaimCell,
-    format_matrix,
-    reduction_summary,
-)
-from repro.experiments.refault_analysis import DecileRow, format_figure2b
 from repro.experiments.scenarios import (
     DEFAULT_BG_COUNT,
     BgCase,
@@ -65,59 +53,64 @@ def test_bg_case_listing():
 
 
 # ----------------------------------------------------------------------
-# formatters
+# renders, over rows as FIGURES.json stores them
 # ----------------------------------------------------------------------
 def test_format_table1():
-    rows = [CpuUtilizationRow(bg_apps=0, average=0.43, peak=0.52)]
-    text = format_table1(rows)
+    rows = [{"bg_apps": 0, "average": 0.43, "peak": 0.52}]
+    text = FIGURES["table1"].render(rows)
     assert "43%" in text and "52%" in text
 
 
 def test_format_figure8_layout():
-    cells = [
-        Figure8Cell("S-A", "P20", policy, fps=30.0 + i, ria=0.2, rounds=1)
+    rows = [
+        {"scenario": "S-A", "device": "P20", "policy": policy,
+         "fps": 30.0 + i, "ria": 0.2, "rounds": 1}
         for i, policy in enumerate(("LRU+CFS", "UCSG", "Acclaim", "Ice"))
     ]
-    text = format_figure8(cells)
+    text = FIGURES["fig8"].render(rows)
     assert "P20" in text and "S-A" in text
     assert "33.0" in text  # Ice's fps
 
 
 def test_format_figure9_layout():
-    points = [
-        Figure9Point("F", 0, "LRU+CFS", 46.0, 0.01),
-        Figure9Point("F", 0, "Ice", 46.0, 0.01),
-        Figure9Point("8B+F", 8, "LRU+CFS", 25.0, 0.5),
-        Figure9Point("8B+F", 8, "Ice", 40.0, 0.2),
+    rows = [
+        {"config": config, "bg_count": count, "policy": policy,
+         "fps": fps, "ria": ria}
+        for config, count, policy, fps, ria in (
+            ("F", 0, "LRU+CFS", 46.0, 0.01),
+            ("F", 0, "Ice", 46.0, 0.01),
+            ("8B+F", 8, "LRU+CFS", 25.0, 0.5),
+            ("8B+F", 8, "Ice", 40.0, 0.2),
+        )
     ]
-    text = format_figure9(points)
+    text = FIGURES["fig9"].render(rows)
     assert "8B+F" in text
     lines = text.splitlines()
     assert lines[2].strip().startswith("F")  # config order preserved
 
 
+def _reclaim_rows(*cells):
+    return [{"scenario": "S-A", "policy": policy, "refault": refault,
+             "reclaim": reclaim} for policy, refault, reclaim in cells]
+
+
 def test_format_matrix_and_reduction():
-    cells = [
-        ReclaimCell("S-A", "LRU+CFS", refault=100, reclaim=1000),
-        ReclaimCell("S-A", "Ice", refault=50, reclaim=700),
-    ]
-    text = format_matrix(cells, "T")
+    rows = _reclaim_rows(("LRU+CFS", 100, 1000), ("Ice", 50, 700))
+    text, summary = FIGURES["fig10"].render(rows).split("reduction vs")
     assert "S-A" in text
-    summary = reduction_summary(cells)
     assert "50%" in summary and "70%" in summary
 
 
 def test_reduction_summary_skips_zero_baselines():
-    cells = [
-        ReclaimCell("S-A", "LRU+CFS", refault=0, reclaim=0),
-        ReclaimCell("S-A", "Ice", refault=0, reclaim=0),
-    ]
-    assert "Ice" not in reduction_summary(cells)
+    rows = _reclaim_rows(("LRU+CFS", 0, 0), ("Ice", 0, 0))
+    summary = FIGURES["fig10"].render(rows).split("reduction vs")[1]
+    assert "Ice" not in summary
 
 
 def test_format_figure2b():
-    rows = [DecileRow("[0th,10th]", fps=47.2, reclaims=100.0, bg_refaults=5.0)]
-    text = format_figure2b(rows)
+    rows = [{"decile": "[0th,10th]", "fps": 47.2, "reclaims": 100.0,
+             "bg_refaults": 5.0}]
+    text = FIGURES["fig2b"].render(rows)
     assert "47.2" in text
 
 

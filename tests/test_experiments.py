@@ -48,8 +48,8 @@ def test_run_scenario_bg_apps_creates_pressure():
 def test_cpu_utilization_rises_with_bg_apps():
     idle = measure_cpu_utilization(0, seconds=8.0)
     loaded = measure_cpu_utilization(6, seconds=8.0)
-    assert 0.3 < idle.average < 0.55  # ~43% in the paper
-    assert loaded.average > idle.average
+    assert 0.3 < idle["average"] < 0.55  # ~43% in the paper
+    assert loaded["average"] > idle["average"]
 
 
 def test_figure4_categorization_shape():
@@ -65,7 +65,7 @@ def test_figure2b_deciles_monotone_in_refaults():
     samples = collect_slices(scenarios=("S-A",), slices_per_scenario=4,
                              slice_seconds=8.0, seed=3)
     rows = figure2b(samples)
-    refaults = [row.bg_refaults for row in rows]
+    refaults = [row["bg_refaults"] for row in rows]
     assert refaults == sorted(refaults)
 
 

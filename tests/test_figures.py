@@ -2,10 +2,12 @@
 
 ``repro figures --out FIGURES.json`` writes every artifact's rows
 (:mod:`repro.experiments.figures`); CI regenerates the file and
-requires it byte for byte.  §6.4's checks are cheap and run live.
+requires it byte for byte, and EXPERIMENTS.md quotes each id's render
+of those rows.  §6.4's checks are cheap and run live.
 """
 
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +20,13 @@ from repro.experiments.page_categorization import (
 )
 from repro.experiments.user_study import DayStats, UserStudyResult
 
-FIGURES_JSON = Path(__file__).resolve().parent.parent / "FIGURES.json"
+ROOT = Path(__file__).resolve().parent.parent
+FIGURES_JSON = ROOT / "FIGURES.json"
+# A quoted render: ``repro figures ID``'s output in a fenced block.
+QUOTE = re.compile(
+    r"<!-- figures:(?P<id>[a-z0-9-]+) -->\n```text\n(?P<text>.*?)\n```\n"
+    r"<!-- /figures -->", re.S,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +56,24 @@ def test_artifact_covers_every_id(figures):
     from repro.experiments.figures import FIGURES
 
     assert list(figures) == sorted(FIGURES)
+
+
+def test_experiments_md_quotes_every_render(figures):
+    # sec642's render times the host's table indexing, so it is printed
+    # only; every other id is quoted exactly once.
+    from repro.experiments.figures import FIGURES
+
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    opened = re.findall(r"<!-- figures:([a-z0-9-]+) -->", text)
+    quotes = {match["id"]: match["text"] for match in QUOTE.finditer(text)}
+    assert sorted(opened) == sorted(quotes) == sorted(
+        set(FIGURES) - {"sec642"})
+    for figure_id, quoted in quotes.items():
+        expected = FIGURES[figure_id].render(figures[figure_id])
+        assert quoted == expected, (
+            f"EXPERIMENTS.md's {figure_id} block must read "
+            f"(`repro figures {figure_id}`):\n{expected}"
+        )
 
 
 @pytest.mark.parametrize("width", [1, 2], ids=["in-process", "pool"])

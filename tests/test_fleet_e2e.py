@@ -9,6 +9,9 @@ SIGTERM leaves, and the SSE cursor-reconnect protocol.
 
 import http.client
 import json
+import os
+import signal
+import socket
 import time
 from itertools import islice
 
@@ -70,6 +73,15 @@ def _routed_to(ring, node_id, seconds, seed):
         if ring.route(request.cache_key()) == node_id:
             return payload
         seed += 1
+
+
+def _refuses(host, port):
+    """Whether a TCP connect to ``port`` is refused."""
+    try:
+        socket.create_connection((host, port), timeout=1.0).close()
+    except ConnectionRefusedError:
+        return True
+    return False
 
 
 def _raw_post(client, path, body: bytes):
@@ -228,6 +240,59 @@ def test_killed_node_is_evicted_and_inflight_jobs_resubmitted(fleet):
     ]
     assert f'repro_fleet_node_up{{node="{victim_id}"}}' not in samples
     assert len(ups) == 1
+
+
+def test_killed_node_refuses_connections(tmp_path):
+    # n2's pool forks after n1's listener opens; a pool worker holding a
+    # copy of it would keep n1's port accepting after n1 dies.
+    store = tmp_path / "store"
+    store.mkdir()
+    with CoordinatorThread(CoordinatorConfig(port=0)) as coord:
+        nodes = [
+            FleetNodeThread(_node_config(store, node_id), coord.base_url)
+            .start() for node_id in ("n1", "n2")
+        ]
+        try:
+            victim = nodes[0]
+            host, port = victim.config.host, victim.port
+            assert not _refuses(host, port)
+            victim.kill()
+            assert _wait_for(lambda: _refuses(host, port), timeout_s=5.0)
+        finally:
+            for node in nodes:
+                node.stop(timeout_s=15.0)
+
+
+def test_worker_forked_after_a_crash_holds_no_server_socket():
+    # A worker that dies is replaced by a pool forked while the node's
+    # listener and its client connections are open.
+    with ServerThread(ServeConfig(port=0, workers=1)) as handle:
+        host, port = handle.config.host, handle.port
+        idle = socket.create_connection((host, port), timeout=10.0)
+        try:
+            (worker,) = handle.server.state.fleet._pool._processes.values()
+            os.kill(worker.pid, signal.SIGKILL)
+            job = ServeClient(handle.base_url).run({
+                "scenario": "S-A", "bg_case": "bg-null", "seconds": 2.0,
+                "seed": 7,
+            }, timeout_s=120.0)
+            assert job["state"] == "done", job.get("error")
+            assert job["attempts"] == 2
+            # The connection, open across the fork, ends when the node
+            # closes it (a worker's copy would hold back the FIN).
+            idle.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: n\r\n\r\n")
+            response = b""
+            while True:
+                chunk = idle.recv(65536)
+                if not chunk:
+                    break
+                response += chunk
+            assert response.startswith(b"HTTP/1.1 200")
+        finally:
+            idle.close()
+        # Close the listener as a node's simulated death does.
+        handle._loop.call_soon_threadsafe(handle.server.close_listener)
+        assert _wait_for(lambda: _refuses(host, port), timeout_s=5.0)
 
 
 def test_reported_runs_are_not_replayed_when_their_node_dies(fleet):

@@ -32,7 +32,6 @@ def test_register_refresh_adds_new_pids():
     table.register_app(uid=10001, package="a", pids=[1])
     table.register_app(uid=10001, package="a", pids=[1, 2])
     assert table.pids_of_uid(10001) == [1, 2]
-    assert table.app_count == 1
 
 
 def test_remove_app_clears_both_indices():
@@ -41,7 +40,6 @@ def test_remove_app_clears_both_indices():
     table.remove_app(10001)
     assert table.uid_of_pid(1) is None
     assert table.pids_of_uid(10001) == []
-    assert table.app_count == 0
     assert table.process_count == 0
 
 

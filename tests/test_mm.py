@@ -207,12 +207,6 @@ def test_available_pages_includes_inactive_file(mm):
     assert mm.available_pages == mm.free_pages + 10
 
 
-def test_memory_pressure_rises_with_consumption(mm, small_spec):
-    low_pressure = mm.memory_pressure()
-    fill_memory(mm, small_spec.managed_pages - small_spec.high_watermark_pages)
-    assert mm.memory_pressure() > low_pressure
-
-
 def test_pgscan_counts_every_page_reclaim_scans(monkeypatch):
     """Over a heavy-reclaim window, vmstat.pgscan is the sum of the
     pages every shrink call scanned (inactive scans plus active aging),

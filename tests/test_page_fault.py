@@ -110,13 +110,6 @@ def test_refault_event_published_to_observers(mm, fault_handler):
     assert seen[0].page.page_id == page.page_id
 
 
-def test_blocking_ms_combines_cpu_and_io(mm, fault_handler, clock):
-    page = make_pages(mm, 1, kind=PageKind.FILE)[0]
-    outcome = fault_handler.handle(page, pid=1, uid=1, foreground=True)
-    blocking = outcome.blocking_ms(clock.now)
-    assert blocking >= mm.flash.spec.read_ms
-
-
 def test_write_fault_dirties_file_page(mm, fault_handler):
     page = make_pages(mm, 1, kind=PageKind.FILE)[0]
     fault_handler.handle_id(page.page_id, pid=1, uid=1, foreground=True,

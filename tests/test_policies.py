@@ -200,22 +200,6 @@ def test_register_policy_adds_usable_name():
         registry._REGISTRY.pop(name, None)
 
 
-def test_unregister_policy_removes_name():
-    from repro.policies import registry
-
-    name = "UnregisterMe"
-    registry.register_policy(name, LruCfsPolicy)
-    registry.unregister_policy(name)
-    assert name not in registry.available_policies()
-
-
-def test_unregister_unknown_policy_is_loud():
-    from repro.policies import registry
-
-    with pytest.raises(KeyError, match="not registered"):
-        registry.unregister_policy("NeverRegistered")
-
-
 def test_temporary_policy_scopes_registration():
     from repro.policies import registry
 

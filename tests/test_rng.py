@@ -39,13 +39,6 @@ def test_registry_returns_same_stream_instance():
     assert registry.stream("x") is registry.stream("x")
 
 
-def test_registry_namespaces_listing():
-    registry = RngRegistry(1)
-    registry.stream("b")
-    registry.stream("a")
-    assert registry.namespaces() == ["a", "b"]
-
-
 def test_uniform_within_bounds():
     stream = RngStream(3, "u")
     for _ in range(100):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sched.cfs import CfsScheduler
 from repro.sim.engine import Simulator
-from repro.sched.priorities import clamp_nice, nice_to_weight
+from repro.sched.priorities import nice_to_weight
 from repro.sched.task import Task, TaskState, WorkItem
 
 
@@ -25,12 +25,6 @@ def test_out_of_range_nice_rejected():
         nice_to_weight(20)
     with pytest.raises(ValueError):
         nice_to_weight(-21)
-
-
-def test_clamp_nice():
-    assert clamp_nice(100) == 19
-    assert clamp_nice(-100) == -20
-    assert clamp_nice(3) == 3
 
 
 # ----------------------------------------------------------------------
@@ -286,15 +280,6 @@ def test_cpu_stats_buckets_per_second():
         now += 4.0
     assert len(sched.stats.samples) == 2
     assert sched.stats.samples[0] == pytest.approx(1.0, abs=0.01)
-
-
-def test_utilization_over_window():
-    sched = make_sched(cores=2)
-    task = Task("t")
-    sched.add_task(task)
-    task.submit(WorkItem(cpu_ms=4.0))
-    tick(sched, 0.0)
-    assert sched.stats.utilization_over(4.0) == pytest.approx(0.5)
 
 
 def test_remove_task_kills_it():
